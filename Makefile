@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-contracts fmt vet baseline remedy-scenarios cluster-chaos train-loop
+.PHONY: all build test race lint lint-contracts fmt vet baseline remedy-scenarios cluster-chaos train-loop bench bench-compare
 
 all: build lint test
 
@@ -64,6 +64,19 @@ train-loop:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/learn/
 	SSDFAIL_LEARN_REPORT=$(CURDIR)/BENCH_learn.json \
 		GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/learn/
+
+# The repository's benchmark (bench/README.md): every workload, the
+# end-to-end pass and then the traced pass, about 3 min on 2 vCPUs.
+# Writes BENCH_result.json (git-ignored); keep a copy from the parent
+# commit to compare against.
+bench:
+	$(GO) run ./bench/cmd/ssdbench -seed 1 -out BENCH_result.json
+
+# Row-by-row verdicts under BENCHMARK.json's bounds:
+#   make bench-compare OLD=before.json NEW=BENCH_result.json
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
+	$(GO) run ./bench/cmd/ssdbench -compare $(OLD) $(NEW)
 
 fmt:
 	gofmt -l -w .

@@ -194,22 +194,37 @@ func BenchmarkForestSerialization(b *testing.B) {
 	}
 }
 
-// BenchmarkServeScoreFleet measures the serving daemon's batch-scoring
-// hot path: a full-fleet scoring pass over the drive-state store's
-// snapshot (latest + previous report per drive), as triggered by
-// GET /v1/watchlist, at one worker and at GOMAXPROCS workers.
+// serveFleetClones is how many ID-shifted copies of the benchmark fleet
+// BenchmarkServeScoreFleet keeps resident (18k drives at the default
+// scale), so 0.2 % of it is a few dozen drives rather than a fraction of
+// one.
+const serveFleetClones = 40
+
+// BenchmarkServeScoreFleet measures the serving daemon's fleet scoring
+// pass, as triggered by GET /v1/watchlist, at one worker and at
+// GOMAXPROCS workers:
+//
+//   - cold: every score slot is stale (each iteration poses as a new
+//     model version), so the pass snapshots, featurizes and scores every
+//     drive and writes every score back — the full pass of a daemon that
+//     just booted or just swapped models;
+//   - warm: 0.2 % of the drives reported since the last pass (the share
+//     a steady trickle dirties between two polls), the rest is answered
+//     from the resident score column.
 func BenchmarkServeScoreFleet(b *testing.B) {
 	ctx := getBenchCtx(b)
 	store := serve.NewStore(0, 0)
+	var stride uint32
 	for di := range ctx.Fleet.Drives {
-		d := &ctx.Fleet.Drives[di]
-		lo := len(d.Days) - 2
-		if lo < 0 {
-			lo = 0
-		}
-		for _, r := range d.Days[lo:] {
-			if err := store.Upsert(d.ID, d.Model, r); err != nil {
-				b.Fatal(err)
+		stride = max(stride, ctx.Fleet.Drives[di].ID+1)
+	}
+	for c := uint32(0); c < serveFleetClones; c++ {
+		for di := range ctx.Fleet.Drives {
+			d := &ctx.Fleet.Drives[di]
+			for _, r := range d.Days[max(len(d.Days)-2, 0):] {
+				if err := store.Upsert(c*stride+d.ID, d.Model, r); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
@@ -224,21 +239,50 @@ func BenchmarkServeScoreFleet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	units := store.ScoreUnits(0)
-	if len(units) == 0 {
-		b.Fatal("empty fleet snapshot")
+	fleet := store.Len()
+	if fleet == 0 {
+		b.Fatal("empty fleet")
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			sc := serve.NewScorer(workers)
-			b.ResetTimer()
+	// The trickle: every 500th drive reports again before each warm pass
+	// (restoring a drive's own state invalidates its slot like a report).
+	var trickle []serve.DriveSnapshot
+	for i, snap := range store.Drives() {
+		if i%500 == 0 {
+			trickle = append(trickle, snap)
+		}
+	}
+	emit := func(serve.Scored) {}
+	workerCounts := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		workerCounts = append(workerCounts, n)
+	}
+	version := 0
+	for _, workers := range workerCounts {
+		sc := serve.NewScorer(workers)
+		b.Run("cold/workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				scored := sc.Score(pred, units)
-				if len(scored) != len(units) {
-					b.Fatal("short scoring pass")
+				version++
+				if st := sc.Sweep(store, pred, version, 0, 0.9, emit); st.Scored != fleet {
+					b.Fatalf("cold pass scored %d of %d drives", st.Scored, fleet)
 				}
 			}
-			b.ReportMetric(float64(len(units))*float64(b.N)/b.Elapsed().Seconds(), "drives/s")
+			b.ReportMetric(float64(fleet)*float64(b.N)/b.Elapsed().Seconds(), "drives/s")
+		})
+		b.Run("warm/workers="+strconv.Itoa(workers), func(b *testing.B) {
+			version++
+			sc.Sweep(store, pred, version, 0, 0.9, emit)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, snap := range trickle {
+					store.Restore(snap)
+				}
+				b.StartTimer()
+				if st := sc.Sweep(store, pred, version, 0, 0.9, emit); st.Scored != len(trickle) || st.Fleet() != fleet {
+					b.Fatalf("warm pass scored %d drives of a fleet of %d, want %d of %d", st.Scored, st.Fleet(), len(trickle), fleet)
+				}
+			}
+			b.ReportMetric(float64(fleet)*float64(b.N)/b.Elapsed().Seconds(), "drives/s")
 		})
 	}
 }

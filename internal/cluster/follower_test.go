@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net/http"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -77,6 +78,40 @@ func TestFollowerReplicatesWAL(t *testing.T) {
 	}
 	if pd != rd {
 		t.Fatalf("replica diverged:\nprimary %+v\nreplica %+v", pd, rd)
+	}
+
+	// The stream carries reports, never scores: the replica's score
+	// column starts fully stale, so its first fleet pass re-scores every
+	// drive — to the watchlist the primary serves — and only the second
+	// is answered from the column.
+	type watchlist struct {
+		FleetSize int `json:"fleet_size"`
+		Items     []struct {
+			DriveID uint32  `json:"drive_id"`
+			Score   float64 `json:"score"`
+			Day     int32   `json:"day"`
+		} `json:"items"`
+	}
+	var pw, rw watchlist
+	const q = "/v1/watchlist?threshold=0&k=0"
+	if code := getJSON(t, pts.URL+q, &pw); code != http.StatusOK {
+		t.Fatalf("primary watchlist: %d", code)
+	}
+	if code := getJSON(t, rts.URL+q, &rw); code != http.StatusOK {
+		t.Fatalf("replica watchlist: %d", code)
+	}
+	if pw.FleetSize == 0 || !reflect.DeepEqual(pw, rw) {
+		t.Fatalf("replica watchlist diverged from the primary's (%d vs %d drives)", rw.FleetSize, pw.FleetSize)
+	}
+	counters := replica.CounterSnapshot()
+	if hits, scored := counters["ssdserved_score_memo_hits_total"], counters["ssdserved_scored_drives_total"]; hits != 0 || scored != float64(rw.FleetSize) {
+		t.Fatalf("replica's first pass: %v memo hits and %v scored, want 0 and %d", hits, scored, rw.FleetSize)
+	}
+	if code := getJSON(t, rts.URL+q, &rw); code != http.StatusOK {
+		t.Fatalf("replica watchlist: %d", code)
+	}
+	if hits := replica.CounterSnapshot()["ssdserved_score_memo_hits_total"]; hits != float64(rw.FleetSize) {
+		t.Fatalf("replica's second pass: %v memo hits, want %d", hits, rw.FleetSize)
 	}
 }
 

@@ -309,3 +309,33 @@ func TestSpecValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTaskSecondsRecorded pins the per-task wall time: runTask
+// stamps it in a deferred function, which only reaches the caller
+// through a named result (it used to be lost, and every task read 0).
+// Timing is diagnostic, so it must not leak into the AUC table: two runs
+// with different per-task times still render byte-identical tables.
+func TestEngineTaskSecondsRecorded(t *testing.T) {
+	var tables [][]byte
+	for _, workers := range []int{1, 2} {
+		spec := testSpec(t)
+		spec.Workers = workers
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Tasks {
+			task := &res.Tasks[i]
+			if task.Seconds <= 0 || task.Seconds > res.Stats.WallSeconds {
+				t.Errorf("workers=%d: task %s reports %v s of a %v s grid", workers, task.Key, task.Seconds, res.Stats.WallSeconds)
+			}
+		}
+		tables = append(tables, res.AUCTable())
+	}
+	if !bytes.Equal(tables[0], tables[1]) {
+		t.Fatalf("AUC table moved with task timing:\n%s\nvs\n%s", tables[0], tables[1])
+	}
+}

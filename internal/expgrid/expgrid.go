@@ -277,9 +277,11 @@ func Run(spec Spec) (*Result, error) {
 	return &Result{Tasks: results, Stats: stats}, nil
 }
 
-// runTask executes one grid task end to end.
-func runTask(spec *Spec, cache *MatrixCache, scopeFolds [][]int, t task) TaskResult {
-	res := TaskResult{Key: t.key}
+// runTask executes one grid task end to end. res is a named result so
+// the deferred wall-time stamp lands in the value the caller receives,
+// on error returns too.
+func runTask(spec *Spec, cache *MatrixCache, scopeFolds [][]int, t task) (res TaskResult) {
+	res = TaskResult{Key: t.key}
 	taskStart := time.Now() //ssdlint:allow nondeterminism per-task wall time is diagnostic output, never a model input
 	//ssdlint:allow nondeterminism per-task wall time is diagnostic output, never a model input
 	defer func() { res.Seconds = time.Since(taskStart).Seconds() }()

@@ -26,6 +26,10 @@ var hotPathFuncs = map[string]map[string]bool{
 	"internal/serve": {
 		"Server.processBinBatch":  true,
 		"binState.renderBinReply": true,
+		// The warm watchlist sweep: a slot answered from the score column
+		// allocates nothing (stale slots grow reused buffers in place).
+		"sweep.scanShard":       true,
+		"storeShard.appendUnit": true,
 	},
 	"internal/ml/forest": {
 		"Flat.Score":     true,

@@ -164,6 +164,21 @@ func TestApplyReplicatedMirrorsState(t *testing.T) {
 		t.Fatalf("replica holds %d drives, primary %d", replica.store.Len(), primary.store.Len())
 	}
 
+	// Replication ships reports, not scores: the replica's score column
+	// starts fully stale, and its first pass re-scores every drive to
+	// exactly what the primary answers.
+	drives := replica.store.Len()
+	if got := staleSlots(replica.store); got != drives {
+		t.Fatalf("replica has %d stale score slots of %d after apply", got, drives)
+	}
+	pred, info, _ := replica.registry.Current()
+	want, _ := sweepRanked(primary.scorer, primary.store, pred, info.Version, 0, 0, 0)
+	got, stats := sweepRanked(replica.scorer, replica.store, pred, info.Version, 0, 0, 0)
+	requireSameRanking(t, "replica's first pass against the primary's", got, want)
+	if stats.Hits != 0 || stats.Scored != drives {
+		t.Fatalf("replica's first pass: %+v, want %d scored and no hits", stats, drives)
+	}
+
 	// Re-applying the same stream is benign: everything skips, the
 	// overlap a follower re-pulling from zero after restart produces.
 	stream = data
@@ -178,6 +193,10 @@ func TestApplyReplicatedMirrorsState(t *testing.T) {
 			t.Fatal("duplicate replicated record applied twice")
 		}
 		stream = stream[n:]
+	}
+	// Skipped duplicates changed nothing, so they invalidated nothing.
+	if got := staleSlots(replica.store); got != 0 {
+		t.Fatalf("re-applying an already applied stream left %d score slots stale", got)
 	}
 }
 

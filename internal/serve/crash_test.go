@@ -119,6 +119,11 @@ func checkRecovered(t *testing.T, store *Store, steps []crashStep, accepted map[
 	if got, want := store.Len(), len(accepted); got != want {
 		t.Fatalf("recovered %d drives, want %d", got, want)
 	}
+	// The score memo is not durable state: whatever the crashed process
+	// had scored, every recovered slot must start stale.
+	if got := staleSlots(store); got != store.Len() {
+		t.Fatalf("recovered store has %d stale score slots of %d", got, store.Len())
+	}
 	models := make(map[uint32]trace.Model)
 	for _, st := range steps {
 		models[st.id] = st.model
@@ -385,6 +390,57 @@ func TestCrashRecoveryAfterCleanShutdown(t *testing.T) {
 		t.Fatalf("no snapshot found after %d records with SnapshotEvery=137", len(steps))
 	}
 	checkRecovered(t, store2, steps, accepted)
+}
+
+// TestCrashRecoveredStoreStartsFullyStale pins what recovery means for
+// the score column: a process that had scored its whole fleet crashes,
+// and the store rebuilt from its snapshot and WAL tail carries no memo —
+// the first pass re-scores every drive (same bits as a from-scratch
+// pass), the second is answered from the column.
+func TestCrashRecoveredStoreStartsFullyStale(t *testing.T) {
+	pred := loadPredictor(t, fixModelPath)
+	base := faultfs.Mem()
+	store := NewStore(4, crashHistory)
+	j, err := OpenJournal(store, crashJournalOptions(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := crashWorkload()
+	accepted := make(map[uint32][]trace.DayRecord)
+	if stop := runUntilCrash(t, j, steps, accepted); stop != len(steps) {
+		t.Fatalf("workload stopped at step %d with no faults armed", stop)
+	}
+	sc := NewScorer(2)
+	if _, stats := sweepRanked(sc, store, pred, 1, 0, 0, 0); stats.Scored != crashDrives {
+		t.Fatalf("warming pass: %+v, want %d scored", stats, crashDrives)
+	}
+	if got := staleSlots(store); got != 0 {
+		t.Fatalf("%d slots stale after the warming pass", got)
+	}
+	// Crash: the journal is never closed. SyncEvery 1 made every accepted
+	// record durable, and SnapshotEvery put most of them in a snapshot,
+	// so recovery takes both the Restore and the replay path.
+	store2 := NewStore(4, crashHistory)
+	j2, err := OpenJournal(store2, crashJournalOptions(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close() //nolint:errcheck // read-only from here on
+	if rec := j2.Recovery(); rec.SnapshotLSN == 0 || rec.Replayed == 0 {
+		t.Fatalf("recovery %+v exercised only one of snapshot load and WAL replay", rec)
+	}
+	checkRecovered(t, store2, steps, accepted) // includes: every slot stale
+	want, _ := fromScratch(store2, pred, 0, 0, 0)
+	got, stats := sweepRanked(sc, store2, pred, 1, 0, 0, 0)
+	requireSameRanking(t, "first pass after recovery", got, want)
+	if stats.Hits != 0 || stats.Scored != crashDrives {
+		t.Fatalf("first pass after recovery: %+v, want %d scored and no hits", stats, crashDrives)
+	}
+	got, stats = sweepRanked(sc, store2, pred, 1, 0, 0, 0)
+	requireSameRanking(t, "second pass after recovery", got, want)
+	if stats.Hits != crashDrives || stats.Scored != 0 {
+		t.Fatalf("second pass after recovery: %+v, want %d hits", stats, crashDrives)
+	}
 }
 
 // TestOpenJournalRejectsOversizedHistory: the snapshot format stores a

@@ -10,14 +10,19 @@
 //
 // The pieces:
 //
-//   - Store (store.go): sharded drive-state map with per-shard RW locks;
-//     each drive keeps a bounded window of its most recent daily reports,
-//     enough for the feature pipeline's day+previous-day inputs.
+//   - Store (store.go): sharded drive-state table with per-shard RW
+//     locks. A shard maps drive ID to a slot and keeps slot-indexed
+//     columns: a bounded window of each drive's most recent daily reports
+//     (enough for the feature pipeline's day+previous-day inputs) and a
+//     dense score column memoising each drive's last score.
 //   - Registry (registry.go): holds the current predictor behind an
 //     atomic pointer; Load reads and validates a serialized forest from
 //     disk and swaps it in while scorers keep using the old one.
-//   - Scorer (scorer.go): scores a fleet snapshot across workers and
-//     ranks the result into a watchlist.
+//   - Scorer (scorer.go, sweep.go): Sweep is the fleet pass — it answers
+//     drives whose score slot is fresh from the column and re-scores the
+//     rest in blocks across workers; Score and Rank are the from-scratch
+//     pass it is tested against. The handlers admit passes through a
+//     pacer (pace.go) with a fixed budget of slots swept per second.
 //   - Metrics (metrics.go): a minimal Prometheus text-format registry
 //     (counters, gauges, histograms) with no dependencies.
 //   - Server (handlers.go): the HTTP surface wiring the above together.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"ssdfail/internal/core"
 	"ssdfail/internal/faultfs"
 	"ssdfail/internal/remedy"
 	"ssdfail/internal/trace"
@@ -123,6 +124,7 @@ type Server struct {
 
 	ingestSem chan struct{}
 	scoreSem  chan struct{}
+	pace      passPacer // spaces the fleet passes scoreSem admits
 
 	binStates sync.Pool // *binState scratch for /v1/ingest/bin
 
@@ -131,6 +133,7 @@ type Server struct {
 	ingested       *Counter
 	ingestRejected *CounterVec
 	scoredDrives   *Counter
+	memoHits       *Counter
 	scoreDur       *Histogram
 	loads          *Counter
 	reloads        *Counter
@@ -210,9 +213,12 @@ func New(cfg Config) (*Server, error) {
 	s.ingestRejected = m.NewCounterVec("ssdserved_ingest_rejected_total",
 		"Drive-day records rejected at ingest, by reason.", "reason")
 	s.scoredDrives = m.NewCounter("ssdserved_scored_drives_total",
-		"Drives scored by fleet scoring passes.")
+		"Drives run through the model by fleet scoring passes: their score slot was stale "+
+			"(new report, restored, or stamped by another model version).")
+	s.memoHits = m.NewCounter("ssdserved_score_memo_hits_total",
+		"Drives a fleet scoring pass answered from the resident score column without re-scoring.")
 	s.scoreDur = m.NewHistogram("ssdserved_scoring_duration_seconds",
-		"Latency of full-fleet scoring passes.", DurationBuckets)
+		"Latency of fleet scoring passes (column sweep plus re-scoring of stale slots).", DurationBuckets)
 	s.loads = m.NewCounter("ssdserved_model_loads_total",
 		"Successful model loads, including the startup load.")
 	s.reloads = m.NewCounter("ssdserved_model_reloads_total",
@@ -604,14 +610,27 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
+// sweep runs one fleet scoring pass with the given model, once the
+// pacer admits it, and accounts for it in the scoring metrics. It is the
+// only way a handler scores the fleet.
+func (s *Server) sweep(pred *core.Predictor, info ModelInfo, sinceDay int32, minScore float64, emit func(Scored)) SweepStats {
+	s.pace.wait(s.store.Len())
+	begin := s.now()
+	stats := s.scorer.Sweep(s.store, pred, info.Version, sinceDay, minScore, emit)
+	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
+	s.scoredDrives.Add(uint64(stats.Scored))
+	s.memoHits.Add(uint64(stats.Hits))
+	return stats
+}
+
 func (s *Server) handleWatchlist(w http.ResponseWriter, r *http.Request) {
 	pred, info, ok := s.registry.Current()
 	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	// A full-fleet scoring pass walks every shard; bounding concurrent
-	// passes keeps a scrape storm from starving ingest.
+	// A fleet scoring pass walks every shard and may re-score all of it;
+	// bounding concurrent passes keeps a scrape storm from starving ingest.
 	if !s.acquire(w, "watchlist", s.scoreSem) {
 		return
 	}
@@ -634,16 +653,13 @@ func (s *Server) handleWatchlist(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	begin := s.now()
-	units := s.store.ScoreUnits(int32(since))
-	scored := s.scorer.Score(pred, units)
-	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
-	s.scoredDrives.Add(uint64(len(scored)))
+	top := topK{k: k}
+	stats := s.sweep(pred, info, int32(since), threshold, top.offer)
 	if r.Context().Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded during scoring")
 		return
 	}
-	ranked := Rank(scored, threshold, k)
+	ranked := top.ranked()
 	type item struct {
 		DriveID uint32  `json:"drive_id"`
 		Model   string  `json:"model"`
@@ -667,7 +683,7 @@ func (s *Server) handleWatchlist(w http.ResponseWriter, r *http.Request) {
 		"model_version": info.Version,
 		"lookahead":     info.Lookahead,
 		"threshold":     threshold,
-		"fleet_size":    len(units),
+		"fleet_size":    stats.Fleet(),
 		"count":         len(items),
 		"items":         items,
 	})

@@ -26,7 +26,11 @@ import (
 var (
 	fixFleet     *trace.Fleet
 	fixModelPath string
-	fixLookahead = 3
+	// fixAltModelPath is a second, differently seeded forest: tests that
+	// hot-swap between the two can tell by a score's bits which model
+	// produced it.
+	fixAltModelPath string
+	fixLookahead    = 3
 )
 
 func TestMain(m *testing.M) {
@@ -55,6 +59,20 @@ func TestMain(m *testing.M) {
 	}
 	fixModelPath = filepath.Join(dir, "model.bin")
 	if err := pred.Save(fixModelPath); err != nil {
+		log.Fatal(err)
+	}
+	fcfg.Trees = 12
+	fcfg.Seed = 8
+	alt, err := study.TrainPredictor(core.PredictorOptions{
+		Lookahead: fixLookahead,
+		Factory:   forest.NewFactory(fcfg),
+		Seed:      8,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixAltModelPath = filepath.Join(dir, "model-alt.bin")
+	if err := alt.Save(fixAltModelPath); err != nil {
 		log.Fatal(err)
 	}
 	code := m.Run()
@@ -240,7 +258,11 @@ func TestServerIngestScoreWatchlistRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("ssdserved_ingest_records_total %d", total),
 		fmt.Sprintf("ssdserved_fleet_drives %d", len(lastDay)),
+		// One cold pass: every drive went through the model, none was
+		// answered from the score column (the single-drive lookup scores
+		// on its own and touches neither counter).
 		fmt.Sprintf("ssdserved_scored_drives_total %d", len(lastDay)),
+		"ssdserved_score_memo_hits_total 0",
 		"ssdserved_model_version 1",
 		// The startup load counts as a load, never as a reload: promotion
 		// accounting (trainer non-inferiority gate) reads reloads_total as

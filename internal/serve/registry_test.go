@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/forest"
+	"ssdfail/internal/trace"
 )
 
 func TestRegistryLoadAndVersioning(t *testing.T) {
@@ -274,5 +276,156 @@ func TestRegistryRejectsWidthMismatch(t *testing.T) {
 	_, err = NewRegistry(path, nil).Load()
 	if err == nil || !strings.Contains(err.Error(), "feature width") {
 		t.Fatalf("width mismatch not rejected: %v", err)
+	}
+}
+
+// TestHotSwapSweepNeverEmitsAnotherVersionsScore carries the no-mixed-
+// batch guarantee over to the score column. Two sweepers share one store
+// while a third goroutine ingests new reports and a fourth hot-swaps
+// between two different forests, so at any moment the column may hold
+// stamps of several versions and two passes may hold different models.
+// Every score a pass emits must be the bits its own model produces for
+// that drive's report — never a memo left by another version — and the
+// Scorer.observe hook must see only the pass's own predictor. Run with
+// -race -count=10.
+func TestHotSwapSweepNeverEmitsAnotherVersionsScore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.bin")
+	files := fixtureModelFiles(t)
+	preds := [2]*core.Predictor{loadPredictor(t, fixModelPath), loadPredictor(t, fixAltModelPath)}
+	if err := os.WriteFile(path, files[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(path, nil)
+	if _, err := reg.Load(); err != nil {
+		t.Fatal(err)
+	}
+	// The reloader below alternates the two files and every load
+	// succeeds, so version v serves files[(v-1)%2].
+
+	// What each model scores for every report the ingester will feed:
+	// the first report of a drive has no predecessor, later ones do.
+	const window = 8
+	type reportKey struct {
+		id  uint32
+		day int32
+	}
+	want := map[reportKey][2]uint64{}
+	var drives []*trace.Drive
+	differ := 0
+	for di := range fixFleet.Drives {
+		d := &fixFleet.Drives[di]
+		if len(d.Days) < window {
+			continue
+		}
+		drives = append(drives, d)
+		first := len(d.Days) - window
+		for j := first; j < len(d.Days); j++ {
+			var prev *trace.DayRecord
+			if j > first {
+				prev = &d.Days[j-1]
+			}
+			w := [2]uint64{
+				math.Float64bits(preds[0].ScoreRecord(&d.Days[j], prev)),
+				math.Float64bits(preds[1].ScoreRecord(&d.Days[j], prev)),
+			}
+			if w[0] != w[1] {
+				differ++
+			}
+			want[reportKey{d.ID, d.Days[j].Day}] = w
+		}
+	}
+	if differ < len(want)/4 {
+		t.Fatalf("the two fixture models agree on all but %d of %d reports; the test could not tell them apart", differ, len(want))
+	}
+
+	store := NewStore(8, 0)
+	feed := func(offset int) {
+		for _, d := range drives {
+			if err := store.Upsert(d.ID, d.Model, d.Days[len(d.Days)-window+offset]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	feed(0)
+
+	var wg sync.WaitGroup
+	var feeding atomic.Int32 // goroutines still changing the store or the model
+	feeding.Store(2)
+	wg.Add(2)
+	go func() { // ingest
+		defer wg.Done()
+		defer feeding.Add(-1)
+		for offset := 1; offset < window; offset++ {
+			feed(offset)
+		}
+	}()
+	go func() { // hot swaps in the middle of it
+		defer wg.Done()
+		defer feeding.Add(-1)
+		for i := 1; i <= 12; i++ {
+			if err := os.WriteFile(path, files[i%2], 0o644); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := reg.Load(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	var mixed, foreign, unknown, passes atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := NewScorer(2)
+			for quiet := 0; quiet < 2; {
+				if feeding.Load() == 0 {
+					quiet++ // a couple of passes over the settled store too
+				}
+				pred, info, _ := reg.Current()
+				sc.observe = func(p *core.Predictor, unit int) {
+					if p != pred {
+						mixed.Add(1)
+					}
+				}
+				own := (info.Version - 1) % 2
+				sc.Sweep(store, pred, info.Version, 0, math.Inf(-1), func(s Scored) {
+					w, ok := want[reportKey{s.ID, s.Day}]
+					switch {
+					case !ok:
+						unknown.Add(1)
+					case math.Float64bits(s.Score) != w[own]:
+						foreign.Add(1)
+					}
+				})
+				passes.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := mixed.Load(); n != 0 {
+		t.Errorf("%d units re-scored by a different model than their pass grabbed", n)
+	}
+	if n := unknown.Load(); n != 0 {
+		t.Errorf("%d emitted entries name a report that was never ingested", n)
+	}
+	if n := foreign.Load(); n != 0 {
+		t.Errorf("%d of the scores emitted over %d passes are not the bits the pass's own model version produces", n, passes.Load())
+	}
+
+	// Settled: one more pass per sweeper's last version may still be
+	// cold, the one after it is answered from the column alone.
+	pred, info, _ := reg.Current()
+	sc := NewScorer(2)
+	wantRanked, _ := fromScratch(store, pred, 0, 0, 0)
+	got, _ := sweepRanked(sc, store, pred, info.Version, 0, 0, 0)
+	requireSameRanking(t, "settled pass", got, wantRanked)
+	got, stats := sweepRanked(sc, store, pred, info.Version, 0, 0, 0)
+	requireSameRanking(t, "settled warm pass", got, wantRanked)
+	if stats.Scored != 0 || stats.Hits != len(drives) {
+		t.Fatalf("settled warm pass: %+v, want %d hits", stats, len(drives))
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 
 	"ssdfail/internal/remedy"
@@ -105,8 +106,9 @@ func toEventJSON(evs []remedy.Event) []eventJSON {
 	return out
 }
 
-// handleRemedyEvaluate runs one policy tick: a full-fleet scoring pass
-// (under the same concurrency bound as the watchlist) feeds the engine,
+// handleRemedyEvaluate runs one policy tick: a fleet scoring pass over
+// every drive (under the same concurrency bound as the watchlist, and
+// through the same score column) feeds the engine,
 // which cordons, drains, and swaps against the spare pool. The response
 // carries the tick's decisions.
 func (s *Server) handleRemedyEvaluate(w http.ResponseWriter, r *http.Request) {
@@ -122,18 +124,13 @@ func (s *Server) handleRemedyEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.scoreSem }()
-	begin := s.now()
-	units := s.store.ScoreUnits(0)
-	scored := s.scorer.Score(pred, units)
-	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
-	s.scoredDrives.Add(uint64(len(scored)))
+	pass := make([]remedy.Score, 0, s.store.Len())
+	s.sweep(pred, info, 0, math.Inf(-1), func(sc Scored) {
+		pass = append(pass, remedy.Score{DriveID: sc.ID, Model: sc.Model, Score: sc.Score})
+	})
 	if r.Context().Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded during scoring")
 		return
-	}
-	pass := make([]remedy.Score, len(scored))
-	for i, sc := range scored {
-		pass[i] = remedy.Score{DriveID: sc.ID, Model: sc.Model, Score: sc.Score}
 	}
 	events, err := s.remedy.engine.Evaluate(pass, nil)
 	if err != nil {

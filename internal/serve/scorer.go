@@ -27,6 +27,7 @@ type Scored struct {
 type Scorer struct {
 	workers int
 	scratch sync.Pool // *scoreScratch
+	sweeps  sync.Pool // *sweepBufs
 
 	// observe, when set (tests only, same package), is called for every
 	// unit scored with the predictor actually used. The hot-swap
@@ -52,7 +53,11 @@ const scoreBlockRows = 256
 // NewScorer builds a scorer with the given worker count (<= 0 means all
 // CPUs, resolved at score time by internal/parallel).
 func NewScorer(workers int) *Scorer {
-	return &Scorer{scratch: sync.Pool{New: func() any { return &scoreScratch{} }}, workers: workers}
+	return &Scorer{
+		workers: workers,
+		scratch: sync.Pool{New: func() any { return &scoreScratch{} }},
+		sweeps:  sync.Pool{New: func() any { return &sweepBufs{} }},
+	}
 }
 
 // Workers returns the configured worker count (0 = all CPUs).
@@ -94,24 +99,108 @@ func (sc *Scorer) Score(p *core.Predictor, units []ScoreUnit) []Scored {
 	return out
 }
 
+// outranks reports whether a sorts before b on a watchlist: higher
+// score first, lower drive ID on ties.
+func outranks(a, b *Scored) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ID < b.ID
+}
+
+func sortRanked(items []Scored) {
+	sort.Slice(items, func(a, b int) bool { return outranks(&items[a], &items[b]) })
+}
+
+// siftDown restores the heap property below h[i]. The heap is ordered
+// worst-ranked first, so h[0] is the entry a better one displaces.
+func siftDown(h []Scored, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && outranks(&h[c], &h[r]) {
+			c = r
+		}
+		if !outranks(&h[i], &h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func heapify(h []Scored) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// topK keeps the k best-ranked of the entries offered to it (k <= 0
+// keeps them all), so a fleet pass selects a watchlist in O(n log k)
+// without holding the fleet's scores. Once k entries are in, items is a
+// worst-first heap and an entry that does not outrank items[0] is
+// dropped in one comparison.
+type topK struct {
+	k     int
+	items []Scored
+}
+
+func (t *topK) offer(s Scored) {
+	switch {
+	case t.k <= 0 || len(t.items) < t.k:
+		t.items = append(t.items, s)
+		if len(t.items) == t.k {
+			heapify(t.items)
+		}
+	case outranks(&s, &t.items[0]):
+		t.items[0] = s
+		siftDown(t.items, 0)
+	}
+}
+
+// ranked sorts and returns the kept entries; the topK is spent.
+func (t *topK) ranked() []Scored {
+	sortRanked(t.items)
+	return t.items
+}
+
 // Rank sorts scores descending (ties broken by drive ID for stable
 // output), drops entries below threshold, and truncates to the top k
 // (k <= 0 keeps all). It reorders items in place and returns the
-// ranked prefix.
+// ranked prefix. With k > 0 only the survivors are sorted: entries at
+// or above threshold are moved to the front, the best k of them
+// selected with a bounded heap, and the rest of items left in no
+// particular order.
 func Rank(items []Scored, threshold float64, k int) []Scored {
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score > items[b].Score
+	if k <= 0 {
+		sortRanked(items)
+		cut := len(items)
+		for cut > 0 && items[cut-1].Score < threshold {
+			cut--
 		}
-		return items[a].ID < items[b].ID
-	})
-	cut := len(items)
-	for cut > 0 && items[cut-1].Score < threshold {
-		cut--
+		return items[:cut]
 	}
-	items = items[:cut]
-	if k > 0 && len(items) > k {
-		items = items[:k]
+	n := 0
+	for i := range items {
+		if items[i].Score < threshold {
+			continue
+		}
+		items[n], items[i] = items[i], items[n]
+		n++
 	}
-	return items
+	top := items[:n]
+	if n > k {
+		top = items[:k]
+		heapify(top)
+		for i := k; i < n; i++ {
+			if outranks(&items[i], &top[0]) {
+				top[0], items[i] = items[i], top[0]
+				siftDown(top, 0)
+			}
+		}
+	}
+	sortRanked(top)
+	return top
 }

@@ -23,7 +23,7 @@ const (
 	DefaultHistory = 8
 )
 
-// Store is a sharded in-memory map of per-drive rolling state. All
+// Store is a sharded in-memory table of per-drive rolling state. All
 // methods are safe for concurrent use.
 type Store struct {
 	shards  []storeShard
@@ -33,14 +33,54 @@ type Store struct {
 	records atomic.Int64
 }
 
+// storeShard lays its drives out in slots: m maps a drive ID to its
+// slot, and the two columns are indexed by it. A slot is assigned when
+// the drive is first seen and never freed, so a fleet pass walks
+// slots[0:n] front to back without touching the map or chasing a
+// pointer per drive.
 type storeShard struct {
-	mu sync.RWMutex
-	m  map[uint32]*driveState
+	mu     sync.RWMutex
+	m      map[uint32]int32
+	slots  []scoreSlot
+	recent [][]trace.DayRecord // per slot, ascending by Day, at most history entries
 }
 
-type driveState struct {
-	model  trace.Model
-	recent []trace.DayRecord // ascending by Day, at most history entries
+// scoreSlot is one drive's entry in a shard's score column: who it is,
+// plus the memo of its last score. A score is a pure function of the
+// drive's two latest reports and the model, so it stays valid until a
+// report arrives (Upsert, Restore) or the model changes.
+//
+// stamp is the registry ModelInfo.Version whose model produced
+// score/day/age; 0 means stale, and a pass trusts only slots stamped
+// with its own version. rev counts writes to the slot's history, so a
+// pass that scored the slot outside the lock can tell whether what it
+// read is still current before writing the result back. The struct is
+// pointer-free (the column is never scanned by the collector) and two
+// slots share a cache line.
+type scoreSlot struct {
+	score    float64
+	id       uint32
+	day, age int32
+	stamp    uint32
+	rev      uint32
+	model    trace.Model
+}
+
+// invalidate marks the slot's memo stale after its history changed. This
+// is all the ingest path pays for the memo: no feature row, no score.
+func (sl *scoreSlot) invalidate() {
+	sl.stamp = 0
+	sl.rev++
+}
+
+// add assigns the next slot to a new drive with the given (possibly
+// empty) history. The caller holds sh.mu.
+func (sh *storeShard) add(id uint32, model trace.Model, recent []trace.DayRecord) int32 {
+	slot := int32(len(sh.slots))
+	sh.m[id] = slot
+	sh.slots = append(sh.slots, scoreSlot{id: id, model: model})
+	sh.recent = append(sh.recent, recent)
+	return slot
 }
 
 // NewStore builds a store with the given shard count (rounded up to a
@@ -59,7 +99,7 @@ func NewStore(shards, history int) *Store {
 	}
 	s := &Store{shards: make([]storeShard, n), mask: uint32(n - 1), history: history}
 	for i := range s.shards {
-		s.shards[i].m = make(map[uint32]*driveState)
+		s.shards[i].m = make(map[uint32]int32)
 	}
 	return s
 }
@@ -91,13 +131,13 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 	sh := s.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st, ok := sh.m[id]
+	slot, ok := sh.m[id]
 	if ok {
-		if st.model != model {
-			return fmt.Errorf("serve: drive %d model changed from %s to %s", id, st.model, model)
+		if have := sh.slots[slot].model; have != model {
+			return fmt.Errorf("serve: drive %d model changed from %s to %s", id, have, model)
 		}
-		if len(st.recent) > 0 {
-			last := &st.recent[len(st.recent)-1]
+		if recent := sh.recent[slot]; len(recent) > 0 {
+			last := &recent[len(recent)-1]
 			if rec.Day <= last.Day {
 				return fmt.Errorf("serve: drive %d day %d not after last ingested day %d", id, rec.Day, last.Day)
 			}
@@ -130,17 +170,17 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 		}
 	}
 	if !ok {
-		st = &driveState{model: model, recent: make([]trace.DayRecord, 0, 2)}
-		sh.m[id] = st
+		slot = sh.add(id, model, make([]trace.DayRecord, 0, 2))
 		s.drives.Add(1)
 	}
-	if len(st.recent) == s.history {
-		copy(st.recent, st.recent[1:])
-		st.recent[len(st.recent)-1] = rec
+	if recent := sh.recent[slot]; len(recent) == s.history {
+		copy(recent, recent[1:])
+		recent[len(recent)-1] = rec
 	} else {
-		st.recent = append(st.recent, rec)
+		sh.recent[slot] = append(recent, rec)
 		s.records.Add(1)
 	}
+	sh.slots[slot].invalidate()
 	return nil
 }
 
@@ -156,15 +196,20 @@ func (s *Store) Get(id uint32) (DriveSnapshot, bool) {
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	st, ok := sh.m[id]
+	slot, ok := sh.m[id]
 	if !ok {
 		return DriveSnapshot{}, false
 	}
+	return sh.snapshot(int(slot)), true
+}
+
+// snapshot copies one slot's rolling state. The caller holds sh.mu.
+func (sh *storeShard) snapshot(slot int) DriveSnapshot {
 	return DriveSnapshot{
-		ID:     id,
-		Model:  st.model,
-		Recent: append([]trace.DayRecord(nil), st.recent...),
-	}, true
+		ID:     sh.slots[slot].id,
+		Model:  sh.slots[slot].model,
+		Recent: append([]trace.DayRecord(nil), sh.recent[slot]...),
+	}
 }
 
 // Drives copies the full rolling state of every tracked drive, sorted
@@ -177,12 +222,8 @@ func (s *Store) Drives() []DriveSnapshot {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for id, st := range sh.m {
-			out = append(out, DriveSnapshot{
-				ID:     id,
-				Model:  st.model,
-				Recent: append([]trace.DayRecord(nil), st.recent...),
-			})
+		for slot := range sh.slots {
+			out = append(out, sh.snapshot(slot))
 		}
 		sh.mu.RUnlock()
 	}
@@ -203,17 +244,18 @@ func (s *Store) Restore(d DriveSnapshot) {
 	sh := s.shard(d.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st, ok := sh.m[d.ID]
+	recent = append([]trace.DayRecord(nil), recent...)
+	slot, ok := sh.m[d.ID]
 	if !ok {
-		st = &driveState{}
-		sh.m[d.ID] = st
+		slot = sh.add(d.ID, d.Model, recent)
 		s.drives.Add(1)
 	} else {
-		s.records.Add(-int64(len(st.recent)))
+		s.records.Add(-int64(len(sh.recent[slot])))
+		sh.slots[slot].model = d.Model
+		sh.recent[slot] = recent
 	}
-	st.model = d.Model
-	st.recent = append([]trace.DayRecord(nil), recent...)
-	s.records.Add(int64(len(st.recent)))
+	sh.slots[slot].invalidate()
+	s.records.Add(int64(len(recent)))
 }
 
 // Len returns the number of drives currently tracked.
@@ -236,26 +278,38 @@ type ScoreUnit struct {
 // latest report is older than sinceDay are skipped (sinceDay <= 0 keeps
 // everything) — the paper's watchlist only considers drives still
 // reporting. Shards are drained one at a time under their read lock, so
-// ingest proceeds on other shards concurrently.
+// ingest proceeds on other shards concurrently. The handlers score
+// through Scorer.Sweep, which copies out only drives whose score slot is
+// stale; this is the from-scratch snapshot it is tested and benchmarked
+// against.
 func (s *Store) ScoreUnits(sinceDay int32) []ScoreUnit {
 	units := make([]ScoreUnit, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for id, st := range sh.m {
-			n := len(st.recent)
-			if n == 0 || st.recent[n-1].Day < sinceDay {
-				continue
-			}
-			u := ScoreUnit{ID: id, Model: st.model, Last: st.recent[n-1]}
-			if n > 1 {
-				u.Prev = st.recent[n-2]
-				u.HasPrev = true
-			}
-			//ssdlint:allow maporder scoring order is irrelevant: Rank sorts by score with an ID tie-break before anything is emitted
-			units = append(units, u)
+		for slot := range sh.slots {
+			units = sh.appendUnit(units, slot, sinceDay)
 		}
 		sh.mu.RUnlock()
+	}
+	return units
+}
+
+// appendUnit appends slot's scoring input to units, or returns units
+// unchanged when the drive has no report yet or its latest one is older
+// than sinceDay. The caller holds sh.mu.
+func (sh *storeShard) appendUnit(units []ScoreUnit, slot int, sinceDay int32) []ScoreUnit {
+	recent := sh.recent[slot]
+	n := len(recent)
+	if n == 0 || recent[n-1].Day < sinceDay {
+		return units
+	}
+	sl := &sh.slots[slot]
+	units = append(units, ScoreUnit{ID: sl.id, Model: sl.model, Last: recent[n-1]})
+	if n > 1 {
+		u := &units[len(units)-1]
+		u.Prev = recent[n-2]
+		u.HasPrev = true
 	}
 	return units
 }
