@@ -49,7 +49,9 @@ remedy-scenarios:
 
 # The clustered failure drill: kill -9 + network partition mid-run
 # behind ssdrouter, zero accepted-record loss verified through the
-# router, conformance report written to BENCH_cluster.json.
+# router, conformance report written to BENCH_cluster.json. The
+# TestFollower pattern takes in the parked-pull tests (TestFollowerPark*):
+# a partition that cuts a parked pull is a failed pull retried at the tick.
 cluster-chaos:
 	SSDFAIL_CLUSTER_REPORT=$(CURDIR)/BENCH_cluster.json \
 		$(GO) test -race -count=1 -run 'TestClusterChaos|TestReadinessGate|TestRouter|TestFollower' ./internal/cluster/

@@ -92,7 +92,7 @@ func run() error {
 
 		nodeName   = flag.String("node-name", "", "cluster node name reported by /v1/health (empty for standalone)")
 		follow     = flag.String("follow", "", "primary base URL to replicate from (makes this node a WAL-streaming follower)")
-		followPoll = flag.Duration("follow-poll", 0, "follower catch-up poll interval (0 = 50ms)")
+		followPoll = flag.Duration("follow-poll", 0, "follower retry interval after a failed pull (0 = 50ms); idle pulls park on the primary and need no tuning")
 
 		maxIngest   = flag.Int("max-inflight-ingest", 0, "concurrent ingest requests before shedding with 429 (0 = 256)")
 		maxScores   = flag.Int("max-inflight-scores", 0, "concurrent watchlist scoring passes before shedding with 429 (0 = 4)")
@@ -185,6 +185,9 @@ func run() error {
 		}
 	}
 
+	// Shutdown waits for handlers without cancelling them; a follower's
+	// parked catch-up request would otherwise hold the exit for its cap.
+	httpSrv.RegisterOnShutdown(srv.Drain)
 	gate.Ready(srv.Handler())
 	log.Printf("ssdserved: serving on %s (model %s)", ln.Addr(), *modelPath)
 
@@ -197,6 +200,13 @@ func run() error {
 			Apply:        srv.ApplyReplicated,
 			PollInterval: *followPoll,
 		}
+		srv.Metrics().NewGaugeFunc("ssdserved_replica_lag_lsn",
+			"Records the primary has logged that this follower has not applied yet "+
+				"(the primary's last LSN as of its latest reply, minus the follower's cursor).",
+			func() float64 {
+				st := fol.Stats()
+				return max(0, float64(st.PrimaryLSN)-float64(st.NextLSN-1))
+			})
 		go func() { _ = fol.Run(ctx) }() // exits only on shutdown; pull errors are retried inside
 		log.Printf("ssdserved: following %s (WAL stream replication)", *follow)
 	}

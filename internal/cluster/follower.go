@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +23,11 @@ import (
 // replica. The cursor is in-memory only: after a follower restart it
 // re-pulls from zero and the store's duplicate rejection makes the
 // overlap benign (counted, not applied twice).
+//
+// Run does not poll: each pull asks the primary to hold the request
+// until it has something past the cursor (wait_ms), so a busy primary
+// sees about one pull per ingest request and an idle one about one per
+// pullWait.
 type Follower struct {
 	// Upstream is the primary's base URL.
 	Upstream string
@@ -31,15 +37,18 @@ type Follower struct {
 	// Client is the HTTP client (nil = a dedicated client with sane
 	// timeouts).
 	Client *http.Client
-	// PollInterval is the idle re-poll cadence (0 = 50ms).
+	// PollInterval is how long Run waits before retrying after a failed
+	// pull, or after an empty reply from a primary that did not park the
+	// request (0 = 50ms). A parked pull is re-issued at once.
 	PollInterval time.Duration
 	// MaxBytes caps one pull response (0 = server default).
 	MaxBytes int
 
-	next    atomic.Uint64 // LSN the next pull starts from
-	applied atomic.Uint64
-	skipped atomic.Uint64
-	pulls   atomic.Uint64
+	next       atomic.Uint64 // LSN the next pull starts from
+	primaryLSN atomic.Uint64 // the primary's last LSN, from its latest reply
+	applied    atomic.Uint64
+	skipped    atomic.Uint64
+	pulls      atomic.Uint64
 
 	mu      sync.Mutex
 	lastErr error
@@ -49,6 +58,9 @@ type Follower struct {
 type FollowerStats struct {
 	// NextLSN is where the next pull resumes (last applied + 1).
 	NextLSN uint64
+	// PrimaryLSN is the primary's last LSN as of its latest reply (0
+	// before the first); PrimaryLSN - (NextLSN - 1) is the lag in records.
+	PrimaryLSN uint64
 	// Applied and Skipped count records newly applied vs already
 	// present; Pulls counts catch-up requests issued.
 	Applied uint64
@@ -64,11 +76,12 @@ func (f *Follower) Stats() FollowerStats {
 	err := f.lastErr
 	f.mu.Unlock()
 	return FollowerStats{
-		NextLSN: f.next.Load() + 1,
-		Applied: f.applied.Load(),
-		Skipped: f.skipped.Load(),
-		Pulls:   f.pulls.Load(),
-		LastErr: err,
+		NextLSN:    f.next.Load() + 1,
+		PrimaryLSN: f.primaryLSN.Load(),
+		Applied:    f.applied.Load(),
+		Skipped:    f.skipped.Load(),
+		Pulls:      f.pulls.Load(),
+		LastErr:    err,
 	}
 }
 
@@ -78,6 +91,12 @@ func (f *Follower) setErr(err error) {
 	f.mu.Unlock()
 }
 
+// pullWait is the wait_ms Run sends: as long as a primary will park a
+// request, and a tenth of the default client's timeout.
+const pullWait = serve.MaxStreamWait
+
+func defaultClient() *http.Client { return &http.Client{Timeout: 10 * time.Second} }
+
 // Run pulls until ctx is canceled. Transient pull failures (primary
 // down, partitioned, mid-write torn frames) are retried forever at the
 // poll cadence — a follower's job during a primary outage is to keep
@@ -85,7 +104,7 @@ func (f *Follower) setErr(err error) {
 func (f *Follower) Run(ctx context.Context) error {
 	client := f.Client
 	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+		client = defaultClient()
 	}
 	interval := f.PollInterval
 	if interval <= 0 {
@@ -94,10 +113,13 @@ func (f *Follower) Run(ctx context.Context) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		progressed, err := f.pullOnce(ctx, client)
+		progressed, parked, err := f.pull(ctx, client, pullWait)
 		f.setErr(err)
-		if err == nil && progressed {
-			// More frames may be waiting; pull again immediately.
+		if err == nil && (progressed || parked) {
+			// More frames may be waiting, or the primary held the request
+			// until it had reason to answer: pull again immediately. A
+			// primary that ignores wait_ms never says it parked, and is
+			// polled at the tick instead of spun on.
 			continue
 		}
 		select {
@@ -114,67 +136,76 @@ func (f *Follower) Run(ctx context.Context) error {
 // pulls — the continuous-learning trainer pulls a batch, runs drift
 // checks over the applied records, and only then pulls again — while
 // reusing the same frame verification (CRC via ParseStreamFrame, LSN
-// continuity) as the run loop. A nil Client is populated with the run
-// loop's default on first use; PullOnce is not safe to use concurrently
-// with Run.
+// continuity) as the run loop. Unlike Run's pulls it never asks the
+// primary to wait: an empty reply means the stream is drained as of now,
+// which is what a caller looping "until nothing came" relies on. A nil
+// Client is populated with the run loop's default on first use; PullOnce
+// is not safe to use concurrently with Run.
 func (f *Follower) PullOnce(ctx context.Context) (bool, error) {
 	if f.Client == nil {
-		f.Client = &http.Client{Timeout: 10 * time.Second}
+		f.Client = defaultClient()
 	}
-	progressed, err := f.pullOnce(ctx, f.Client)
+	progressed, _, err := f.pull(ctx, f.Client, 0)
 	f.setErr(err)
 	return progressed, err
 }
 
-// pullOnce issues one catch-up request and applies its frames,
-// reporting whether the cursor advanced.
-func (f *Follower) pullOnce(ctx context.Context, client *http.Client) (bool, error) {
+// pull issues one catch-up request, letting the primary park it for up
+// to wait, and applies its frames. It reports whether the cursor
+// advanced and whether the primary says it parked the request.
+func (f *Follower) pull(ctx context.Context, client *http.Client, wait time.Duration) (progressed, parked bool, err error) {
 	from := f.next.Load() + 1
 	url := fmt.Sprintf("%s/v1/wal/stream?from=%d", f.Upstream, from)
 	if f.MaxBytes > 0 {
 		url += fmt.Sprintf("&max_bytes=%d", f.MaxBytes)
 	}
+	if wait > 0 {
+		url += fmt.Sprintf("&wait_ms=%d", wait.Milliseconds())
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	f.pulls.Add(1)
 	resp, err := client.Do(req)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	//ssdlint:allow droppederr response body close on a fully-read or abandoned pull; the next poll re-pulls from the cursor
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("cluster: pull from %s: status %d: %s", f.Upstream, resp.StatusCode, body)
+		return false, false, fmt.Errorf("cluster: pull from %s: status %d: %s", f.Upstream, resp.StatusCode, body)
+	}
+	parked = resp.Header.Get(serve.HeaderWALParked) != ""
+	if lsn, perr := strconv.ParseUint(resp.Header.Get(serve.HeaderWALLastLSN), 10, 64); perr == nil {
+		f.primaryLSN.Store(lsn)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return false, err
+		return false, parked, err
 	}
-	progressed := false
 	expect := from
 	for len(data) > 0 {
 		n, lsn, payload := serve.ParseStreamFrame(data)
 		if n == 0 {
 			// Torn or checksum-failed frame: stop here, keep what was
 			// applied, re-poll from the cursor.
-			return progressed, errors.New("cluster: damaged frame on catch-up wire")
+			return progressed, parked, errors.New("cluster: damaged frame on catch-up wire")
 		}
 		if lsn != expect {
-			return progressed, fmt.Errorf("cluster: catch-up wire skipped from %d to %d", expect, lsn)
+			return progressed, parked, fmt.Errorf("cluster: catch-up wire skipped from %d to %d", expect, lsn)
 		}
 		id, model, rec, err := serve.DecodeWALRecord(payload)
 		if err != nil {
 			// Version skew: the primary logged a record this build cannot
 			// decode. Skipping would silently lose it on the replica, so
 			// stop the cursor and surface the error instead.
-			return progressed, fmt.Errorf("cluster: undecodable replicated record at lsn %d: %w", lsn, err)
+			return progressed, parked, fmt.Errorf("cluster: undecodable replicated record at lsn %d: %w", lsn, err)
 		}
 		applied, err := f.Apply(id, model, rec)
 		if err != nil {
-			return progressed, err
+			return progressed, parked, err
 		}
 		if applied {
 			f.applied.Add(1)
@@ -186,5 +217,5 @@ func (f *Follower) pullOnce(ctx context.Context, client *http.Client) (bool, err
 		expect = lsn + 1
 		data = data[n:]
 	}
-	return progressed, nil
+	return progressed, parked, nil
 }

@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -144,5 +146,93 @@ func TestFollowerRestartOverlapIsBenign(t *testing.T) {
 	second := run()
 	if st := second.Stats(); st.Applied != 0 || float64(st.Skipped) != want {
 		t.Fatalf("restart overlap applied=%d skipped=%d, want all skipped", st.Applied, st.Skipped)
+	}
+}
+
+// TestFollowerParkedPullCostsOnePullPerIngestRequest: against a live
+// primary the follower's pull sits parked until an ingest request ends,
+// returns that request's records in one reply, and parks again — two
+// pulls for one batch, where a poll loop spent one every few
+// milliseconds — and the reply's header keeps its view of the primary's
+// log position current.
+func TestFollowerParkedPullCostsOnePullPerIngestRequest(t *testing.T) {
+	primary, pts := newNode(t, "n1")
+	replica, _ := newNode(t, "f1")
+	fol := &Follower{Upstream: pts.URL, Apply: replica.ApplyReplicated, PollInterval: 5 * time.Millisecond}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- fol.Run(ctx) }()
+
+	parked := func() bool { return primary.CounterSnapshot()["ssdserved_wal_stream_parked"] == 1 }
+	waitFor(t, 5*time.Second, "the first pull to park", parked)
+	if code, body := postJSON(t, pts.URL+"/v1/ingest/batch", fleetRecords(0)); code != http.StatusAccepted {
+		t.Fatalf("batch status %d: %s", code, body)
+	}
+	want := uint64(primary.CounterSnapshot()["ssdserved_ingest_records_total"])
+	waitFor(t, 5*time.Second, "the batch to replicate and the next pull to park", func() bool {
+		return fol.Stats().Applied == want && parked()
+	})
+	st := fol.Stats()
+	if st.Pulls != 2 || st.LastErr != nil {
+		t.Fatalf("follower stats %+v, want 2 pulls: one woken by the batch, one parked behind it", st)
+	}
+	if st.PrimaryLSN != want || st.NextLSN != want+1 {
+		t.Fatalf("follower sees primary at %d and itself at %d, want %d and %d (no lag)", st.PrimaryLSN, st.NextLSN, want, want+1)
+	}
+	if got := primary.CounterSnapshot()["ssdserved_wal_stream_wakeups_total"]; got != 1 {
+		t.Fatalf("primary counted %v wake-ups, want 1", got)
+	}
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("follower run: %v", err)
+	}
+	// The cancelled pull's handler leaves the park with its context.
+	waitFor(t, 5*time.Second, "the abandoned pull to leave the park", func() bool { return !parked() })
+}
+
+// TestFollowerParkFallsBackToTick: a primary that ignores wait_ms —
+// an older build, or one that is draining — answers empty at once and
+// never says it parked; Run must poll it at the tick, not spin on it.
+// PullOnce never asks to wait at all.
+func TestFollowerParkFallsBackToTick(t *testing.T) {
+	var mu sync.Mutex
+	var waits []string
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		waits = append(waits, r.URL.Query().Get("wait_ms"))
+		mu.Unlock()
+	}))
+	defer stub.Close()
+	seen := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), waits...)
+	}
+
+	once := &Follower{Upstream: stub.URL}
+	if progressed, err := once.PullOnce(context.Background()); progressed || err != nil {
+		t.Fatalf("PullOnce against an empty stream: progressed %v err %v", progressed, err)
+	}
+	if got := seen(); len(got) != 1 || got[0] != "" {
+		t.Fatalf("PullOnce sent wait_ms %q, want none: an empty reply must mean drained", got)
+	}
+
+	const tick = 25 * time.Millisecond
+	fol := &Follower{Upstream: stub.URL, PollInterval: tick}
+	ctx, cancel := context.WithTimeout(context.Background(), 12*tick)
+	defer cancel()
+	if err := fol.Run(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("follower run: %v", err)
+	}
+	got := seen()[1:]
+	if len(got) < 2 || len(got) > 14 {
+		t.Fatalf("%d pulls in 12 ticks against a primary that does not park, want about 12", len(got))
+	}
+	if want := strconv.FormatInt(pullWait.Milliseconds(), 10); got[0] != want {
+		t.Fatalf("Run sent wait_ms %q, want %q", got[0], want)
+	}
+	if pullWait*2 > defaultClient().Timeout {
+		t.Fatalf("a parked pull may take %v, too close to the client timeout %v", pullWait, defaultClient().Timeout)
 	}
 }

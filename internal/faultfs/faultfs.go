@@ -34,9 +34,11 @@ type FS interface {
 	SyncDir(name string) error
 }
 
-// File is one open file handle.
+// File is one open file handle. ReadAt lets a reader start anywhere in
+// a file without reading what precedes it (the WAL's indexed tail read).
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	Sync() error
@@ -231,6 +233,25 @@ func (f *memFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.closed {
+		return 0, os.ErrClosed
+	}
+	if off < 0 {
+		return 0, os.ErrInvalid
+	}
+	f.node.mu.Lock()
+	defer f.node.mu.Unlock()
+	if off >= int64(len(f.node.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.node.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 func (f *memFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, os.ErrClosed
@@ -336,6 +357,10 @@ const (
 	// on a write) and additionally fails every subsequent operation:
 	// the process "died" and only the bytes already written survive.
 	ModeCrash
+	// ModeHook calls Hook, then performs the op normally: a test uses it
+	// to change the filesystem between two steps of the code under test
+	// (say, remove a file after it was looked up and before it is opened).
+	ModeHook
 )
 
 // ErrInjected is the default error returned by triggered faults.
@@ -353,6 +378,7 @@ type Fault struct {
 	Err   error         // returned error; nil means ErrInjected
 	Bytes int           // ModeShortWrite / ModeCrash: bytes written before failing
 	Delay time.Duration // ModeDelay
+	Hook  func()        // ModeHook; runs with no injector lock held, so it may use the filesystem
 }
 
 // Injector wraps an FS and applies a fault plan. All counting is global
@@ -437,6 +463,9 @@ func (in *Injector) do(op Op, fn func() error) error {
 	case ModeDelay:
 		time.Sleep(f.Delay)
 		return fn()
+	case ModeHook:
+		f.Hook()
+		return fn()
 	default:
 		return f.Err
 	}
@@ -510,6 +539,16 @@ func (f *injFile) Read(p []byte) (int, error) {
 	return n, err
 }
 
+func (f *injFile) ReadAt(p []byte, off int64) (int, error) {
+	var n int
+	err := f.in.do(OpRead, func() error {
+		var e error
+		n, e = f.f.ReadAt(p, off)
+		return e
+	})
+	return n, err
+}
+
 func (f *injFile) Write(p []byte) (int, error) {
 	fault, ok := f.in.step(OpWrite)
 	if !ok {
@@ -518,6 +557,9 @@ func (f *injFile) Write(p []byte) (int, error) {
 	switch fault.Mode {
 	case ModeDelay:
 		time.Sleep(fault.Delay)
+		return f.f.Write(p)
+	case ModeHook:
+		fault.Hook()
 		return f.f.Write(p)
 	case ModeShortWrite, ModeCrash:
 		k := fault.Bytes
@@ -553,6 +595,8 @@ func DescribeFault(f Fault) string {
 		fmt.Fprintf(&sb, " delay(%v)", f.Delay)
 	case ModeCrash:
 		fmt.Fprintf(&sb, " crash(partial=%d)", f.Bytes)
+	case ModeHook:
+		sb.WriteString(" hook")
 	default:
 		sb.WriteString(" fail")
 	}

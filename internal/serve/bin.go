@@ -120,7 +120,7 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire(w, "ingest_bin", s.ingestSem) {
 		return
 	}
-	defer func() { <-s.ingestSem }()
+	defer s.releaseIngest()
 	st := s.acquireBinState()
 	defer s.releaseBinState(st)
 	body, code, err := s.readBinBody(r, st)

@@ -8,12 +8,14 @@ package serve
 // too, they just have no callers.
 
 import (
-	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"net/http"
 	"strconv"
+	"sync"
+	"time"
 
 	"ssdfail/internal/trace"
 	"ssdfail/internal/wal"
@@ -29,6 +31,20 @@ const (
 	// DefaultStreamBytes caps one catch-up response body.
 	DefaultStreamBytes = 1 << 20
 	maxStreamBytes     = 8 << 20
+
+	// MaxStreamWait caps wait_ms: how long one catch-up request may stay
+	// parked when the log has nothing past its position. It sets an idle
+	// follower's request rate (one per cap) and must stay well inside any
+	// client's timeout.
+	MaxStreamWait = time.Second
+
+	// HeaderWALLastLSN carries the log's last LSN on every 200 from the
+	// catch-up endpoint, so a follower knows its lag without a second
+	// request. HeaderWALParked is set when the request was parked: the
+	// server honoured wait_ms, so an empty reply may be re-polled at once
+	// without spinning.
+	HeaderWALLastLSN = "X-Wal-Last-Lsn"
+	HeaderWALParked  = "X-Wal-Parked"
 )
 
 var streamCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -94,6 +110,7 @@ func (s *Server) ApplyReplicated(id uint32, model trace.Model, rec trace.DayReco
 	switch {
 	case err == nil:
 		s.replicaApplied.Inc()
+		s.tail.wake() // a follower chained behind this one
 		return true, nil
 	case errors.Is(err, ErrJournal):
 		return false, err
@@ -128,12 +145,59 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// tailSignal wakes parked catch-up requests. A request takes the
+// current channel with watch before it looks at the log, and parks on it
+// only if the log had nothing for it: a wake that lands between the look
+// and the park has already closed the channel the request holds.
+type tailSignal struct {
+	mu      sync.Mutex
+	ch      chan struct{} // nil until a request watches; wake closes and drops it
+	drained bool
+}
+
+// watch returns the channel the next wake closes, or nil once drained.
+func (t *tailSignal) watch() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.drained {
+		return nil
+	}
+	if t.ch == nil {
+		t.ch = make(chan struct{})
+	}
+	return t.ch
+}
+
+// wake releases every request watching now; with none it costs one
+// uncontended lock.
+func (t *tailSignal) wake() {
+	t.mu.Lock()
+	if t.ch != nil {
+		close(t.ch)
+		t.ch = nil
+	}
+	t.mu.Unlock()
+}
+
+func (t *tailSignal) drain() {
+	t.mu.Lock()
+	t.drained = true
+	t.mu.Unlock()
+	t.wake()
+}
+
 // handleWALStream serves the follower catch-up wire: intact WAL frames
 // with LSN >= from, re-framed with explicit LSNs, up to max_bytes per
-// response. The journal's in-process buffer is flushed first so every
-// acknowledged record is eligible immediately; an empty 200 body means
-// the follower is caught up. 410 Gone means the position was pruned by
-// a snapshot and the follower cannot catch up from the log alone.
+// response. Every acknowledged record is eligible immediately; an empty
+// 200 body means the follower is caught up. 410 Gone means the position
+// was pruned by a snapshot and the follower cannot catch up from the log
+// alone.
+//
+// With wait_ms, a request that finds nothing at from parks — for at most
+// that long, MaxStreamWait, and the request deadline — until an ingest
+// request finishes (or a replicated record is applied, or the server
+// drains), then looks once more and answers with what it finds. Without
+// wait_ms it never blocks.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	if s.journal == nil {
 		writeError(w, http.StatusConflict, "durability disabled: daemon runs without a WAL")
@@ -156,16 +220,25 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	if maxBytes <= 0 || maxBytes > maxStreamBytes {
 		maxBytes = maxStreamBytes
 	}
-	var buf bytes.Buffer
-	_, err = s.journal.StreamFrom(from, func(lsn uint64, payload []byte) error {
-		b := AppendStreamFrame(nil, lsn, payload)
-		buf.Write(b) //ssdlint:allow droppederr bytes.Buffer.Write cannot fail (it panics on OOM); the frame stays in memory until the response write below
-		if buf.Len() >= maxBytes {
-			return errStreamFull
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStreamFull) {
+	waitMS, err := queryInt(r, "wait_ms", 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// Clamped as a count first: a huge wait_ms must not overflow into a
+	// negative duration.
+	wait := time.Duration(min(max(waitMS, 0), int(MaxStreamWait/time.Millisecond))) * time.Millisecond
+
+	var woken <-chan struct{}
+	if wait > 0 {
+		woken = s.tail.watch()
+	}
+	frames, err := s.streamFrames(from, maxBytes)
+	if err == nil && len(frames) == 0 && woken != nil {
+		s.park(r.Context(), w, woken, wait)
+		frames, err = s.streamFrames(from, maxBytes)
+	}
+	if err != nil {
 		if errors.Is(err, wal.ErrPruned) {
 			writeError(w, http.StatusGone, err.Error())
 			return
@@ -173,9 +246,48 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.walStreamed.Add(uint64(buf.Len()))
+	s.walStreamed.Add(uint64(len(frames)))
+	// Read after the frames, so it is never behind what they carry.
+	w.Header().Set(HeaderWALLastLSN, strconv.FormatUint(s.journal.LastLSN(), 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	//ssdlint:allow droppederr catch-up response write failed means the follower hung up; it re-polls from its own cursor
-	w.Write(buf.Bytes())
+	w.Write(frames)
+}
+
+// streamFrames returns the log's frames from the given position in wire
+// form, stopping once they fill maxBytes.
+func (s *Server) streamFrames(from uint64, maxBytes int) ([]byte, error) {
+	var out []byte
+	_, err := s.journal.StreamFrom(from, func(lsn uint64, payload []byte) error {
+		out = AppendStreamFrame(out, lsn, payload)
+		if len(out) >= maxBytes {
+			return errStreamFull
+		}
+		return nil
+	})
+	if errors.Is(err, errStreamFull) {
+		err = nil
+	}
+	return out, err
+}
+
+// park holds a catch-up request until woken is closed, wait passes or
+// the request ends, and marks the reply as parked.
+func (s *Server) park(ctx context.Context, w http.ResponseWriter, woken <-chan struct{}, wait time.Duration) {
+	begin := s.now()
+	fire, stop := s.parkTimer(wait)
+	defer stop()
+	s.streamParking.Add(1)
+	select {
+	case <-woken:
+		s.streamWakeups.Inc()
+	case <-fire:
+	case <-ctx.Done():
+	}
+	s.streamParking.Add(-1)
+	if sw, ok := w.(*statusWriter); ok {
+		sw.parked = s.now().Sub(begin)
+	}
+	w.Header().Set(HeaderWALParked, "1")
 }

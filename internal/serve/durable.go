@@ -199,16 +199,13 @@ func (j *Journal) PrunedSegments() uint64 { return j.pruned.Load() }
 func (j *Journal) LastLSN() uint64 { return j.log.LastLSN() }
 
 // StreamFrom invokes fn for every intact WAL frame with LSN >= from,
-// in order, returning the position a follower should resume from. The
-// log's in-process buffer is flushed (written through, not fsynced)
-// first, so every acknowledged record is visible to the stream
-// immediately. A from position older than the retained segments
-// returns an error wrapping wal.ErrPruned.
+// in order, returning the position a follower should resume from. Every
+// acknowledged record is visible to the stream immediately (the log
+// writes its buffer through first, without an fsync). The payload is
+// only valid during the call to fn. A from position older than the
+// retained segments returns an error wrapping wal.ErrPruned.
 func (j *Journal) StreamFrom(from uint64, fn func(lsn uint64, payload []byte) error) (uint64, error) {
-	if err := j.log.Flush(); err != nil {
-		return from, err
-	}
-	return wal.ReadFrom(j.opt.FS, j.opt.Dir, from, 0, fn)
+	return j.log.ReadFrom(from, fn)
 }
 
 // Upsert validates, journals, and applies one daily report. Validation

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ssdfail/internal/core"
@@ -128,6 +129,11 @@ type Server struct {
 
 	binStates sync.Pool // *binState scratch for /v1/ingest/bin
 
+	// Parked GET /v1/wal/stream requests (cluster.go).
+	tail          tailSignal
+	parkTimer     func(time.Duration) (fire <-chan time.Time, stop func()) // time.NewTimer; a test's fake fires on demand
+	streamParking atomic.Int64
+
 	reqs           *CounterVec
 	reqDur         *Histogram
 	ingested       *Counter
@@ -143,6 +149,7 @@ type Server struct {
 	replicaApplied *Counter
 	replicaSkipped *Counter
 	walStreamed    *Counter
+	streamWakeups  *Counter
 }
 
 // New builds a server, loads the model from cfg.ModelPath (with
@@ -184,6 +191,10 @@ func New(cfg Config) (*Server, error) {
 		ingestSem: make(chan struct{}, cfg.MaxInflightIngest),
 		scoreSem:  make(chan struct{}, cfg.MaxInflightScores),
 		binStates: binStatePool(),
+		parkTimer: func(d time.Duration) (<-chan time.Time, func()) {
+			t := time.NewTimer(d)
+			return t.C, func() { t.Stop() }
+		},
 	}
 	if err := s.loadModelWithRetry(); err != nil {
 		return nil, err
@@ -235,6 +246,12 @@ func New(cfg Config) (*Server, error) {
 		"Replicated records skipped as already present (benign re-pull overlap).")
 	s.walStreamed = m.NewCounter("ssdserved_wal_stream_bytes_total",
 		"Bytes served to followers over the WAL catch-up endpoint.")
+	m.NewGaugeFunc("ssdserved_wal_stream_parked",
+		"WAL catch-up requests parked right now, waiting for records past their position.",
+		func() float64 { return float64(s.streamParking.Load()) })
+	s.streamWakeups = m.NewCounter("ssdserved_wal_stream_wakeups_total",
+		"Parked WAL catch-up requests woken by a finished ingest request or by shutdown, "+
+			"rather than by the wait cap or the client going away.")
 	s.loads.Inc() // the startup load above; reloads stays 0 until a hot swap
 	if j := s.journal; j != nil {
 		s.snapshotReqs = m.NewCounter("ssdserved_snapshot_requests_total",
@@ -361,10 +378,17 @@ func (s *Server) Recovery() (RecoveryInfo, bool) {
 	return s.journal.Recovery(), true
 }
 
+// Drain wakes every parked WAL catch-up request and makes later ones
+// answer without parking. http.Server.Shutdown waits for handlers but
+// does not cancel them, so a daemon registers Drain with
+// RegisterOnShutdown; otherwise its exit waits out the parking cap.
+func (s *Server) Drain() { s.tail.drain() }
+
 // Close flushes and closes the durability layer. Call after the HTTP
 // server has drained so in-flight accepted records reach stable
 // storage.
 func (s *Server) Close() error {
+	s.Drain()
 	if s.journal == nil {
 		return nil
 	}
@@ -408,10 +432,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response code for instrumentation.
+// statusWriter captures the response code for instrumentation, and how
+// long the handler sat parked: waiting for work to exist is not service
+// time and stays out of the latency histogram.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code   int
+	parked time.Duration
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -429,9 +456,17 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		begin := s.now()
 		h(sw, r)
-		s.reqDur.Observe(s.now().Sub(begin).Seconds())
+		s.reqDur.Observe((s.now().Sub(begin) - sw.parked).Seconds())
 		s.reqs.With(name, strconv.Itoa(sw.code)).Inc()
 	}
+}
+
+// releaseIngest returns an ingest request's slot and wakes parked WAL
+// catch-up requests: once per request, when everything it appended is
+// in the log, not once per record (see DESIGN §14 for the measurement).
+func (s *Server) releaseIngest() {
+	<-s.ingestSem
+	s.tail.wake()
 }
 
 // acquire takes a slot from a concurrency bound without blocking. When
@@ -513,7 +548,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire(w, "ingest", s.ingestSem) {
 		return
 	}
-	defer func() { <-s.ingestSem }()
+	defer s.releaseIngest()
 	var ir IngestRecord
 	if code, err := s.decodeJSON(w, r, &ir); err != nil {
 		writeError(w, code, err.Error())
@@ -541,7 +576,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire(w, "ingest_batch", s.ingestSem) {
 		return
 	}
-	defer func() { <-s.ingestSem }()
+	defer s.releaseIngest()
 	var batch []IngestRecord
 	if code, err := s.decodeJSON(w, r, &batch); err != nil {
 		writeError(w, code, err.Error())

@@ -12,9 +12,9 @@ import (
 )
 
 // collectFrom drains ReadFrom into a slice of (lsn, payload) pairs.
-func collectFrom(t *testing.T, fsys faultfs.FS, dir string, from uint64) (lsns []uint64, payloads []string, next uint64) {
+func collectFrom(t *testing.T, l *Log, from uint64) (lsns []uint64, payloads []string, next uint64) {
 	t.Helper()
-	next, err := ReadFrom(fsys, dir, from, 0, func(lsn uint64, payload []byte) error {
+	next, err := l.ReadFrom(from, func(lsn uint64, payload []byte) error {
 		lsns = append(lsns, lsn)
 		payloads = append(payloads, string(payload))
 		return nil
@@ -39,9 +39,7 @@ func TestReadFromStreamsAcrossSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer l.Close() //ssdlint:allow droppederr test cleanup
 
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
@@ -51,7 +49,7 @@ func TestReadFromStreamsAcrossSegments(t *testing.T) {
 		t.Fatalf("want >= 3 segments to exercise crossing, got %d", len(segs))
 	}
 
-	lsns, payloads, next := collectFrom(t, fsys, dir, 0)
+	lsns, payloads, next := collectFrom(t, l, 0)
 	if len(lsns) != n {
 		t.Fatalf("frames delivered = %d, want %d", len(lsns), n)
 	}
@@ -70,7 +68,7 @@ func TestReadFromStreamsAcrossSegments(t *testing.T) {
 	// Resuming mid-log — including from inside a later segment — yields
 	// exactly the suffix.
 	for _, from := range []uint64{1, 5, uint64(n), uint64(n) + 1, uint64(n) + 7} {
-		lsns, _, next := collectFrom(t, fsys, dir, from)
+		lsns, _, next := collectFrom(t, l, from)
 		want := n - int(from) + 1
 		if want < 0 {
 			want = 0
@@ -105,16 +103,23 @@ func TestReadFromSeesFlushedButUnsyncedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lsns, _, _ := collectFrom(t, fsys, dir, 0)
-	if len(lsns) != 0 {
-		t.Fatalf("buffered frames visible before Flush: %d", len(lsns))
+	if fi, err := fsys.Stat(filepath.Join(dir, segName(1))); err != nil || fi.Size() != 0 {
+		t.Fatalf("buffered frames reached the file before any read: size %d, err %v", fi.Size(), err)
 	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
+	// The read writes the buffer through itself (no fsync), so accepted
+	// records are streamable at once; a caught-up read flushes nothing.
+	if lsns, _, next := collectFrom(t, l, 6); len(lsns) != 0 || next != 6 {
+		t.Fatalf("caught-up read delivered %d frames next %d", len(lsns), next)
 	}
-	lsns, _, next := collectFrom(t, fsys, dir, 0)
+	if fi, _ := fsys.Stat(filepath.Join(dir, segName(1))); fi.Size() != 0 {
+		t.Fatalf("a caught-up read wrote %d bytes through", fi.Size())
+	}
+	lsns, _, next := collectFrom(t, l, 0)
 	if len(lsns) != 5 || next != 6 {
-		t.Fatalf("after Flush: delivered %d frames next %d, want 5 and 6", len(lsns), next)
+		t.Fatalf("delivered %d frames next %d, want 5 and 6", len(lsns), next)
+	}
+	if got := l.Stats().Fsyncs; got != 0 {
+		t.Fatalf("reading cost %d fsyncs, want 0", got)
 	}
 }
 
@@ -129,9 +134,7 @@ func TestReadFromStopsAtCorruptFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer l.Close() //ssdlint:allow droppederr test cleanup
 	// Flip one payload byte in the fourth frame: CRC now mismatches, so
 	// the stream must end after frame 3 even though frames 5..6 are
 	// intact on disk (they are unreachable, as at recovery).
@@ -150,9 +153,14 @@ func TestReadFromStopsAtCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lsns, _, next := collectFrom(t, nil, dir, 0)
+	lsns, _, next := collectFrom(t, l, 0)
 	if len(lsns) != 3 || next != 4 {
 		t.Fatalf("delivered %d frames next %d, want 3 and 4", len(lsns), next)
+	}
+	// Nor does a read that asks for a frame past the damage skip over it:
+	// the frames between the indexed start and from are verified too.
+	if lsns, _, next := collectFrom(t, l, 5); len(lsns) != 0 || next != 5 {
+		t.Fatalf("from 5: delivered %v next %d, want nothing and 5", lsns, next)
 	}
 }
 
@@ -171,9 +179,7 @@ func TestReadFromPrunedFloor(t *testing.T) {
 	if _, err := l.Prune(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer l.Close() //ssdlint:allow droppederr test cleanup
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +188,10 @@ func TestReadFromPrunedFloor(t *testing.T) {
 	if floor <= 1 {
 		t.Fatalf("prune kept segment 1; floor %d", floor)
 	}
-	if _, err := ReadFrom(fsys, dir, 1, 0, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrPruned) {
+	if _, err := l.ReadFrom(1, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrPruned) {
 		t.Fatalf("ReadFrom below floor: err = %v, want ErrPruned", err)
 	}
-	lsns, _, _ := collectFrom(t, fsys, dir, floor)
+	lsns, _, _ := collectFrom(t, l, floor)
 	if len(lsns) == 0 || lsns[0] != floor {
 		t.Fatalf("reading from the floor %d delivered %v", floor, lsns)
 	}
@@ -203,12 +209,10 @@ func TestReadFromCallbackErrorAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer l.Close() //ssdlint:allow droppederr test cleanup
 	boom := errors.New("boom")
 	seen := 0
-	next, err := ReadFrom(fsys, dir, 0, 0, func(lsn uint64, _ []byte) error {
+	next, err := l.ReadFrom(0, func(lsn uint64, _ []byte) error {
 		seen++
 		if lsn == 2 {
 			return boom

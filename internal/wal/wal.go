@@ -193,12 +193,32 @@ type Log struct {
 	syncCh     chan struct{} // coalesced async fsync requests
 	syncerDone chan struct{}
 
+	// index is the sparse LSN → (segment, byte offset) map the tail
+	// reader seeks by: one entry per indexStride frames of a segment,
+	// counted from its first, so every segment that holds a frame has an
+	// entry for its start. Ascending by LSN; index[0].lsn is the oldest
+	// retained LSN. It is rebuilt by Open's scan rather than persisted:
+	// the scan reads every frame anyway, and a second on-disk structure
+	// would need its own crash-consistency story.
+	index []indexEntry
+
 	snapMu sync.Mutex // serializes WriteSnapshot
 
 	appends   atomic.Uint64
 	fsyncs    atomic.Uint64
 	rotations atomic.Uint64
 	snapshots atomic.Uint64
+}
+
+// indexStride is how many frames apart index entries sit: a tail read
+// starts at most indexStride-1 frames before the position asked for.
+const indexStride = 64
+
+// indexEntry locates one frame: lsn is at byte off of segment seg.
+type indexEntry struct {
+	lsn uint64
+	seg uint64 // first LSN of the segment, which names its file
+	off int64
 }
 
 func segName(first uint64) string {
@@ -254,7 +274,7 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 		l.segStart = firsts[0]
 	}
 	corrupt := false
-	for i, first := range firsts {
+	for _, first := range firsts {
 		path := filepath.Join(opt.Dir, segName(first))
 		if corrupt || first != l.next {
 			// Unreachable records: either a corrupt frame cut the
@@ -277,6 +297,9 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 			if n == 0 {
 				break
 			}
+			if (l.next-first)%indexStride == 0 {
+				l.index = append(l.index, indexEntry{lsn: l.next, seg: first, off: int64(off)})
+			}
 			replay(l.next, payload)
 			stats.Records++
 			l.next++
@@ -291,10 +314,10 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 			stats.TruncatedBytes += int64(len(data) - off)
 			corrupt = true
 		}
-		if i == len(firsts)-1 || corrupt {
-			l.segStart = first
-			l.segBytes = int64(off)
-		}
+		// The last segment scanned is the one appends continue in: every
+		// later one is dropped above as unreachable.
+		l.segStart = first
+		l.segBytes = int64(off)
 	}
 
 	if l.next <= opt.MinLSN {
@@ -321,6 +344,7 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 		l.next = opt.MinLSN + 1
 		l.segStart = l.next
 		l.segBytes = 0
+		l.index = nil
 	}
 
 	path := filepath.Join(opt.Dir, segName(l.segStart))
@@ -405,6 +429,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
 	lsn := l.next
+	if (lsn-l.segStart)%indexStride == 0 {
+		l.index = append(l.index, indexEntry{lsn: lsn, seg: l.segStart, off: l.segBytes})
+	}
 	l.next++
 	l.segBytes += frame
 	l.sinceSync++
@@ -561,9 +588,9 @@ func (l *Log) syncLocked() error {
 
 // Flush writes buffered frames through to the active segment file
 // without forcing an fsync. It makes every accepted record visible to
-// same-filesystem readers (ReadFrom, replication pulls) at memory cost
-// rather than disk cost; durability guarantees are unchanged and still
-// governed by the SyncEvery policy.
+// same-filesystem readers at memory cost rather than disk cost;
+// durability guarantees are unchanged and still governed by the
+// SyncEvery policy.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -629,6 +656,10 @@ func (l *Log) Stats() Stats {
 // Prune removes segments whose every record is below beforeLSN (i.e.
 // fully covered by a snapshot). The active segment is never removed.
 // It returns how many segments were deleted.
+//
+// The index is trimmed before the files go: a tail reader that looked a
+// doomed segment up and then finds it gone looks again, and the second
+// answer is ErrPruned rather than a missing file.
 func (l *Log) Prune(beforeLSN uint64) (int, error) {
 	l.mu.Lock()
 	segStart := l.segStart
@@ -637,20 +668,30 @@ func (l *Log) Prune(beforeLSN uint64) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: prune: %w", err)
 	}
+	// Segments are contiguous, so what qualifies is a prefix of them.
+	doomed := 0
+	for doomed+1 < len(firsts) && firsts[doomed] != segStart && firsts[doomed+1] <= beforeLSN {
+		doomed++
+	}
+	if doomed == 0 {
+		return 0, nil
+	}
+	l.mu.Lock()
+	keep := 0
+	for keep < len(l.index) && l.index[keep].lsn < firsts[doomed] {
+		keep++
+	}
+	l.index = append(l.index[:0], l.index[keep:]...)
+	l.mu.Unlock()
 	removed := 0
-	for i := 0; i+1 < len(firsts); i++ {
-		if firsts[i] == segStart || firsts[i+1] > beforeLSN {
-			continue
-		}
-		if err := l.opt.FS.Remove(filepath.Join(l.opt.Dir, segName(firsts[i]))); err != nil {
+	for _, first := range firsts[:doomed] {
+		if err := l.opt.FS.Remove(filepath.Join(l.opt.Dir, segName(first))); err != nil {
 			return removed, fmt.Errorf("wal: prune: %w", err)
 		}
 		removed++
 	}
-	if removed > 0 {
-		if err := l.opt.FS.SyncDir(l.opt.Dir); err != nil {
-			return removed, fmt.Errorf("wal: prune: %w", err)
-		}
+	if err := l.opt.FS.SyncDir(l.opt.Dir); err != nil {
+		return removed, fmt.Errorf("wal: prune: %w", err)
 	}
 	return removed, nil
 }
