@@ -427,23 +427,22 @@ func BenchmarkFigure11PreFailureErrors(b *testing.B) {
 
 // --- Prediction: Tables 6-8, Figures 12-16 ---
 
-// benchForestCV runs one forest cross-validation and reports the AUC.
-func benchForestCV(b *testing.B, lookahead int) {
-	ctx := getBenchCtx(b)
-	cfg := forest.DefaultConfig()
-	cfg.Trees = ctx.Cfg.ForestTrees
-	cfg.Seed = ctx.Cfg.Seed
-	opts := eval.CVOptions{
-		Folds: ctx.Cfg.CVFolds, Lookahead: lookahead, Seed: ctx.Cfg.Seed,
-		DownsampleRatio: 1, TestNegSampleProb: ctx.Cfg.TestNegSampleProb, AgeMax: -1,
-	}
+// benchCellAUC cross-validates one of the Table 6 classifiers through
+// the engine per iteration and reports its mean AUC.
+func benchCellAUC(b *testing.B, cs expgrid.ClassifierSpec, lookahead int) {
+	spec := getBenchCtx(b).GridSpec(lookahead)
+	spec.Classifiers = []expgrid.ClassifierSpec{cs}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := eval.CrossValidate(ctx.Fleet, ctx.An, opts, forest.NewFactory(cfg))
+		res, err := expgrid.Run(spec)
+		if err == nil {
+			err = res.Err()
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Mean, "auc")
+		aucs, _ := res.Cell("all", cs.Label, lookahead)
+		b.ReportMetric(eval.Summarize(aucs).Mean, "auc")
 	}
 }
 
@@ -451,44 +450,22 @@ func benchForestCV(b *testing.B, lookahead int) {
 // at N=1 and reports its AUC (the full Table 6 sweeps N in {1,2,3,7};
 // run cmd/ssdpredict for the complete grid).
 func BenchmarkTable6ModelComparison(b *testing.B) {
-	ctx := getBenchCtx(b)
-	for _, gp := range experiments.ClassifierGrid(ctx) {
-		gp := gp
-		b.Run(gp.Label, func(b *testing.B) {
-			opts := eval.CVOptions{
-				Folds: ctx.Cfg.CVFolds, Lookahead: 1, Seed: ctx.Cfg.Seed,
-				DownsampleRatio: 1, TestNegSampleProb: ctx.Cfg.TestNegSampleProb, AgeMax: -1,
-			}
-			for i := 0; i < b.N; i++ {
-				r, err := eval.CrossValidate(ctx.Fleet, ctx.An, opts, gp.Factory)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Mean, "auc")
-			}
-		})
+	for _, cs := range getBenchCtx(b).GridSpec(1).Classifiers {
+		b.Run(cs.Label, func(b *testing.B) { benchCellAUC(b, cs, 1) })
 	}
 }
 
 func BenchmarkTable7Transfer(b *testing.B) {
 	ctx := getBenchCtx(b)
-	cfg := forest.DefaultConfig()
-	cfg.Trees = ctx.Cfg.ForestTrees
-	cfg.Seed = ctx.Cfg.Seed
-	opts := eval.CVOptions{
-		Folds: 3, Lookahead: 1, Seed: ctx.Cfg.Seed,
-		DownsampleRatio: 1, TestNegSampleProb: ctx.Cfg.TestNegSampleProb, AgeMax: -1,
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		auc, err := eval.TrainTest(
-			ctx.ModelFleet[trace.MLCA], ctx.ModelFleet[trace.MLCB],
-			ctx.ModelAn[trace.MLCA], ctx.ModelAn[trace.MLCB],
-			opts, forest.NewFactory(cfg))
+		tbl, err := experiments.Table7(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(auc, "auc_A_to_B")
+		if len(tbl.Rows) != 3 {
+			b.Fatal("incomplete Table 7")
+		}
 	}
 }
 
@@ -509,14 +486,15 @@ func BenchmarkTable8ErrorPrediction(b *testing.B) {
 func BenchmarkFigure12LookaheadSweep(b *testing.B) {
 	for _, n := range []int{1, 7, 30} {
 		b.Run("N="+strconv.Itoa(n), func(b *testing.B) {
-			benchForestCV(b, n)
+			specs := getBenchCtx(b).GridSpec(n).Classifiers
+			benchCellAUC(b, specs[len(specs)-1], n) // the random forest
 		})
 	}
 }
 
 func BenchmarkFigure13PerModelROC(b *testing.B) {
 	ctx := getBenchCtx(b)
-	ps, err := ctx.PooledCV(nil, 1)
+	ps, err := ctx.PooledCV(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -531,7 +509,7 @@ func BenchmarkFigure13PerModelROC(b *testing.B) {
 
 func BenchmarkFigure14TPRByAge(b *testing.B) {
 	ctx := getBenchCtx(b)
-	ps, err := ctx.PooledCV(nil, 1)
+	ps, err := ctx.PooledCV(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -546,7 +524,7 @@ func BenchmarkFigure14TPRByAge(b *testing.B) {
 
 func BenchmarkFigure15YoungOldROC(b *testing.B) {
 	ctx := getBenchCtx(b)
-	ps, err := ctx.PooledCV(nil, 1)
+	ps, err := ctx.PooledCV(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -573,76 +551,6 @@ func BenchmarkFigure16FeatureImportance(b *testing.B) {
 		if len(tbl.Rows) != 10 {
 			b.Fatal("incomplete")
 		}
-	}
-}
-
-// gridBenchScale reads SSDFAIL_GRID_DRIVES (drives per model for the
-// experiment-grid benchmark; default 600, the paper-scale target the
-// speedup acceptance criterion is measured at).
-func gridBenchScale() int {
-	if v := os.Getenv("SSDFAIL_GRID_DRIVES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 600
-}
-
-// BenchmarkExperimentGrid runs the Table 6 grid (six classifiers,
-// N in {1, 7}, 5 folds) through the expgrid engine at 1, 2, and 4
-// workers, verifies the AUC tables are byte-identical across worker
-// counts, and writes the BENCH_train.json report with per-worker-count
-// wall times, throughput, cache statistics, and speedups.
-func BenchmarkExperimentGrid(b *testing.B) {
-	cfg := experiments.DefaultConfig()
-	cfg.Seed = 42
-	cfg.DrivesPerModel = gridBenchScale()
-	cfg.CVFolds = 5
-	cfg.ForestTrees = 50
-	cfg.TestNegSampleProb = 0.2
-	ctx, err := experiments.NewContext(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := ctx.GridSpec(1, 7)
-	var (
-		runs     []expgrid.BenchRun
-		baseline []byte
-		same     = true
-	)
-	for _, w := range []int{1, 2, 4} {
-		s := spec
-		s.Workers = w
-		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
-			var last *expgrid.Result
-			for i := 0; i < b.N; i++ {
-				res, err := expgrid.Run(s)
-				if err == nil {
-					err = res.Err()
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Stats.TasksPerSec, "tasks/s")
-			b.ReportMetric(last.Stats.CacheHitRate, "cache-hit-rate")
-			tbl := last.AUCTable()
-			if baseline == nil {
-				baseline = tbl
-			} else if !bytes.Equal(baseline, tbl) {
-				same = false
-				b.Errorf("workers=%d produced a different AUC table than workers=1", w)
-			}
-			runs = append(runs, expgrid.BenchRun{Stats: last.Stats})
-		})
-	}
-	if len(runs) == 3 {
-		rep := experiments.TrainBenchReport(ctx, &spec, runs, same)
-		if err := rep.WriteFile("BENCH_train.json"); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("BENCH_train.json written: aucs_identical=%v", same)
 	}
 }
 
@@ -692,38 +600,20 @@ func BenchmarkAblationForestSize(b *testing.B) {
 
 func BenchmarkExtensionWindowedFeatures(b *testing.B) {
 	ctx := getBenchCtx(b)
-	cfg := forest.DefaultConfig()
-	cfg.Trees = ctx.Cfg.ForestTrees
-	cfg.Seed = ctx.Cfg.Seed
-	opts := eval.CVOptions{
-		Folds: ctx.Cfg.CVFolds, Lookahead: 15, Seed: ctx.Cfg.Seed,
-		DownsampleRatio: 1, TestNegSampleProb: ctx.Cfg.TestNegSampleProb,
-		AgeMax: -1, WindowDays: 7,
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := eval.CrossValidate(ctx.Fleet, ctx.An, opts, forest.NewFactory(cfg))
-		if err != nil {
+		if _, err := experiments.ExtensionWindowedFeatures(ctx); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Mean, "auc_windowed_N15")
 	}
 }
 
 func BenchmarkExtensionGBDTCV(b *testing.B) {
 	ctx := getBenchCtx(b)
-	cfg := gbdt.DefaultConfig()
-	cfg.Seed = ctx.Cfg.Seed
-	opts := eval.CVOptions{
-		Folds: ctx.Cfg.CVFolds, Lookahead: 1, Seed: ctx.Cfg.Seed,
-		DownsampleRatio: 1, TestNegSampleProb: ctx.Cfg.TestNegSampleProb, AgeMax: -1,
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := eval.CrossValidate(ctx.Fleet, ctx.An, opts, gbdt.NewFactory(cfg))
-		if err != nil {
+		if _, err := experiments.ExtensionGBDT(ctx); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Mean, "auc")
 	}
 }

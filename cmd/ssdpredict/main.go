@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"ssdfail/internal/experiments"
-	"ssdfail/internal/expgrid"
 	"ssdfail/internal/report"
 	"ssdfail/internal/trace"
 )
@@ -36,7 +34,6 @@ func main() {
 		what      = flag.String("what", "all", "comma-separated: table6,table7,table8,fig12,fig13,fig14,fig15,fig16,grid,ablations,extension")
 		plots     = flag.Bool("plots", true, "render ASCII plots alongside tables")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		benchOut  = flag.String("train-bench", "", "run the Table 6 grid at 1/2/4 workers and write a BENCH_train.json report to this path, then exit")
 	)
 	flag.Parse()
 
@@ -54,13 +51,6 @@ func main() {
 	}
 	fmt.Printf("fleet: %d drives, %d drive-days, %d swap events\n\n",
 		len(ctx.Fleet.Drives), ctx.Fleet.DriveDays(), len(ctx.An.Events))
-
-	if *benchOut != "" {
-		if err := runTrainBench(ctx, *benchOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, w := range strings.Split(*what, ",") {
@@ -107,7 +97,7 @@ func main() {
 	// Figures 13–15 share one pooled cross-validation run.
 	if all || want["fig13"] || want["fig14"] || want["fig15"] {
 		timed("fig13-15", func() error {
-			ps, err := ctx.PooledCV(nil, 1)
+			ps, err := ctx.PooledCV(1)
 			if err != nil {
 				return err
 			}
@@ -199,44 +189,6 @@ func main() {
 			return nil
 		})
 	}
-}
-
-// runTrainBench runs the Table 6 grid through the experiment engine at
-// several worker counts, verifies every run produces a byte-identical
-// AUC table, and writes the BENCH_train.json report.
-func runTrainBench(ctx *experiments.Context, path string) error {
-	spec := ctx.GridSpec(experiments.PaperTable6Lookaheads[:]...)
-	var (
-		runs     []expgrid.BenchRun
-		baseline []byte
-		same     = true
-	)
-	for _, w := range []int{1, 2, 4} {
-		s := spec
-		s.Workers = w
-		res, err := expgrid.Run(s)
-		if err == nil {
-			err = res.Err()
-		}
-		if err != nil {
-			return fmt.Errorf("train-bench (workers=%d): %w", w, err)
-		}
-		tbl := res.AUCTable()
-		if baseline == nil {
-			baseline = tbl
-		} else if !bytes.Equal(baseline, tbl) {
-			same = false
-		}
-		runs = append(runs, expgrid.BenchRun{Stats: res.Stats})
-		fmt.Printf("train-bench: workers=%d wall=%.2fs tasks/s=%.1f cache hit rate=%.0f%%\n",
-			w, res.Stats.WallSeconds, res.Stats.TasksPerSec, 100*res.Stats.CacheHitRate)
-	}
-	rep := experiments.TrainBenchReport(ctx, &spec, runs, same)
-	if err := rep.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("train-bench: aucs_identical=%v report written to %s\n", same, path)
-	return nil
 }
 
 func buildContext(cfg experiments.Config, tracePath string) (*experiments.Context, error) {

@@ -29,7 +29,7 @@ func main() {
 		len(ctx.Fleet.Drives), len(ctx.An.Events), 100*infantShare(ctx))
 
 	// Combined model, evaluated separately on young and old rows.
-	ps, err := ctx.PooledCV(nil, 1)
+	ps, err := ctx.PooledCV(1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,20 +1,14 @@
-// Package eval implements the paper's evaluation methodology (§5.1):
-// ROC curves and AUC (robust to the ~1:10,000 class imbalance of the
-// trace), drive-partitioned k-fold cross-validation with majority-class
-// downsampling, train-on-A/test-on-B transfer evaluation (Table 7), and
-// hyperparameter grid search.
+// Package eval implements the metrics of the paper's evaluation
+// methodology (§5.1): ROC curves and AUC (robust to the ~1:10,000 class
+// imbalance of the trace), confusion sweeps, TPR by drive age,
+// calibration, and the mean ± std fold summary. It scores slices of
+// numbers and imports nothing from the module; cross-validation itself
+// lives in internal/expgrid.
 package eval
 
 import (
-	"errors"
 	"math"
 	"sort"
-
-	"ssdfail/internal/dataset"
-	"ssdfail/internal/failure"
-	"ssdfail/internal/ml"
-	"ssdfail/internal/parallel"
-	"ssdfail/internal/trace"
 )
 
 // AUC returns the area under the ROC curve computed by the rank
@@ -201,10 +195,8 @@ type Result struct {
 }
 
 // Summarize folds per-fold AUCs into a Result (mean ± sample std), the
-// aggregation used by every CV table. Exported for the expgrid engine.
-func Summarize(aucs []float64) Result { return summarize(aucs) }
-
-func summarize(aucs []float64) Result {
+// aggregation used by every CV table.
+func Summarize(aucs []float64) Result {
 	r := Result{AUCs: aucs}
 	if len(aucs) == 0 {
 		return r
@@ -223,145 +215,6 @@ func summarize(aucs []float64) Result {
 		r.Std = math.Sqrt(v / float64(len(aucs)-1))
 	}
 	return r
-}
-
-// CVOptions configures cross-validated failure prediction.
-type CVOptions struct {
-	Folds     int // number of drive-partitioned folds (the paper uses 5)
-	Lookahead int // prediction window N in days
-	Seed      uint64
-	// DownsampleRatio is the negatives-per-positive ratio for training
-	// (the paper uses 1:1). <= 0 disables downsampling.
-	DownsampleRatio float64
-	// TestNegSampleProb subsamples negatives in the *test* fold (AUC is
-	// a rank statistic, so uniform negative subsampling is unbiased).
-	// <= 0 or >= 1 keeps all test rows.
-	TestNegSampleProb float64
-	// AgeMin/AgeMax restrict both training and test rows to an age band
-	// (inclusive); AgeMax < 0 means unbounded. Implements §5.3.
-	AgeMin, AgeMax int32
-	// WindowDays > 0 appends trailing-window features to every row
-	// (dataset.Options.WindowDays).
-	WindowDays int32
-	Workers    int
-}
-
-// normalize fills defaults.
-func (o *CVOptions) normalize() {
-	if o.Folds <= 0 {
-		o.Folds = 5
-	}
-	if o.Lookahead <= 0 {
-		o.Lookahead = 1
-	}
-	if o.DownsampleRatio == 0 {
-		o.DownsampleRatio = 1
-	}
-	if o.AgeMax == 0 {
-		o.AgeMax = -1
-	}
-}
-
-// CrossValidate runs drive-partitioned k-fold cross-validation of the
-// classifier on the fleet and returns per-fold AUCs. Folds are evaluated
-// in parallel; all sampling is deterministic given the seed.
-func CrossValidate(f *trace.Fleet, an *failure.Analysis, opts CVOptions, factory ml.Factory) (Result, error) {
-	opts.normalize()
-	folds := dataset.Folds(len(f.Drives), opts.Folds, opts.Seed)
-	aucs := make([]float64, opts.Folds)
-	errs := make([]error, opts.Folds)
-	parallel.For(opts.Workers, opts.Folds, func(k int) {
-		train := dataset.Extract(f, an, dataset.Options{
-			Lookahead: opts.Lookahead,
-			Seed:      opts.Seed + uint64(k),
-			AgeMin:    opts.AgeMin, AgeMax: opts.AgeMax,
-			WindowDays:   opts.WindowDays,
-			IncludeDrive: func(di int) bool { return folds[di] != k },
-		})
-		if opts.DownsampleRatio > 0 {
-			train = dataset.Downsample(train, opts.DownsampleRatio, opts.Seed+uint64(k))
-		}
-		test := dataset.Extract(f, an, dataset.Options{
-			Lookahead:          opts.Lookahead,
-			Seed:               opts.Seed + 1000 + uint64(k),
-			NegativeSampleProb: opts.TestNegSampleProb,
-			AgeMin:             opts.AgeMin, AgeMax: opts.AgeMax,
-			WindowDays:   opts.WindowDays,
-			IncludeDrive: func(di int) bool { return folds[di] == k },
-		})
-		if train.Positives() == 0 || test.Positives() == 0 {
-			errs[k] = errors.New("eval: a fold has no positive examples; use more drives or fewer folds")
-			return
-		}
-		clf := factory()
-		if err := clf.Fit(train); err != nil {
-			errs[k] = err
-			return
-		}
-		scores := ml.ScoreBatch(clf, test)
-		aucs[k] = AUC(scores, test.Y)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	return summarize(aucs), nil
-}
-
-// TrainTest trains on one fleet and evaluates on another (Table 7's
-// cross-model transfer). It returns the test AUC.
-func TrainTest(trainFleet, testFleet *trace.Fleet, trainAn, testAn *failure.Analysis,
-	opts CVOptions, factory ml.Factory) (float64, error) {
-	opts.normalize()
-	train := dataset.Extract(trainFleet, trainAn, dataset.Options{
-		Lookahead: opts.Lookahead,
-		Seed:      opts.Seed,
-		AgeMin:    opts.AgeMin, AgeMax: opts.AgeMax,
-		WindowDays: opts.WindowDays,
-	})
-	if opts.DownsampleRatio > 0 {
-		train = dataset.Downsample(train, opts.DownsampleRatio, opts.Seed)
-	}
-	test := dataset.Extract(testFleet, testAn, dataset.Options{
-		Lookahead:          opts.Lookahead,
-		Seed:               opts.Seed + 1000,
-		NegativeSampleProb: opts.TestNegSampleProb,
-		AgeMin:             opts.AgeMin, AgeMax: opts.AgeMax,
-		WindowDays: opts.WindowDays,
-	})
-	if train.Positives() == 0 || test.Positives() == 0 {
-		return 0, errors.New("eval: train or test has no positives")
-	}
-	clf := factory()
-	if err := clf.Fit(train); err != nil {
-		return 0, err
-	}
-	return AUC(ml.ScoreBatch(clf, test), test.Y), nil
-}
-
-// GridPoint is one hyperparameter configuration in a grid search.
-type GridPoint struct {
-	Label   string
-	Factory ml.Factory
-}
-
-// GridSearch cross-validates every grid point and returns the index of
-// the configuration with the best mean AUC, along with all results.
-func GridSearch(f *trace.Fleet, an *failure.Analysis, opts CVOptions, grid []GridPoint) (best int, results []Result, err error) {
-	results = make([]Result, len(grid))
-	best = -1
-	for i, g := range grid {
-		r, err := CrossValidate(f, an, opts, g.Factory)
-		if err != nil {
-			return -1, nil, err
-		}
-		results[i] = r
-		if best < 0 || r.Mean > results[best].Mean {
-			best = i
-		}
-	}
-	return best, results, nil
 }
 
 // TPRByAgeMonth computes the cross-validated true positive rate as a

@@ -5,11 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ssdfail/internal/failure"
 	"ssdfail/internal/fleetsim"
-	"ssdfail/internal/ml/forest"
 	"ssdfail/internal/ml/mltest"
-	"ssdfail/internal/ml/tree"
 )
 
 func TestAUCKnownValues(t *testing.T) {
@@ -115,90 +112,6 @@ func TestConfusionAt(t *testing.T) {
 	tpr, fpr = ConfusionAt(nil, nil, 0.5)
 	if tpr != 0 || fpr != 0 {
 		t.Errorf("empty confusion = %v, %v", tpr, fpr)
-	}
-}
-
-func TestCrossValidateOnSimulatedFleet(t *testing.T) {
-	cfg := fleetsim.DefaultConfig(31, 80)
-	cfg.HorizonDays = 1100
-	cfg.EarlyWindow = 300
-	fleet, _, err := fleetsim.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := failure.Analyze(fleet)
-	opts := CVOptions{Folds: 3, Lookahead: 1, Seed: 1, DownsampleRatio: 1,
-		TestNegSampleProb: 0.2, AgeMax: -1}
-	res, err := CrossValidate(fleet, an, opts,
-		forest.NewFactory(forest.Config{Trees: 30, MaxDepth: 10, MinLeaf: 2, Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.AUCs) != 3 {
-		t.Fatalf("fold count = %d", len(res.AUCs))
-	}
-	// A forest on simulated data with symptom ramps should comfortably
-	// beat chance (the bound is loose: an 80-drive-per-model fleet has
-	// high fold-to-fold variance).
-	if res.Mean < 0.62 {
-		t.Errorf("CV mean AUC = %.3f, want >= 0.62", res.Mean)
-	}
-	if res.Std < 0 || res.Std > 0.3 {
-		t.Errorf("CV std = %.3f", res.Std)
-	}
-}
-
-func TestCrossValidateDeterministic(t *testing.T) {
-	cfg := fleetsim.DefaultConfig(32, 80)
-	cfg.HorizonDays = 1100
-	cfg.EarlyWindow = 300
-	fleet, _, err := fleetsim.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := failure.Analyze(fleet)
-	opts := CVOptions{Folds: 3, Lookahead: 1, Seed: 9, DownsampleRatio: 1,
-		TestNegSampleProb: 0.2, AgeMax: -1}
-	fac := tree.NewFactory(tree.Config{MaxDepth: 8, MinLeaf: 2, MinSplit: 4})
-	r1, err := CrossValidate(fleet, an, opts, fac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := CrossValidate(fleet, an, opts, fac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.AUCs {
-		if r1.AUCs[i] != r2.AUCs[i] {
-			t.Fatal("cross-validation not deterministic")
-		}
-	}
-}
-
-func TestGridSearchPicksBest(t *testing.T) {
-	cfg := fleetsim.DefaultConfig(33, 80)
-	cfg.HorizonDays = 1100
-	cfg.EarlyWindow = 300
-	fleet, _, err := fleetsim.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := failure.Analyze(fleet)
-	opts := CVOptions{Folds: 3, Lookahead: 1, Seed: 2, DownsampleRatio: 1,
-		TestNegSampleProb: 0.2, AgeMax: -1}
-	grid := []GridPoint{
-		{Label: "depth=1", Factory: tree.NewFactory(tree.Config{MaxDepth: 1})},
-		{Label: "depth=10", Factory: tree.NewFactory(tree.Config{MaxDepth: 10, MinLeaf: 2, MinSplit: 4})},
-	}
-	best, results, err := GridSearch(fleet, an, opts, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || best < 0 {
-		t.Fatalf("best=%d results=%v", best, results)
-	}
-	if results[best].Mean < results[1-best].Mean {
-		t.Error("GridSearch did not pick the best mean")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/eval"
+	"ssdfail/internal/expgrid"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/forest"
 	"ssdfail/internal/report"
@@ -13,7 +14,9 @@ import (
 
 // Ablations for the design choices called out in DESIGN.md §6. These are
 // not paper tables; they justify the methodology the paper (and this
-// reproduction) uses.
+// reproduction) uses. Each one is Table 6's forest grid with one thing
+// changed, so it shares the engine's seed contract: an unchanged cell is
+// Table 6's cell bit for bit.
 
 // AblationSplit contrasts drive-partitioned folds with naive row-level
 // splits. Because a drive's days are highly correlated, row splits leak
@@ -24,7 +27,7 @@ import (
 func AblationSplit(ctx *Context) (*report.Table, error) {
 	const lookahead = 7
 	// Drive-partitioned baseline.
-	driveRes, err := eval.CrossValidate(ctx.Fleet, ctx.An, ctx.cvOptions(lookahead), ctx.forestFactory())
+	driveRes, err := forestCV(ctx.forestGrid(lookahead), lookahead)
 	if err != nil {
 		return nil, err
 	}
@@ -52,28 +55,29 @@ func AblationSplit(ctx *Context) (*report.Table, error) {
 		if train.Positives() == 0 || test.Positives() == 0 {
 			continue
 		}
-		clf := ctx.forestFactory()()
+		clf := ctx.forestSpec()[0].New(ctx.Cfg.Seed)
 		if err := clf.Fit(train); err != nil {
 			return nil, err
 		}
 		aucs = append(aucs, eval.AUC(ml.ScoreBatch(clf, test), test.Y))
-	}
-	var rowMean float64
-	for _, a := range aucs {
-		rowMean += a
-	}
-	if len(aucs) > 0 {
-		rowMean /= float64(len(aucs))
 	}
 	tbl := &report.Table{
 		Title:   "Ablation: fold partitioning (random forest, N=7)",
 		Columns: []string{"Partitioning", "AUC"},
 	}
 	tbl.AddRow("by drive ID (paper)", report.F(driveRes.Mean, 3))
-	tbl.AddRow("by row (leaky)", report.F(rowMean, 3))
+	tbl.AddRow("by row (leaky)", report.F(eval.Summarize(aucs).Mean, 3))
 	tbl.Notes = append(tbl.Notes,
 		"row-level splits leak per-drive signal into the test set and overstate accuracy")
 	return tbl, nil
+}
+
+// downsampleSpec is the N=1 forest grid trained at ratio negatives per
+// positive.
+func (ctx *Context) downsampleSpec(ratio float64) expgrid.Spec {
+	spec := ctx.forestGrid(1)
+	spec.DownsampleRatio = ratio
+	return spec
 }
 
 // AblationDownsampling sweeps the training negative:positive ratio
@@ -84,9 +88,7 @@ func AblationDownsampling(ctx *Context) (*report.Table, error) {
 		Columns: []string{"Negatives per positive", "AUC", "std"},
 	}
 	for _, ratio := range []float64{0.5, 1, 2, 5, 20} {
-		opts := ctx.cvOptions(1)
-		opts.DownsampleRatio = ratio
-		r, err := eval.CrossValidate(ctx.Fleet, ctx.An, opts, ctx.forestFactory())
+		r, err := forestCV(ctx.downsampleSpec(ratio), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -173,46 +175,85 @@ func AblationFeatureSets(ctx *Context) (*report.Table, error) {
 		}
 		return false
 	})
-	all := featureSet(func(int) bool { return true })
-
+	rf := ctx.forestSpec()[0]
+	masked := func(label string, keep []bool) expgrid.ClassifierSpec {
+		return expgrid.ClassifierSpec{Label: label, New: func(seed uint64) ml.Classifier {
+			return &maskedModel{inner: rf.New(seed), keep: keep}
+		}}
+	}
+	names := []string{"daily only", "cumulative only", "daily + cumulative (paper)"}
+	_, results, err := ctx.forestSweep([]expgrid.ClassifierSpec{
+		masked(names[0], daily), masked(names[1], cumulative), rf,
+	})
+	if err != nil {
+		return nil, err
+	}
 	tbl := &report.Table{
 		Title:   "Ablation: feature sets (random forest, N=1)",
 		Columns: []string{"Features", "AUC", "std"},
 	}
-	for _, c := range []struct {
-		name string
-		keep []bool
-	}{{"daily only", daily}, {"cumulative only", cumulative}, {"daily + cumulative (paper)", all}} {
-		keep := c.keep
-		factory := func() ml.Classifier {
-			return &maskedModel{inner: ctx.forestFactory()(), keep: keep}
-		}
-		r, err := eval.CrossValidate(ctx.Fleet, ctx.An, ctx.cvOptions(1), factory)
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddRow(c.name, report.F(r.Mean, 3), report.F(r.Std, 3))
+	for i, r := range results {
+		tbl.AddRow(names[i], report.F(r.Mean, 3), report.F(r.Std, 3))
 	}
 	return tbl, nil
 }
 
-// gridSearchForestDepth sweeps the forest depth via eval.GridSearch and
-// marks the winner, mirroring the paper's hyperparameter methodology.
-func gridSearchForestDepth(ctx *Context) (*report.Table, error) {
-	var grid []eval.GridPoint
-	depths := []int{4, 8, 14, 20}
-	for _, d := range depths {
+// forestVariant is classifierSpecs' forest under its own label with one
+// hyperparameter changed.
+func (ctx *Context) forestVariant(label string, mod func(*forest.Config)) expgrid.ClassifierSpec {
+	trees := ctx.Cfg.ForestTrees
+	return expgrid.ClassifierSpec{Label: label, New: func(seed uint64) ml.Classifier {
 		cfg := forest.DefaultConfig()
-		cfg.MaxDepth = d
-		cfg.Trees = ctx.Cfg.ForestTrees
-		cfg.Seed = ctx.Cfg.Seed
-		cfg.Workers = ctx.Cfg.Workers
-		grid = append(grid, eval.GridPoint{
-			Label:   fmt.Sprintf("depth=%d", d),
-			Factory: forest.NewFactory(cfg),
-		})
+		cfg.Trees = trees
+		cfg.Seed = seed
+		cfg.Workers = 1
+		mod(&cfg)
+		return forest.New(cfg)
+	}}
+}
+
+// forestSweep cross-validates the variants side by side in one N=1 grid
+// — one extraction, every variant on the same train rows — and returns
+// their summaries in order beside the raw result.
+func (ctx *Context) forestSweep(variants []expgrid.ClassifierSpec) (*expgrid.Result, []eval.Result, error) {
+	spec := ctx.forestGrid(1)
+	spec.Classifiers = variants
+	res, err := runGrid(spec)
+	if err != nil {
+		return nil, nil, err
 	}
-	best, results, err := eval.GridSearch(ctx.Fleet, ctx.An, ctx.cvOptions(1), grid)
+	results := make([]eval.Result, len(variants))
+	for i, v := range variants {
+		if results[i], err = cellSummary(res, "all", v.Label, 1); err != nil {
+			return nil, nil, err
+		}
+	}
+	return res, results, nil
+}
+
+// bestMean returns the index of the highest mean AUC; the first of
+// equal means wins.
+func bestMean(results []eval.Result) int {
+	best := 0
+	for i, r := range results {
+		if r.Mean > results[best].Mean {
+			best = i
+		}
+	}
+	return best
+}
+
+// HyperparameterGrid demonstrates the paper's §5.2 methodology of grid-
+// searching regularization hyperparameters: the random-forest depth is
+// swept and the best configuration selected by cross-validated AUC.
+func HyperparameterGrid(ctx *Context) (*report.Table, error) {
+	depths := []int{4, 8, 14, 20}
+	var variants []expgrid.ClassifierSpec
+	for _, d := range depths {
+		variants = append(variants, ctx.forestVariant(fmt.Sprintf("depth=%d", d),
+			func(cfg *forest.Config) { cfg.MaxDepth = d }))
+	}
+	_, results, err := ctx.forestSweep(variants)
 	if err != nil {
 		return nil, err
 	}
@@ -220,6 +261,7 @@ func gridSearchForestDepth(ctx *Context) (*report.Table, error) {
 		Title:   "Grid search: random-forest depth (the paper's tuned regularizer, §5.2)",
 		Columns: []string{"Max depth", "AUC", "std", "selected"},
 	}
+	best := bestMean(results)
 	for i, r := range results {
 		sel := ""
 		if i == best {
@@ -230,27 +272,35 @@ func gridSearchForestDepth(ctx *Context) (*report.Table, error) {
 	return tbl, nil
 }
 
-// AblationForestSize sweeps the number of trees, reporting AUC and
-// training time per fold.
+// AblationForestSize sweeps the number of trees, reporting AUC and the
+// summed wall time of each size's fold tasks.
 func AblationForestSize(ctx *Context) (*report.Table, error) {
+	sizes := []int{5, 25, 50, 100, 200}
+	var variants []expgrid.ClassifierSpec
+	for _, trees := range sizes {
+		variants = append(variants, ctx.forestVariant(fmt.Sprintf("trees=%d", trees),
+			func(cfg *forest.Config) { cfg.Trees = trees }))
+	}
+	res, results, err := ctx.forestSweep(variants)
+	if err != nil {
+		return nil, err
+	}
 	tbl := &report.Table{
 		Title:   "Ablation: forest size (N=1)",
-		Columns: []string{"Trees", "AUC", "std", "CV wall time"},
+		Columns: []string{"Trees", "AUC", "std", "CV task time"},
 	}
-	for _, trees := range []int{5, 25, 50, 100, 200} {
-		cfg := forest.DefaultConfig()
-		cfg.Trees = trees
-		cfg.Seed = ctx.Cfg.Seed
-		cfg.Workers = ctx.Cfg.Workers
-		start := time.Now() //ssdlint:allow nondeterminism CV wall time is a reported diagnostic, not a model input
-		r, err := eval.CrossValidate(ctx.Fleet, ctx.An, ctx.cvOptions(1), forest.NewFactory(cfg))
-		if err != nil {
-			return nil, err
+	for i, r := range results {
+		var secs float64
+		for j := range res.Tasks {
+			if res.Tasks[j].Key.Classifier == variants[i].Label {
+				secs += res.Tasks[j].Seconds
+			}
 		}
-		//ssdlint:allow nondeterminism CV wall time is a reported diagnostic, not a model input
-		elapsed := time.Since(start).Round(time.Millisecond)
-		tbl.AddRow(fmt.Sprintf("%d", trees), report.F(r.Mean, 3), report.F(r.Std, 3),
+		elapsed := time.Duration(secs * float64(time.Second)).Round(time.Millisecond)
+		tbl.AddRow(fmt.Sprintf("%d", sizes[i]), report.F(r.Mean, 3), report.F(r.Std, 3),
 			elapsed.String())
 	}
+	tbl.Notes = append(tbl.Notes,
+		"task time sums a size's fold tasks; the first tasks to run also wait for the grid's one feature extraction")
 	return tbl, nil
 }

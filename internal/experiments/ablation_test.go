@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ssdfail/internal/dataset"
+	"ssdfail/internal/expgrid"
 )
 
 func TestAblationSplit(t *testing.T) {
@@ -17,6 +20,50 @@ func TestAblationSplit(t *testing.T) {
 	}
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
+	}
+	// The leak is the point of the ablation: a row split must score
+	// above the drive-partitioned protocol.
+	var byDrive, byRow float64
+	fmt.Sscan(tbl.Rows[0][1], &byDrive)
+	fmt.Sscan(tbl.Rows[1][1], &byRow)
+	if byRow <= byDrive {
+		t.Errorf("by-row AUC %.3f not above by-drive AUC %.3f", byRow, byDrive)
+	}
+}
+
+// TestAblationBaselinesAreGridCells is the one-engine property: where an
+// ablation or extension leaves Table 6's forest spec unchanged, its cell
+// is the forest-only grid's cell bit for bit — whatever other
+// lookaheads or classifiers share the run.
+func TestAblationBaselinesAreGridCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	ctx := getCtx(t)
+	ref, err := runGrid(ctx.forestGrid(1, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		spec       expgrid.Spec
+		lookaheads []int
+	}{
+		{"AblationDownsampling 1:1 row", ctx.downsampleSpec(1), []int{1}},
+		{"ExtensionWindowedFeatures single-day column", ctx.windowedSpec(0), []int{1, 7}},
+		{"ExtensionGBDT forest column", ctx.gbdtSpec(), []int{1, 7}},
+	} {
+		res, err := runGrid(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, n := range c.lookaheads {
+			want, _ := ref.Cell("all", "Random Forest", n)
+			got, _ := res.Cell("all", "Random Forest", n)
+			if len(want) != ctx.Cfg.CVFolds || !slices.Equal(got, want) {
+				t.Errorf("%s N=%d: fold AUCs %v, forest-only grid %v", c.name, n, got, want)
+			}
+		}
 	}
 }
 

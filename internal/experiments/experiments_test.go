@@ -220,6 +220,55 @@ func TestHyperparameterGrid(t *testing.T) {
 	}
 }
 
+// TestBestMeanFirstWinsTies pins the depth search's pick on fixed means:
+// the arg-max, and the earliest of equal maxima.
+func TestBestMeanFirstWinsTies(t *testing.T) {
+	for _, c := range []struct {
+		means []float64
+		want  int
+	}{
+		{[]float64{0.7}, 0},
+		{[]float64{0.7, 0.9, 0.8}, 1},
+		{[]float64{0.9, 0.9, 0.8}, 0},
+		{[]float64{0.6, 0.8, 0.8, 0.8}, 1},
+		{[]float64{0.5, 0.6, 0.7, 0.9}, 3},
+	} {
+		results := make([]eval.Result, len(c.means))
+		for i, m := range c.means {
+			results[i].Mean = m
+		}
+		if got := bestMean(results); got != c.want {
+			t.Errorf("bestMean(%v) = %d, want %d", c.means, got, c.want)
+		}
+	}
+}
+
+// TestTable7AllColumnIsFigure13 pins Table 7's All column to the one
+// pooled forest CV behind Figure 13: per test model, the same AUC.
+func TestTable7AllColumnIsFigure13(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	ctx := getCtx(t)
+	tbl7, err := Table7(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := ctx.PooledCV(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl13, _ := Figure13(ctx, ps)
+	if len(tbl7.Rows) != len(trace.Models) {
+		t.Fatalf("Table 7 rows = %d", len(tbl7.Rows))
+	}
+	for i, row := range tbl7.Rows {
+		if got, want := row[4], tbl13.Rows[i][1]+"*"; got != want {
+			t.Errorf("%s: All column %s, Figure 13 AUC %s", row[0], got, want)
+		}
+	}
+}
+
 func TestSurvivalAnalysis(t *testing.T) {
 	ctx := getCtx(t)
 	tbl := SurvivalAnalysis(ctx)
@@ -268,14 +317,15 @@ func TestPredictionPipeline(t *testing.T) {
 	ctx := getCtx(t)
 
 	// Figure 12 subset: forest AUC at N=1 must beat N=7 (trend check).
-	r1, err := ctx.forestCV(t, 1)
-	if err != nil {
-		t.Fatal(err)
+	var pooled [2]float64
+	for i, n := range []int{1, 7} {
+		ps, err := ctx.PooledCV(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled[i] = aucOf(ps.Scores, ps.Y)
 	}
-	r7, err := ctx.forestCV(t, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r7 := pooled[0], pooled[1]
 	if r1 < 0.70 {
 		t.Errorf("forest AUC at N=1 = %.3f, want >= 0.70", r1)
 	}
@@ -284,23 +334,12 @@ func TestPredictionPipeline(t *testing.T) {
 	}
 }
 
-// forestCV is a test helper running one forest CV at lookahead n.
-func (ctx *Context) forestCV(t *testing.T, n int) (float64, error) {
-	t.Helper()
-	ps, err := ctx.PooledCV(ctx.forestFactory(), n)
-	if err != nil {
-		return 0, err
-	}
-	s, y := ps.filter(func(int) bool { return true })
-	return aucOf(s, y), nil
-}
-
 func TestPooledCVAndAgeFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prediction experiments are slow")
 	}
 	ctx := getCtx(t)
-	ps, err := ctx.PooledCV(ctx.forestFactory(), 1)
+	ps, err := ctx.PooledCV(1)
 	if err != nil {
 		t.Fatal(err)
 	}

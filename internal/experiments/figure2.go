@@ -97,16 +97,3 @@ func Figure2(ctx *Context) *report.Table {
 	}
 	return tbl
 }
-
-// HyperparameterGrid demonstrates the paper's §5.2 methodology of grid-
-// searching regularization hyperparameters: the random-forest depth is
-// swept and the best configuration selected by cross-validated AUC.
-func HyperparameterGrid(ctx *Context) (*report.Table, error) {
-	// Reuse the ablation machinery through eval.GridSearch so the
-	// experiment exercises the public search API.
-	tbl, err := gridSearchForestDepth(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return tbl, nil
-}

@@ -1,8 +1,9 @@
 package experiments
 
 import (
-	"runtime"
+	"fmt"
 
+	"ssdfail/internal/eval"
 	"ssdfail/internal/expgrid"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/forest"
@@ -109,38 +110,48 @@ func (ctx *Context) ModelGridSpec(folds int, lookaheads ...int) expgrid.Spec {
 	return spec
 }
 
-// RunTable6Grid executes the full Table 6 grid through the engine and
-// returns the raw result (per-task AUCs plus engine statistics).
-func RunTable6Grid(ctx *Context) (*expgrid.Result, error) {
-	res, err := expgrid.Run(ctx.GridSpec(PaperTable6Lookaheads[:]...))
-	if err != nil {
-		return nil, err
+// forestGrid builds the forest-only grid on the whole fleet that every
+// ablation and extension varies: with no field changed, its cells are
+// Table 6's "Random Forest" cells bit for bit (same task keys, same seeds).
+func (ctx *Context) forestGrid(lookaheads ...int) expgrid.Spec {
+	spec := ctx.baseSpec(ctx.allScope(), lookaheads)
+	spec.Classifiers = ctx.forestSpec()
+	return spec
+}
+
+// runGrid executes a grid and surfaces the first task error.
+func runGrid(spec expgrid.Spec) (*expgrid.Result, error) {
+	res, err := expgrid.Run(spec)
+	if err == nil {
+		err = res.Err()
 	}
-	if err := res.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// TrainBenchReport assembles the BENCH_train.json payload for one or
-// more engine runs over this context's grid.
-func TrainBenchReport(ctx *Context, spec *expgrid.Spec, runs []expgrid.BenchRun, aucsIdentical bool) *expgrid.BenchReport {
-	rep := &expgrid.BenchReport{
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		DrivesPerModel: ctx.Cfg.DrivesPerModel,
-		TotalDrives:    len(ctx.Fleet.Drives),
-		DriveDays:      ctx.Fleet.DriveDays(),
-		Scopes:         len(spec.Scopes),
-		Classifiers:    len(spec.Classifiers),
-		Lookaheads:     spec.Lookaheads,
-		Folds:          spec.Folds,
-		Runs:           runs,
-		AUCsIdentical:  aucsIdentical,
+// cellSummary folds one cell's per-fold AUCs into mean ± std.
+func cellSummary(res *expgrid.Result, scope, classifier string, lookahead int) (eval.Result, error) {
+	aucs, ok := res.Cell(scope, classifier, lookahead)
+	if !ok {
+		return eval.Result{}, fmt.Errorf("experiments: missing cell (%s, %s, N=%d)", scope, classifier, lookahead)
 	}
-	if len(runs) > 0 {
-		rep.TasksPerRun = runs[0].Tasks
+	return eval.Summarize(aucs), nil
+}
+
+// forestCV runs a forestGrid variant and summarizes its cell at one
+// lookahead.
+func forestCV(spec expgrid.Spec, lookahead int) (eval.Result, error) {
+	res, err := runGrid(spec)
+	if err != nil {
+		return eval.Result{}, err
 	}
-	rep.FillSpeedups()
-	return rep
+	return cellSummary(res, "all", "Random Forest", lookahead)
+}
+
+// RunTable6Grid executes the full Table 6 grid through the engine and
+// returns the raw result (per-task AUCs plus engine statistics).
+func RunTable6Grid(ctx *Context) (*expgrid.Result, error) {
+	return runGrid(ctx.GridSpec(PaperTable6Lookaheads[:]...))
 }

@@ -1,61 +1,17 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/eval"
-	"ssdfail/internal/expgrid"
 	"ssdfail/internal/failure"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/forest"
-	"ssdfail/internal/ml/knn"
-	"ssdfail/internal/ml/logreg"
-	"ssdfail/internal/ml/neuralnet"
-	"ssdfail/internal/ml/svm"
-	"ssdfail/internal/ml/tree"
 	"ssdfail/internal/report"
 	"ssdfail/internal/trace"
 )
-
-// forestFactory builds the standard random-forest factory at the
-// experiment scale.
-func (ctx *Context) forestFactory() ml.Factory {
-	cfg := forest.DefaultConfig()
-	cfg.Trees = ctx.Cfg.ForestTrees
-	cfg.Seed = ctx.Cfg.Seed
-	cfg.Workers = ctx.Cfg.Workers
-	return forest.NewFactory(cfg)
-}
-
-// ClassifierGrid returns the six models of Table 6 configured for the
-// context, in the paper's order.
-func ClassifierGrid(ctx *Context) []eval.GridPoint { return ctx.classifierGrid() }
-
-// classifierGrid returns the six models of Table 6, in the paper's order.
-func (ctx *Context) classifierGrid() []eval.GridPoint {
-	return []eval.GridPoint{
-		{Label: "Logistic Reg.", Factory: logreg.NewFactory(logreg.DefaultConfig())},
-		{Label: "k-NN", Factory: knn.NewFactory(knn.DefaultConfig())},
-		{Label: "SVM", Factory: svm.NewFactory(svm.DefaultConfig())},
-		{Label: "Neural Network", Factory: neuralnet.NewFactory(neuralnet.DefaultConfig())},
-		{Label: "Decision Tree", Factory: tree.NewFactory(tree.DefaultConfig())},
-		{Label: "Random Forest", Factory: ctx.forestFactory()},
-	}
-}
-
-// cvOptions builds the standard CV options for a lookahead.
-func (ctx *Context) cvOptions(lookahead int) eval.CVOptions {
-	return eval.CVOptions{
-		Folds:             ctx.Cfg.CVFolds,
-		Lookahead:         lookahead,
-		Seed:              ctx.Cfg.Seed,
-		DownsampleRatio:   1,
-		TestNegSampleProb: ctx.Cfg.TestNegSampleProb,
-		AgeMax:            -1,
-		Workers:           ctx.Cfg.Workers,
-	}
-}
 
 // Table6 cross-validates all six classifiers at lookaheads 1, 2, 3, 7
 // (paper Table 6) through the expgrid engine and returns the results
@@ -74,11 +30,10 @@ func Table6(ctx *Context) (*report.Table, map[string][]eval.Result, error) {
 		row := []string{cs.Label}
 		var rs []eval.Result
 		for _, n := range PaperTable6Lookaheads {
-			aucs, ok := res.Cell("all", cs.Label, n)
-			if !ok {
-				return nil, nil, fmt.Errorf("table 6: missing cell (%s, N=%d)", cs.Label, n)
+			r, err := cellSummary(res, "all", cs.Label, n)
+			if err != nil {
+				return nil, nil, fmt.Errorf("table 6: %w", err)
 			}
-			r := eval.Summarize(aucs)
 			rs = append(rs, r)
 			row = append(row, fmt.Sprintf("%.3f ± %.3f", r.Mean, r.Std))
 		}
@@ -101,12 +56,7 @@ var Figure12Lookaheads = []int{1, 2, 3, 5, 7, 10, 15, 20, 30}
 // Figure12 sweeps the random-forest AUC over lookahead windows
 // (paper Figure 12) as a forest-only engine grid.
 func Figure12(ctx *Context) (*report.Table, *report.Plot, error) {
-	spec := ctx.baseSpec(ctx.allScope(), Figure12Lookaheads)
-	spec.Classifiers = ctx.forestSpec()
-	res, err := expgrid.Run(spec)
-	if err == nil {
-		err = res.Err()
-	}
+	res, err := runGrid(ctx.forestGrid(Figure12Lookaheads...))
 	if err != nil {
 		return nil, nil, fmt.Errorf("figure 12: %w", err)
 	}
@@ -118,11 +68,10 @@ func Figure12(ctx *Context) (*report.Table, *report.Plot, error) {
 	var s report.Series
 	s.Name = "random forest"
 	for _, n := range Figure12Lookaheads {
-		aucs, ok := res.Cell("all", "Random Forest", n)
-		if !ok {
-			return nil, nil, fmt.Errorf("figure 12: missing cell N=%d", n)
+		r, err := cellSummary(res, "all", "Random Forest", n)
+		if err != nil {
+			return nil, nil, fmt.Errorf("figure 12: %w", err)
 		}
-		r := eval.Summarize(aucs)
 		tbl.AddRow(fmt.Sprintf("%d", n), report.F(r.Mean, 3), report.F(r.Std, 3))
 		s.X = append(s.X, float64(n))
 		s.Y = append(s.Y, r.Mean)
@@ -143,26 +92,13 @@ type PooledScores struct {
 	Models []trace.Model
 }
 
-// PooledCV cross-validates one classifier through the engine and pools
-// test-fold scores in fold order, the raw material for Figures 13, 14,
-// and 15. A nil factory uses the standard random forest with per-task
-// key-derived seeds; a non-nil factory is wrapped as-is (its own seed
-// configuration applies to every fold).
-func (ctx *Context) PooledCV(factory ml.Factory, lookahead int) (*PooledScores, error) {
-	spec := ctx.baseSpec(ctx.allScope(), []int{lookahead})
-	if factory == nil {
-		spec.Classifiers = ctx.forestSpec()
-	} else {
-		spec.Classifiers = []expgrid.ClassifierSpec{{
-			Label: "pooled",
-			New:   func(uint64) ml.Classifier { return factory() },
-		}}
-	}
+// PooledCV cross-validates the standard random forest through the
+// engine and pools test-fold scores in fold order, the raw material for
+// Figures 13, 14, and 15 and Table 7's All column.
+func (ctx *Context) PooledCV(lookahead int) (*PooledScores, error) {
+	spec := ctx.forestGrid(lookahead)
 	spec.KeepScores = true
-	res, err := expgrid.Run(spec)
-	if err == nil {
-		err = res.Err()
-	}
+	res, err := runGrid(spec)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pooled CV: %w", err)
 	}
@@ -253,17 +189,18 @@ func Figure15(ctx *Context, ps *PooledScores) (*report.Table, *report.Plot, erro
 	aucYoung := eval.AUC(sYoung, yYoung)
 	aucOld := eval.AUC(sOld, yOld)
 
-	// Separate training per age band.
-	optsYoung := ctx.cvOptions(1)
-	optsYoung.AgeMin, optsYoung.AgeMax = 0, failure.YoungAgeDays
-	optsYoung.Folds = 3 // fewer young positives; keep folds populated
-	rYoung, err := eval.CrossValidate(ctx.Fleet, ctx.An, optsYoung, ctx.forestFactory())
+	// Separate training per age band: the forest grid with its rows
+	// restricted to the band.
+	young := ctx.forestGrid(1)
+	young.AgeMin, young.AgeMax = 0, failure.YoungAgeDays
+	young.Folds = 3 // fewer young positives; keep folds populated
+	rYoung, err := forestCV(young, 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("figure 15 young split: %w", err)
 	}
-	optsOld := ctx.cvOptions(1)
-	optsOld.AgeMin, optsOld.AgeMax = failure.YoungAgeDays+1, -1
-	rOld, err := eval.CrossValidate(ctx.Fleet, ctx.An, optsOld, ctx.forestFactory())
+	old := ctx.forestGrid(1)
+	old.AgeMin = failure.YoungAgeDays + 1
+	rOld, err := forestCV(old, 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("figure 15 old split: %w", err)
 	}
@@ -369,46 +306,42 @@ func Table7(ctx *Context) (*report.Table, error) {
 		Title:   "Table 7: random forest transfer across drive models (N=1)",
 		Columns: []string{"Test \\ Train", "MLC-A", "MLC-B", "MLC-D", "All", "paper All"},
 	}
-	opts := ctx.cvOptions(1)
-	opts.Folds = 3 // per-model fleets are a third of the drives
+	const folds = 3 // per-model fleets are a third of the drives
 	// The diagonal (train and test share a model) is one engine grid: a
 	// forest CV per drive-model scope.
-	diag, err := expgrid.Run(ctx.ModelGridSpec(opts.Folds, 1))
-	if err == nil {
-		err = diag.Err()
-	}
+	diag, err := runGrid(ctx.ModelGridSpec(folds, 1))
 	if err != nil {
 		return nil, fmt.Errorf("table 7 diagonal: %w", err)
+	}
+	// The All column is one pooled CV on the full fleet — the run behind
+	// Figure 13 — sliced to each test model's rows.
+	pooled, err := ctx.PooledCV(1)
+	if err != nil {
+		return nil, fmt.Errorf("table 7 all column: %w", err)
 	}
 	for _, testM := range trace.Models {
 		row := []string{testM.String()}
 		for _, trainM := range trace.Models {
 			if trainM == testM {
-				aucs, ok := diag.Cell(testM.String(), "Random Forest", 1)
-				if !ok {
-					return nil, fmt.Errorf("table 7: missing diagonal cell %v", testM)
+				r, err := cellSummary(diag, testM.String(), "Random Forest", 1)
+				if err != nil {
+					return nil, fmt.Errorf("table 7: %w", err)
 				}
-				row = append(row, fmt.Sprintf("%.3f*", eval.Summarize(aucs).Mean))
+				row = append(row, fmt.Sprintf("%.3f*", r.Mean))
 				continue
 			}
-			auc, err := eval.TrainTest(
+			auc, err := trainTest(
 				ctx.ModelFleet[trainM], ctx.ModelFleet[testM],
 				ctx.ModelAn[trainM], ctx.ModelAn[testM],
-				opts, ctx.forestFactory())
+				1, ctx.Cfg.Seed, ctx.Cfg.TestNegSampleProb,
+				ctx.forestSpec()[0].New(ctx.Cfg.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("table 7 (%v->%v): %w", trainM, testM, err)
 			}
 			row = append(row, report.F(auc, 3))
 		}
-		// "All" column: hold the test model's drives out per fold by
-		// cross-validating on the full fleet and slicing pooled scores
-		// would be costly; the paper cross-validates, so reuse CV on the
-		// full fleet restricted to test rows of this model.
-		auc, err := ctx.allModelAUC(testM)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, fmt.Sprintf("%.3f*", auc))
+		s, y := pooled.filter(func(i int) bool { return pooled.Models[i] == testM })
+		row = append(row, fmt.Sprintf("%.3f*", eval.AUC(s, y)))
 		ref := PaperTable7[testM.String()]
 		row = append(row, report.F(ref[3], 3))
 		tbl.AddRow(row...)
@@ -417,15 +350,29 @@ func Table7(ctx *Context) (*report.Table, error) {
 	return tbl, nil
 }
 
-// allModelAUC cross-validates on the full fleet and scores only the test
-// rows belonging to the given model (Table 7's All column).
-func (ctx *Context) allModelAUC(testM trace.Model) (float64, error) {
-	ps, err := ctx.PooledCV(ctx.forestFactory(), 1)
-	if err != nil {
+// trainTest fits clf on one fleet's rows (1:1 downsampled) and returns
+// its AUC on another fleet's: Table 7's off-diagonal transfer cells.
+func trainTest(trainFleet, testFleet *trace.Fleet, trainAn, testAn *failure.Analysis,
+	lookahead int, seed uint64, testNegSampleProb float64, clf ml.Classifier) (float64, error) {
+	train := dataset.Extract(trainFleet, trainAn, dataset.Options{
+		Lookahead: lookahead,
+		Seed:      seed,
+		AgeMax:    -1,
+	})
+	train = dataset.Downsample(train, 1, seed)
+	test := dataset.Extract(testFleet, testAn, dataset.Options{
+		Lookahead:          lookahead,
+		Seed:               seed + 1000,
+		NegativeSampleProb: testNegSampleProb,
+		AgeMax:             -1,
+	})
+	if train.Positives() == 0 || test.Positives() == 0 {
+		return 0, errors.New("experiments: train or test has no positives")
+	}
+	if err := clf.Fit(train); err != nil {
 		return 0, err
 	}
-	s, y := ps.filter(func(i int) bool { return ps.Models[i] == testM })
-	return eval.AUC(s, y), nil
+	return eval.AUC(ml.ScoreBatch(clf, test), test.Y), nil
 }
 
 // table8Kinds lists the error targets of Table 8 in paper order; -1

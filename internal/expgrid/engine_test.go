@@ -2,6 +2,8 @@ package expgrid
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -286,6 +288,130 @@ func TestEngineKeepScores(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no pooled scores")
+	}
+}
+
+// rowID identifies a pooled test row within a scope.
+type rowID struct{ drive, age int32 }
+
+// pooledRows runs spec with KeepScores and returns every test row's
+// identity; each row lands in exactly one fold's test set.
+func pooledRows(t *testing.T, spec Spec) map[rowID]bool {
+	t.Helper()
+	spec.KeepScores = true
+	res, err := Run(spec)
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[rowID]bool)
+	for i := range res.Tasks {
+		tr := &res.Tasks[i]
+		for j, di := range tr.DriveIdx {
+			id := rowID{di, tr.Ages[j]}
+			if rows[id] {
+				t.Fatalf("task %v: row %v pooled twice", tr.Key, id)
+			}
+			rows[id] = true
+		}
+	}
+	return rows
+}
+
+// TestSpecRowOptions covers the Spec options that decide which rows a
+// task sees and how wide they are: the age band, the trailing window,
+// and the training downsampling ratio.
+func TestSpecRowOptions(t *testing.T) {
+	f, an := fixture(t)
+	// One cheap classifier, a lookahead with several positive days per
+	// failure, and no negative thinning: thinning is seeded per cache
+	// cell, so only unthinned runs extract comparable row sets.
+	base := Spec{
+		Scopes: []Scope{{Name: "all", Fleet: f, An: an}},
+		Classifiers: []ClassifierSpec{{Label: "Decision Tree", New: func(seed uint64) ml.Classifier {
+			return tree.New(tree.Config{MaxDepth: 4, MinLeaf: 2, MinSplit: 4, Seed: seed})
+		}}},
+		Lookaheads: []int{7},
+		Folds:      2,
+		Seed:       42,
+		Workers:    1,
+	}
+	const youngMax = 90
+	type optionCase struct {
+		name  string
+		set   func(*Spec)
+		check func(t *testing.T, spec Spec)
+	}
+	cases := []optionCase{
+		{"age band", func(s *Spec) { s.AgeMin, s.AgeMax = 0, youngMax }, func(t *testing.T, young Spec) {
+			old := base
+			old.AgeMin, old.AgeMax = youngMax+1, -1
+			youngRows, oldRows, all := pooledRows(t, young), pooledRows(t, old), pooledRows(t, base)
+			for id := range youngRows {
+				if id.age > youngMax || !all[id] {
+					t.Fatalf("young band pooled row %v", id)
+				}
+			}
+			for id := range oldRows {
+				if id.age <= youngMax || !all[id] {
+					t.Fatalf("old band pooled row %v", id)
+				}
+			}
+			if len(youngRows) == 0 || len(oldRows) == 0 || len(youngRows)+len(oldRows) != len(all) {
+				t.Errorf("young %d + old %d rows do not cover the unbanded %d", len(youngRows), len(oldRows), len(all))
+			}
+		}},
+		{"trailing window", func(s *Spec) { s.WindowDays = 7 }, func(t *testing.T, win Spec) {
+			single := base.normalized()
+			win = win.normalized()
+			if cellKey(&single, "all", 7) == cellKey(&win, "all", 7) {
+				t.Error("windowed and single-day grids share a cache cell")
+			}
+			m0, err := buildBase(&single, &single.Scopes[0], 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m7, err := buildBase(&win, &win.Scopes[0], 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m0.W() != dataset.NumFeatures || m7.W() != dataset.NumFeatures+dataset.NumWindowFeatures {
+				t.Errorf("row widths %d and %d, want %d and %d", m0.W(), m7.W(),
+					dataset.NumFeatures, dataset.NumFeatures+dataset.NumWindowFeatures)
+			}
+			if m0.Len() != m7.Len() {
+				t.Errorf("window changed the row set: %d vs %d rows", m0.Len(), m7.Len())
+			}
+		}},
+	}
+	for _, r := range []float64{0.5, 2, 5} {
+		cases = append(cases, optionCase{fmt.Sprintf("downsample %g:1", r), func(s *Spec) { s.DownsampleRatio = r }, func(t *testing.T, spec Spec) {
+			res, err := Run(spec)
+			if err == nil {
+				err = res.Err()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range res.Tasks {
+				tr := &res.Tasks[i]
+				neg, want := float64(tr.TrainRows-tr.TrainPos), r*float64(tr.TrainPos)
+				// Negatives are kept by independent per-row draws: allow
+				// four binomial standard deviations.
+				if math.Abs(neg-want) > 4*math.Sqrt(want) {
+					t.Errorf("%v: %v train negatives for %d positives, want about %v", tr.Key, neg, tr.TrainPos, want)
+				}
+			}
+		}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := base
+			c.set(&spec)
+			c.check(t, spec)
+		})
 	}
 }
 

@@ -2,10 +2,8 @@ package expgrid
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 )
 
@@ -85,60 +83,4 @@ func (r *Result) AUCTable() []byte {
 	}
 	buf.WriteString("\n}\n")
 	return buf.Bytes()
-}
-
-// BenchRun is one worker-count measurement in a BenchReport.
-type BenchRun struct {
-	Stats
-	SpeedupOverOneWorker float64 `json:"speedup_over_1_worker,omitempty"`
-}
-
-// BenchReport is the schema of BENCH_train.json: the training-grid
-// performance trajectory recorded by BenchmarkExperimentGrid and by
-// ssdpredict -train-bench.
-type BenchReport struct {
-	Kind           string     `json:"kind"` // "ssdfail_train_grid"
-	GoMaxProcs     int        `json:"go_max_procs"`
-	NumCPU         int        `json:"num_cpu"`
-	DrivesPerModel int        `json:"drives_per_model"`
-	TotalDrives    int        `json:"total_drives"`
-	DriveDays      int        `json:"drive_days"`
-	Scopes         int        `json:"scopes"`
-	Classifiers    int        `json:"classifiers"`
-	Lookaheads     []int      `json:"lookaheads"`
-	Folds          int        `json:"folds"`
-	TasksPerRun    int        `json:"tasks_per_run"`
-	Runs           []BenchRun `json:"runs"`
-	// AUCsIdentical reports whether every run produced a byte-identical
-	// AUC table — the determinism cross-check.
-	AUCsIdentical bool `json:"aucs_identical"`
-}
-
-// FillSpeedups computes each run's speedup over the workers=1 run, if
-// one is present.
-func (b *BenchReport) FillSpeedups() {
-	var base float64
-	for _, r := range b.Runs {
-		if r.Workers == 1 {
-			base = r.WallSeconds
-		}
-	}
-	if base <= 0 {
-		return
-	}
-	for i := range b.Runs {
-		if b.Runs[i].WallSeconds > 0 {
-			b.Runs[i].SpeedupOverOneWorker = base / b.Runs[i].WallSeconds
-		}
-	}
-}
-
-// WriteFile writes the report as indented JSON.
-func (b *BenchReport) WriteFile(path string) error {
-	b.Kind = "ssdfail_train_grid"
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

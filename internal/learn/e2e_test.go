@@ -261,14 +261,14 @@ func TestEndToEndPromotionLoop(t *testing.T) {
 	}
 
 	if out := os.Getenv("SSDFAIL_LEARN_REPORT"); out != "" {
-		writeBenchReport(t, out, res, st, catchUpWall, retrainWall)
+		writeLearnReport(t, out, res, st, catchUpWall, retrainWall)
 	}
 }
 
-// writeBenchReport emits the train-loop benchmark artifact: retrain
+// writeLearnReport emits the train-loop benchmark artifact: retrain
 // wall time, re-extraction throughput, and the champion/challenger AUC
 // gap, in the BENCH_*.json house format CI uploads.
-func writeBenchReport(t *testing.T, path string, res *loadgen.Result, st Stats, catchUp, retrain time.Duration) {
+func writeLearnReport(t *testing.T, path string, res *loadgen.Result, st Stats, catchUp, retrain time.Duration) {
 	t.Helper()
 	wall := catchUp + retrain
 	rowsPerSec := 0.0

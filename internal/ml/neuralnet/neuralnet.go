@@ -63,11 +63,6 @@ type Model struct {
 // New returns an untrained model.
 func New(cfg Config) *Model { return &Model{cfg: cfg} }
 
-// NewFactory adapts New to the harness Factory signature.
-func NewFactory(cfg Config) ml.Factory {
-	return func() ml.Classifier { return New(cfg) }
-}
-
 // Name implements ml.Classifier.
 func (m *Model) Name() string { return "Neural Network" }
 

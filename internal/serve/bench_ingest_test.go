@@ -234,7 +234,7 @@ func BenchmarkIngestWire(b *testing.B) {
 			})
 		}
 	}
-	writeIngestBenchReport(b)
+	writeIngestReport(b)
 }
 
 // BenchmarkBinBatchProcess isolates the zero-allocation core — decode,
@@ -267,10 +267,10 @@ func BenchmarkBinBatchProcess(b *testing.B) {
 	}
 }
 
-// writeIngestBenchReport merges the collected series into the JSON
+// writeIngestReport merges the collected series into the JSON
 // report named by SSDFAIL_INGEST_REPORT (read-modify-write, so the
 // ssdload conformance report written earlier in the CI job survives).
-func writeIngestBenchReport(b *testing.B) {
+func writeIngestReport(b *testing.B) {
 	path := os.Getenv("SSDFAIL_INGEST_REPORT")
 	if path == "" {
 		return
