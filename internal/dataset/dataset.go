@@ -288,9 +288,18 @@ func (m *Matrix) copyRow(src *Matrix, i int) {
 	m.Age = append(m.Age, src.Age[i])
 }
 
-// Subset returns a new matrix holding the given rows of m.
+// Subset returns a new matrix holding the given rows of m, each column
+// allocated once at its final size.
 func (m *Matrix) Subset(rows []int) *Matrix {
-	out := &Matrix{}
+	n := len(rows)
+	out := &Matrix{
+		X:        make([]float64, 0, n*m.W()),
+		Y:        make([]int8, 0, n),
+		DriveIdx: make([]int32, 0, n),
+		Day:      make([]int32, 0, n),
+		Age:      make([]int32, 0, n),
+		Width:    m.Width,
+	}
 	for _, i := range rows {
 		out.copyRow(m, i)
 	}

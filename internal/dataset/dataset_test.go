@@ -209,6 +209,13 @@ func TestSubset(t *testing.T) {
 	if sub.Day[1] != m.Day[2] || sub.DriveIdx[1] != m.DriveIdx[2] {
 		t.Error("subset provenance mismatch")
 	}
+	// Every column is allocated once, at its final size.
+	if cap(sub.X) != len(sub.X) || cap(sub.Y) != len(sub.Y) || cap(sub.DriveIdx) != len(sub.DriveIdx) ||
+		cap(sub.Day) != len(sub.Day) || cap(sub.Age) != len(sub.Age) {
+		t.Errorf("subset columns have spare capacity: X %d/%d Y %d/%d DriveIdx %d/%d Day %d/%d Age %d/%d",
+			len(sub.X), cap(sub.X), len(sub.Y), cap(sub.Y), len(sub.DriveIdx), cap(sub.DriveIdx),
+			len(sub.Day), cap(sub.Day), len(sub.Age), cap(sub.Age))
+	}
 }
 
 func TestFoldsBalancedAndDeterministic(t *testing.T) {

@@ -37,6 +37,17 @@ var benchThresholds = func() []float64 {
 	return t
 }()
 
+// BenchmarkAUC is one grid task's evaluation stage: the rank AUC of a
+// test fold's ~24 k scores.
+func BenchmarkAUC(b *testing.B) {
+	scores, y, _ := benchData(24000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AUC(scores, y)
+	}
+}
+
 func BenchmarkConfusionSweep(b *testing.B) {
 	scores, y, _ := benchData(200000)
 	b.ResetTimer()

@@ -8,6 +8,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -15,21 +16,35 @@ import (
 // (Mann-Whitney U) method with midrank handling of tied scores. It
 // returns 0.5 when either class is absent.
 func AUC(scores []float64, y []int8) float64 {
-	n := len(scores)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	type pair struct {
+		score float64
+		pos   bool
 	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+	ps := make([]pair, len(scores))
+	for i, s := range scores {
+		ps[i] = pair{s, y[i] == 1}
+	}
+	// Only tie groups and their class counts enter the statistic, so the
+	// order inside a group is free and the sort need not be stable.
+	slices.SortFunc(ps, func(a, b pair) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case a.score > b.score:
+			return 1
+		}
+		return 0
+	})
+	n := len(ps)
 	var rankSum, nPos, nNeg float64
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && scores[idx[j+1]] == scores[idx[i]] {
+		for j+1 < n && ps[j+1].score == ps[i].score {
 			j++
 		}
 		mid := float64(i+j)/2 + 1
 		for k := i; k <= j; k++ {
-			if y[idx[k]] == 1 {
+			if ps[k].pos {
 				rankSum += mid
 				nPos++
 			} else {

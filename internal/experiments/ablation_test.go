@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/expgrid"
@@ -106,6 +107,14 @@ func TestAblationForestSize(t *testing.T) {
 	}
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
+	}
+	// The time column is fit + score time only: it used to be task wall
+	// time, which charged the grid's one feature extraction to whichever
+	// sizes ran first. Forty times the trees must cost more.
+	first, err1 := time.ParseDuration(tbl.Rows[0][3])
+	last, err2 := time.ParseDuration(tbl.Rows[4][3])
+	if err1 != nil || err2 != nil || first <= 0 || first >= last {
+		t.Errorf("fit+score time: 5 trees %q, 200 trees %q", tbl.Rows[0][3], tbl.Rows[4][3])
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"ssdfail/internal/dataset"
+	"ssdfail/internal/eval"
 	"ssdfail/internal/failure"
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
@@ -291,6 +293,50 @@ func TestEngineKeepScores(t *testing.T) {
 	}
 }
 
+// TestEngineScoresFoldInPlace holds the in-place scoring of the test fold
+// to the copying path it replaced: subsetting the fold out of the base
+// matrix and scoring the copy must give the same scores, labels, ages,
+// drive indices and AUC, bit for bit.
+func TestEngineScoresFoldInPlace(t *testing.T) {
+	spec := testSpec(t)
+	spec.Lookaheads = []int{1}
+	spec.KeepScores = true
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.normalized()
+	base, err := buildBase(&spec, &spec.Scopes[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds := dataset.Folds(len(spec.Scopes[0].Fleet.Drives), spec.Folds, spec.Seed)
+	for ti, tk := range enumerate(&spec) {
+		got := &res.Tasks[ti]
+		trainRows, testRows := splitRows(base, folds, tk.key.Fold, tk.key.SampleSeed(spec.Seed), spec.DownsampleRatio)
+		test := base.Subset(testRows)
+		clf := spec.Classifiers[tk.clfIdx].New(tk.key.Seed(spec.Seed))
+		if err := clf.Fit(base.Subset(trainRows)); err != nil {
+			t.Fatal(err)
+		}
+		want := ml.ScoreBatch(clf, test)
+		if !slices.Equal(got.Scores, want) || !slices.Equal(got.Y, test.Y) ||
+			!slices.Equal(got.Ages, test.Age) || !slices.Equal(got.DriveIdx, test.DriveIdx) {
+			t.Fatalf("task %v: in-place scores or provenance differ from the subset path", got.Key)
+		}
+		if got.TestRows != test.Len() || got.TestPos != test.Positives() {
+			t.Fatalf("task %v: test fold %d rows / %d positives, subset path %d / %d",
+				got.Key, got.TestRows, got.TestPos, test.Len(), test.Positives())
+		}
+		if auc := eval.AUC(want, test.Y); got.AUC != auc {
+			t.Fatalf("task %v: AUC %v, subset path %v", got.Key, got.AUC, auc)
+		}
+	}
+}
+
 // rowID identifies a pooled test row within a scope.
 type rowID struct{ drive, age int32 }
 
@@ -453,11 +499,26 @@ func TestEngineTaskSecondsRecorded(t *testing.T) {
 		if err := res.Err(); err != nil {
 			t.Fatal(err)
 		}
+		var wait, fit, score, evalS float64
 		for i := range res.Tasks {
 			task := &res.Tasks[i]
 			if task.Seconds <= 0 || task.Seconds > res.Stats.WallSeconds {
 				t.Errorf("workers=%d: task %s reports %v s of a %v s grid", workers, task.Key, task.Seconds, res.Stats.WallSeconds)
 			}
+			// The stages are consecutive laps inside the task's wall time.
+			stages := task.WaitSeconds + task.FitSeconds + task.ScoreSeconds + task.EvalSeconds
+			if task.WaitSeconds <= 0 || task.FitSeconds <= 0 || task.ScoreSeconds <= 0 || task.EvalSeconds <= 0 ||
+				stages > task.Seconds {
+				t.Errorf("workers=%d: task %s stages wait %v + fit %v + score %v + eval %v against %v s",
+					workers, task.Key, task.WaitSeconds, task.FitSeconds, task.ScoreSeconds, task.EvalSeconds, task.Seconds)
+			}
+			wait += task.WaitSeconds
+			fit += task.FitSeconds
+			score += task.ScoreSeconds
+			evalS += task.EvalSeconds
+		}
+		if st := res.Stats; st.WaitSeconds != wait || st.FitSeconds != fit || st.ScoreSeconds != score || st.EvalSeconds != evalS {
+			t.Errorf("workers=%d: Stats stage sums %+v are not the tasks' sums", workers, st)
 		}
 		tables = append(tables, res.AUCTable())
 	}

@@ -274,22 +274,44 @@ func Run(spec Spec) (*Result, error) {
 	if cs.Hits+cs.Misses > 0 {
 		stats.CacheHitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
 	}
+	for i := range results {
+		r := &results[i]
+		stats.WaitSeconds += r.WaitSeconds
+		stats.FitSeconds += r.FitSeconds
+		stats.ScoreSeconds += r.ScoreSeconds
+		stats.EvalSeconds += r.EvalSeconds
+	}
 	return &Result{Tasks: results, Stats: stats}, nil
 }
 
-// runTask executes one grid task end to end. res is a named result so
-// the deferred wall-time stamp lands in the value the caller receives,
-// on error returns too.
+// stageClock splits a task's wall time into consecutive stages.
+type stageClock struct{ last time.Time }
+
+// lap returns the seconds since the previous lap (or the clock's start).
+func (c *stageClock) lap() float64 {
+	now := time.Now() //ssdlint:allow nondeterminism per-task stage times are diagnostic output, never a model input
+	d := now.Sub(c.last).Seconds()
+	c.last = now
+	return d
+}
+
+// runTask executes one grid task end to end. The test fold is scored in
+// place, row by row out of the cached base matrix; only the small
+// training set is copied. res is a named result so the deferred
+// wall-time stamp lands in the value the caller receives, on error
+// returns too.
 func runTask(spec *Spec, cache *MatrixCache, scopeFolds [][]int, t task) (res TaskResult) {
 	res = TaskResult{Key: t.key}
 	taskStart := time.Now() //ssdlint:allow nondeterminism per-task wall time is diagnostic output, never a model input
 	//ssdlint:allow nondeterminism per-task wall time is diagnostic output, never a model input
 	defer func() { res.Seconds = time.Since(taskStart).Seconds() }()
+	clock := stageClock{last: taskStart}
 
 	sc := &spec.Scopes[t.scopeIdx]
 	base, err := cache.GetOrBuild(cellKey(spec, sc.Name, t.key.Lookahead), func() (*dataset.Matrix, error) {
 		return buildBase(spec, sc, t.key.Lookahead)
 	})
+	res.WaitSeconds = clock.lap()
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -298,9 +320,15 @@ func runTask(spec *Spec, cache *MatrixCache, scopeFolds [][]int, t task) (res Ta
 	trainRows, testRows := splitRows(base, scopeFolds[t.scopeIdx], t.key.Fold,
 		t.key.SampleSeed(spec.Seed), spec.DownsampleRatio)
 	train := base.Subset(trainRows)
-	test := base.Subset(testRows)
-	res.TrainRows, res.TestRows = train.Len(), test.Len()
-	res.TrainPos, res.TestPos = train.Positives(), test.Positives()
+	y := make([]int8, len(testRows))
+	for i, r := range testRows {
+		y[i] = base.Y[r]
+		if y[i] == 1 {
+			res.TestPos++
+		}
+	}
+	res.TrainRows, res.TestRows = train.Len(), len(testRows)
+	res.TrainPos = train.Positives()
 	if res.TrainPos == 0 || res.TestPos == 0 {
 		res.Error = fmt.Sprintf("expgrid: %s: fold lacks positives (train %d, test %d); use more drives or fewer folds",
 			t.key, res.TrainPos, res.TestPos)
@@ -308,17 +336,28 @@ func runTask(spec *Spec, cache *MatrixCache, scopeFolds [][]int, t task) (res Ta
 	}
 
 	clf := spec.Classifiers[t.clfIdx].New(t.key.Seed(spec.Seed))
-	if err := clf.Fit(train); err != nil {
+	clock.lap() // the split belongs to no stage
+	err = clf.Fit(train)
+	res.FitSeconds = clock.lap()
+	if err != nil {
 		res.Error = fmt.Sprintf("expgrid: %s: %v", t.key, err)
 		return res
 	}
-	scores := ml.ScoreBatch(clf, test)
-	res.AUC = eval.AUC(scores, test.Y)
+	scores := make([]float64, len(testRows))
+	for i, r := range testRows {
+		scores[i] = clf.Score(base.Row(r))
+	}
+	res.ScoreSeconds = clock.lap()
+	res.AUC = eval.AUC(scores, y)
+	res.EvalSeconds = clock.lap()
 	if spec.KeepScores {
-		res.Scores = scores
-		res.Y = append([]int8(nil), test.Y...)
-		res.Ages = append([]int32(nil), test.Age...)
-		res.DriveIdx = append([]int32(nil), test.DriveIdx...)
+		res.Scores, res.Y = scores, y
+		res.Ages = make([]int32, len(testRows))
+		res.DriveIdx = make([]int32, len(testRows))
+		for i, r := range testRows {
+			res.Ages[i] = base.Age[r]
+			res.DriveIdx[i] = base.DriveIdx[r]
+		}
 	}
 	return res
 }

@@ -13,8 +13,17 @@ type TaskResult struct {
 	AUC                 float64
 	TrainRows, TrainPos int
 	TestRows, TestPos   int
-	Seconds             float64
-	Error               string // empty on success
+	// Seconds is the task's wall time; the stage fields split it into
+	// time inside the matrix cache (building the cell's matrix or waiting
+	// for the task that does), Fit, scoring the test fold, and AUC. What
+	// they leave over is the row split and the training-set copy. All
+	// are diagnostic: none feeds a result.
+	Seconds      float64
+	WaitSeconds  float64
+	FitSeconds   float64
+	ScoreSeconds float64
+	EvalSeconds  float64
+	Error        string // empty on success
 	// Populated only when Spec.KeepScores is set: test scores with row
 	// provenance, in base-matrix row order.
 	Scores   []float64
@@ -34,6 +43,11 @@ type Stats struct {
 	CacheEvictions  int64   `json:"cache_evictions"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 	PeakMatrixBytes int64   `json:"peak_matrix_bytes"`
+	// Sums of the tasks' stage times (TaskResult).
+	WaitSeconds  float64 `json:"wait_seconds"`
+	FitSeconds   float64 `json:"fit_seconds"`
+	ScoreSeconds float64 `json:"score_seconds"`
+	EvalSeconds  float64 `json:"eval_seconds"`
 }
 
 // Result holds every task's outcome in canonical enumeration order

@@ -35,6 +35,12 @@ var hotPathFuncs = map[string]map[string]bool{
 		"Flat.Score":     true,
 		"Flat.ScoreRows": true,
 	},
+	// The per-row scoring entry points of the models that standardize
+	// their input: scratch comes from a pool filled at Fit time.
+	"internal/ml/knn":       {"Model.Score": true},
+	"internal/ml/neuralnet": {"Model.Score": true},
+	"internal/ml/logreg":    {"Model.Score": true},
+	"internal/ml/svm":       {"Model.Score": true},
 	"internal/trace": {
 		"AppendFrame": true,
 		"BeginFrame":  true,

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -69,50 +68,106 @@ func TestExactNeighborRecall(t *testing.T) {
 	}
 }
 
-// TestKDTreeMatchesBruteForce verifies the KD-tree against a brute-force
-// k-nearest scan on random data.
-func TestKDTreeMatchesBruteForce(t *testing.T) {
-	prop := func(seed uint64, kRaw uint8) bool {
-		rng := fleetsim.NewRNG(seed)
-		n := 60 + int(seed%40)
-		k := int(kRaw%10) + 1
-		pts := make([][]float64, n)
-		labels := make([]int8, n)
-		for i := range pts {
-			pts[i] = make([]float64, dataset.NumFeatures)
-			for f := range pts[i] {
-				pts[i][f] = rng.NormFloat64()
-			}
-			labels[i] = int8(i % 2)
+// referenceScore is the specification Score is held to: every distance
+// as a plain left-to-right sum, a stable sort by distance (so equal
+// distances keep training-row order), and the inverse-distance vote
+// summed in that order.
+func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
+	sc := dataset.FitScaler(train)
+	pts := sc.Apply(train)
+	q := append([]float64(nil), x...)
+	sc.Transform(q)
+	type hit struct {
+		dist float64
+		row  int
+	}
+	hits := make([]hit, pts.Len())
+	for i := range hits {
+		var s float64
+		for f, v := range pts.Row(i) {
+			d := q[f] - v
+			s += d * d
 		}
-		tree := buildKD(pts, labels)
-		q := make([]float64, dataset.NumFeatures)
-		for f := range q {
-			q[f] = rng.NormFloat64()
+		hits[i] = hit{s, i}
+	}
+	sort.SliceStable(hits, func(a, b int) bool { return hits[a].dist < hits[b].dist })
+	if k <= 0 {
+		k = 15
+	}
+	if k > len(hits) {
+		k = len(hits)
+	}
+	var wPos, wAll float64
+	for _, h := range hits[:k] {
+		w := 1 / (1e-9 + h.dist)
+		wAll += w
+		if train.Y[h.row] == 1 {
+			wPos += w
 		}
-		got := tree.kNearest(q, k)
-		gotD := make([]float64, len(got))
-		for i, h := range got {
-			gotD[i] = h.dist
-		}
-		sort.Float64s(gotD)
+	}
+	return wPos / wAll
+}
 
-		all := make([]float64, n)
-		for i := range pts {
-			all[i] = sqDist(q, pts[i])
+// TestScoreMatchesReference holds Score to referenceScore bit for bit on
+// random data at both row widths, with every training row stored four
+// times, two under each label — so the k-th place usually falls
+// inside a group of equal distances and only the (distance, row index)
+// order picks the right labels — and with K below 1 (the default),
+// small, and above the number of stored points.
+func TestScoreMatchesReference(t *testing.T) {
+	check := func(seed uint64, w, k int) bool {
+		rng := fleetsim.NewRNG(seed)
+		train := &dataset.Matrix{}
+		if w != dataset.NumFeatures {
+			train.Width = w
 		}
-		sort.Float64s(all)
-		if len(gotD) != k {
+		for i := 0; i < 20+int(seed%30); i++ {
+			row := make([]float64, w)
+			for f := range row {
+				row[f] = rng.NormFloat64()
+			}
+			for c := 0; c < 4; c++ {
+				train.X = append(train.X, row...)
+				train.Y = append(train.Y, int8((i+c/2)%2))
+			}
+		}
+		train.DriveIdx = make([]int32, train.Len())
+		train.Day = make([]int32, train.Len())
+		train.Age = make([]int32, train.Len())
+		if k > 22 {
+			k += train.Len() // more than is stored
+		}
+		m := New(Config{K: k})
+		if err := m.Fit(train); err != nil {
+			t.Error(err)
 			return false
 		}
-		for i := 0; i < k; i++ {
-			if math.Abs(gotD[i]-all[i]) > 1e-12 {
+		q := make([]float64, w)
+		for trial := 0; trial < 6; trial++ {
+			for f := range q {
+				q[f] = rng.NormFloat64()
+			}
+			if trial == 0 {
+				copy(q, train.Row(0)) // a stored point: distance 0, four ways
+			}
+			if got, want := m.Score(q), referenceScore(train, k, q); got != want {
+				t.Errorf("seed %d K=%d width %d: Score = %v, reference %v", seed, k, w, got, want)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	prop := func(seed uint64) bool {
+		for _, w := range []int{dataset.NumFeatures, dataset.NumFeatures + dataset.NumWindowFeatures} {
+			for _, k := range []int{-1, 0, 1, 2, 4, 5, 7, 15, 22, 23} {
+				if !check(seed, w, k) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -105,10 +105,7 @@ func (m *Model) Score(x []float64) float64 {
 	if m.w == nil {
 		return 0.5
 	}
-	row := make([]float64, len(x))
-	copy(row, x)
-	m.scaler.Transform(row)
-	return ml.Sigmoid(ml.Dot(m.w, row) + m.b)
+	return ml.Sigmoid(ml.ScaledDot(m.w, x, m.scaler) + m.b)
 }
 
 // Weights returns a copy of the trained coefficients (in standardized

@@ -39,6 +39,16 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// ScaledDot returns Dot(w, x standardized by s) term for term, without
+// materializing the standardized row: the linear models' Score.
+func ScaledDot(w, x []float64, s *dataset.Scaler) float64 {
+	var sum float64
+	for f, v := range w {
+		sum += v * ((x[f] - s.Mean[f]) / s.Std[f])
+	}
+	return sum
+}
+
 // Sigmoid is the logistic function with guarded tails.
 func Sigmoid(z float64) float64 {
 	switch {

@@ -6,6 +6,7 @@ package neuralnet
 import (
 	"errors"
 	"math"
+	"sync"
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/fleetsim"
@@ -58,6 +59,7 @@ type Model struct {
 	cfg    Config
 	scaler *dataset.Scaler
 	layers []*layer
+	bufs   *sync.Pool // *forwardBuffers for the fitted layers, one per concurrent Score
 }
 
 // New returns an untrained model.
@@ -87,22 +89,43 @@ func (m *Model) newBuffers() *forwardBuffers {
 }
 
 // forward runs the network on fb.acts[0], filling activations; the final
-// activation (single unit) is returned as a probability.
+// activation (single unit) is returned as a probability. Four output
+// units are summed per pass over the input so their additions overlap;
+// each unit's sum keeps its order, bias first and then the inputs left
+// to right.
 func (m *Model) forward(fb *forwardBuffers) float64 {
 	for li, l := range m.layers {
-		in := fb.acts[li]
-		out := fb.acts[li+1]
-		last := li == len(m.layers)-1
-		for o := 0; o < l.out; o++ {
+		in := fb.acts[li][:l.in]
+		out := fb.acts[li+1][:l.out]
+		o := 0
+		for ; o+4 <= l.out; o += 4 {
+			r0 := l.w[(o+0)*l.in:][:len(in)]
+			r1 := l.w[(o+1)*l.in:][:len(in)]
+			r2 := l.w[(o+2)*l.in:][:len(in)]
+			r3 := l.w[(o+3)*l.in:][:len(in)]
+			s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
+			for i, v := range in {
+				s0 += r0[i] * v
+				s1 += r1[i] * v
+				s2 += r2[i] * v
+				s3 += r3[i] * v
+			}
+			out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+		}
+		for ; o < l.out; o++ {
 			s := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
+			row := l.w[o*l.in:][:len(in)]
 			for i, v := range in {
 				s += row[i] * v
 			}
-			if !last && s < 0 {
-				s = 0 // ReLU on hidden layers
-			}
 			out[o] = s
+		}
+		if li < len(m.layers)-1 {
+			for o, s := range out {
+				if s < 0 {
+					out[o] = 0 // ReLU on hidden layers
+				}
+			}
 		}
 	}
 	return ml.Sigmoid(fb.acts[len(m.layers)][0])
@@ -125,7 +148,14 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 		m.layers = append(m.layers, newLayer(sizes[i], sizes[i+1], rng))
 	}
 
+	m.bufs = &sync.Pool{New: func() any { return m.newBuffers() }}
 	fb := m.newBuffers()
+	gw := make([][]float64, len(m.layers))
+	gb := make([][]float64, len(m.layers))
+	for li, l := range m.layers {
+		gw[li] = make([]float64, len(l.w))
+		gb[li] = make([]float64, len(l.b))
+	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -147,11 +177,9 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 				end = n
 			}
 			// Accumulate gradients over the mini-batch.
-			gw := make([][]float64, len(m.layers))
-			gb := make([][]float64, len(m.layers))
-			for li, l := range m.layers {
-				gw[li] = make([]float64, len(l.w))
-				gb[li] = make([]float64, len(l.b))
+			for li := range m.layers {
+				clear(gw[li])
+				clear(gb[li])
 			}
 			for _, idx := range order[start:end] {
 				copy(fb.acts[0], scaled.Row(idx))
@@ -169,23 +197,26 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 							continue
 						}
 						gb[li][o] += d
-						row := gw[li][o*l.in : (o+1)*l.in]
+						row := gw[li][o*l.in:][:len(in)]
 						for i2, v := range in {
 							row[i2] += d * v
 						}
 					}
 					if li > 0 {
+						// prev[i] = sum over o of w[o][i]*delta[o], each
+						// sum in o order, walked along the weight rows.
 						prev := fb.deltas[li-1]
-						act := fb.acts[li]
-						for i2 := range prev {
-							var s float64
-							for o := 0; o < l.out; o++ {
-								s += l.w[o*l.in+i2] * delta[o]
+						clear(prev)
+						for o, d := range delta {
+							row := l.w[o*l.in:][:len(prev)]
+							for i2, wv := range row {
+								prev[i2] += wv * d
 							}
-							if act[i2] <= 0 { // ReLU derivative
-								s = 0
+						}
+						for i2, a := range fb.acts[li] {
+							if a <= 0 { // ReLU derivative
+								prev[i2] = 0
 							}
-							prev[i2] = s
 						}
 					}
 				}
@@ -220,8 +251,10 @@ func (m *Model) Score(x []float64) float64 {
 	if m.layers == nil {
 		return 0.5
 	}
-	fb := m.newBuffers()
+	fb := m.bufs.Get().(*forwardBuffers)
 	copy(fb.acts[0], x)
 	m.scaler.Transform(fb.acts[0])
-	return m.forward(fb)
+	p := m.forward(fb)
+	m.bufs.Put(fb)
+	return p
 }

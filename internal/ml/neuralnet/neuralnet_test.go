@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ssdfail/internal/dataset"
+	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/mltest"
 )
 
@@ -94,5 +95,49 @@ func TestSingleHiddenLayer(t *testing.T) {
 	}
 	if auc := mltest.AUC(scores, train.Y); auc < 0.9 {
 		t.Errorf("single-hidden-layer train AUC = %.3f", auc)
+	}
+}
+
+// naiveForward is the forward pass one output unit at a time: bias
+// first, then the inputs left to right.
+func naiveForward(m *Model, x []float64) float64 {
+	act := append([]float64(nil), x...)
+	m.scaler.Transform(act)
+	for li, l := range m.layers {
+		out := make([]float64, l.out)
+		for o := range out {
+			s := l.b[o]
+			for i, v := range act {
+				s += l.w[o*l.in+i] * v
+			}
+			if li < len(m.layers)-1 && s < 0 {
+				s = 0
+			}
+			out[o] = s
+		}
+		act = out
+	}
+	return ml.Sigmoid(act[0])
+}
+
+// TestBlockedForwardMatchesNaive pins the four-units-per-pass forward to
+// the per-unit one bit for bit, on layer widths that are and are not
+// multiples of four.
+func TestBlockedForwardMatchesNaive(t *testing.T) {
+	train := mltest.TwoBlobs(200, 2, 1)
+	test := mltest.TwoBlobs(100, 2, 2)
+	for _, hidden := range [][]int{{32, 16}, {7}, {6, 3}} {
+		cfg := DefaultConfig()
+		cfg.Hidden = hidden
+		cfg.Epochs = 10
+		m := New(cfg)
+		if err := m.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < test.Len(); i++ {
+			if got, want := m.Score(test.Row(i)), naiveForward(m, test.Row(i)); got != want {
+				t.Fatalf("hidden %v row %d: Score = %v, naive forward %v", hidden, i, got, want)
+			}
+		}
 	}
 }

@@ -101,8 +101,5 @@ func (m *Model) Score(x []float64) float64 {
 	if m.w == nil {
 		return 0.5
 	}
-	row := make([]float64, len(x))
-	copy(row, x)
-	m.scaler.Transform(row)
-	return ml.Sigmoid(2 * (ml.Dot(m.w, row) + m.b))
+	return ml.Sigmoid(2 * (ml.ScaledDot(m.w, x, m.scaler) + m.b))
 }
