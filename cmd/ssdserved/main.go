@@ -78,7 +78,7 @@ func run() error {
 		walSegBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size (0 = 8 MiB)")
 		walSyncEvery  = flag.Int("wal-sync-every", 0, "fsync the WAL every N accepted records (0 = 64, -1 = only on rotation/close)")
 		walSyncIntvl  = flag.Duration("wal-sync-interval", 0, "max time an accepted record may sit un-fsynced under group commit (0 = 100ms, negative disables the timer)")
-		snapshotEvery = flag.Int("snapshot-every", 0, "write a store snapshot every N accepted records (0 = 4096, -1 disables)")
+		snapshotEvery = flag.Int("snapshot-every", 0, "snapshot the store once the WAL holds max(N, records retained) records past the last snapshot (0 = 4096, -1 disables)")
 
 		remedyOn       = flag.Bool("remedy", false, "enable the remediation control plane (/v1/remedy/*)")
 		remedyThresh   = flag.Float64("remedy-threshold", 0.9, "remediation score threshold")

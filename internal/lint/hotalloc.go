@@ -30,6 +30,11 @@ var hotPathFuncs = map[string]map[string]bool{
 		// allocates nothing (stale slots grow reused buffers in place).
 		"sweep.scanShard":       true,
 		"storeShard.appendUnit": true,
+		// The history column: an upsert writes its report into the ring
+		// in place, and a snapshot encodes a section out of it into a
+		// reused buffer — a per-section cost, never a per-drive one.
+		"storeShard.push":                  true,
+		"storeShard.appendSnapshotSection": true,
 	},
 	"internal/ml/forest": {
 		"Flat.Score":     true,

@@ -267,6 +267,84 @@ func BenchmarkBinBatchProcess(b *testing.B) {
 	}
 }
 
+// benchJournalFleet is the durability benchmarks' fixture: 20k drives at
+// full history behind a journal on the real filesystem that snapshots
+// only when asked.
+const benchJournalDrives = 20000
+
+func benchJournalFleet(b *testing.B, dir string) *Journal {
+	b.Helper()
+	j, err := OpenJournal(NewStore(0, 0), JournalOptions{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < benchJournalDrives*DefaultHistory; i++ {
+		drive, day := i%benchJournalDrives, i/benchJournalDrives
+		if err := j.Upsert(uint32(drive), trace.Model(drive%trace.NumModels), crashRec(drive, day)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return j
+}
+
+// BenchmarkJournalSnapshot writes one snapshot of the fixture per
+// iteration: encode out of the history column, write, fsync, rename.
+// allocs/op is the constant the allocation test pins; B/snapshot is the
+// file.
+func BenchmarkJournalSnapshot(b *testing.B) {
+	j := benchJournalFleet(b, b.TempDir())
+	defer j.Close()
+	if err := j.Snapshot(); err != nil { // sizes the section buffer
+		b.Fatal(err)
+	}
+	before := j.WALStats().SnapshotBytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := j.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(j.WALStats().SnapshotBytes-before)/float64(b.N), "B/snapshot")
+}
+
+// BenchmarkRecover boots from what the snapshot trigger leaves behind at
+// its worst: a snapshot of the whole fixture plus a tail of as many WAL
+// records again as the store retains.
+func BenchmarkRecover(b *testing.B) {
+	dir := b.TempDir()
+	j := benchJournalFleet(b, dir)
+	if err := j.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < benchJournalDrives*DefaultHistory; i++ {
+		drive, day := i%benchJournalDrives, DefaultHistory+i/benchJournalDrives
+		if err := j.Upsert(uint32(drive), trace.Model(drive%trace.NumModels), crashRec(drive, day)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := OpenJournal(NewStore(0, 0), JournalOptions{Dir: dir, SnapshotEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if rec := j.Recovery(); rec.SnapshotDrives != benchJournalDrives || rec.Replayed != benchJournalDrives*DefaultHistory {
+			b.Fatalf("recovery %+v, want %d drives loaded and %d records replayed", rec, benchJournalDrives, benchJournalDrives*DefaultHistory)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // writeIngestReport merges the collected series into the JSON
 // report named by SSDFAIL_INGEST_REPORT (read-modify-write, so the
 // ssdload conformance report written earlier in the CI job survives).

@@ -138,8 +138,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		resp["model_version"] = info.Version
 	}
+	s.walHealth(resp)
 	if s.journal != nil {
-		resp["wal_last_lsn"] = s.journal.LastLSN()
 		resp["replica_applied"] = s.replicaApplied.Value()
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -34,17 +34,20 @@ type JournalOptions struct {
 	// (SyncEvery > 1): dirty WAL bytes are fsynced at least this often.
 	// 0 = wal.DefaultSyncInterval; negative disables the timer.
 	SyncInterval time.Duration
-	// SnapshotEvery writes a store snapshot (and prunes covered WAL
-	// segments) every this many accepted records. 0 means the default
-	// 4096; negative disables automatic snapshots.
+	// SnapshotEvery is the floor of the automatic snapshot trigger: a
+	// snapshot (which also prunes the WAL segments it covers) starts once
+	// the log holds at least max(SnapshotEvery, Store.Records()) records
+	// past the last snapshot — when replaying the tail would cost as
+	// much as loading the state. 0 means the default 4096; negative
+	// disables automatic snapshots.
 	SnapshotEvery int
 	// AsyncSnapshots runs automatic snapshots on a background goroutine
 	// (single-flight). Synchronous snapshots keep tests deterministic.
 	AsyncSnapshots bool
 }
 
-// DefaultSnapshotEvery is the automatic snapshot cadence in accepted
-// records.
+// DefaultSnapshotEvery is the smallest WAL tail, in accepted records,
+// that starts an automatic snapshot.
 const DefaultSnapshotEvery = 4096
 
 // RecoveryInfo reports what OpenJournal reconstructed at boot.
@@ -89,7 +92,6 @@ type Journal struct {
 	opt   JournalOptions
 	rec   RecoveryInfo
 
-	sinceSnap    atomic.Int64
 	snapshotting atomic.Bool
 	wg           sync.WaitGroup
 	closeMu      sync.Mutex // guards closed and, with it, wg.Add vs Close
@@ -99,6 +101,11 @@ type Journal struct {
 	pruned           atomic.Uint64
 
 	bufs sync.Pool // *[]byte scratch for payload encoding
+
+	// snapBuf is the section buffer of the snapshot being written, kept
+	// from one snapshot to the next. Only the body Snapshot hands to
+	// wal.WriteSnapshot touches it, and the log runs one body at a time.
+	snapBuf []byte
 }
 
 // OpenJournal recovers fleet state from opt.Dir into store (snapshot
@@ -126,27 +133,31 @@ func OpenJournal(store *Store, opt JournalOptions) (*Journal, error) {
 		SyncInterval: opt.SyncInterval,
 	}
 
-	payload, snapLSN, found, err := wal.LoadSnapshot(walOpt)
-	if err != nil {
-		if !errors.Is(err, wal.ErrSnapshotCorrupt) {
-			return nil, err
-		}
+	// The snapshot is read twice through a section-sized buffer: once to
+	// check every section and the trailer, so that nothing of a corrupt
+	// snapshot reaches the store, and once to load the sections straight
+	// into the store's columns.
+	snapLSN, found, err := wal.LoadSnapshot(walOpt, func(section []byte) error {
+		_, err := scanSnapshotSection(section, nil)
+		return err
+	})
+	switch {
+	case errors.Is(err, wal.ErrSnapshotCorrupt):
 		// A corrupt snapshot is survivable telemetry loss, not a boot
 		// failure: fall back to replaying whatever the WAL still holds.
 		j.rec.SnapshotCorrupt = true
-		snapLSN = 0
-	} else if found {
-		drives, derr := decodeStoreSnapshot(payload)
-		if derr != nil {
-			j.rec.SnapshotCorrupt = true
-			snapLSN = 0
-		} else {
-			for i := range drives {
-				store.Restore(drives[i])
-			}
-			j.rec.SnapshotLSN = snapLSN
-			j.rec.SnapshotDrives = len(drives)
+	case err != nil:
+		return nil, err
+	case found:
+		_, _, err := wal.LoadSnapshot(walOpt, func(section []byte) error {
+			n, err := scanSnapshotSection(section, store.loadDrive)
+			j.rec.SnapshotDrives += n
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
+		j.rec.SnapshotLSN = snapLSN
 	}
 
 	// Floor WAL recovery at the snapshot: if a crash lost the WAL tail
@@ -198,6 +209,23 @@ func (j *Journal) PrunedSegments() uint64 { return j.pruned.Load() }
 // LastLSN returns the most recently appended WAL position.
 func (j *Journal) LastLSN() uint64 { return j.log.LastLSN() }
 
+// SnapshotLSN returns the WAL position the current snapshot covers (0 =
+// no snapshot).
+func (j *Journal) SnapshotLSN() uint64 { return j.log.SnapshotLSN() }
+
+// Tail returns how many WAL records a restart would replay now: the
+// records appended since the current snapshot.
+func (j *Journal) Tail() uint64 { return j.tailAt(j.log.LastLSN()) }
+
+// tailAt is the length of the WAL tail that ends at lsn. A snapshot
+// taken after lsn was appended covers it: the tail is then empty.
+func (j *Journal) tailAt(lsn uint64) uint64 {
+	if snap := j.log.SnapshotLSN(); lsn > snap {
+		return lsn - snap
+	}
+	return 0
+}
+
 // StreamFrom invokes fn for every intact WAL frame with LSN >= from,
 // in order, returning the position a follower should resume from. Every
 // acknowledged record is visible to the stream immediately (the log
@@ -226,8 +254,10 @@ func (j *Journal) Upsert(id uint32, model trace.Model, rec trace.DayRecord) erro
 // appendWALRecordBinary(nil, id, model, &rec); it is not retained after
 // the call returns. The fast path allocates nothing.
 func (j *Journal) UpsertPayload(id uint32, model trace.Model, rec trace.DayRecord, payload []byte) error {
+	var lsn uint64
 	err := j.store.UpsertCommit(id, model, rec, func() error {
-		if _, werr := j.log.Append(payload); werr != nil {
+		var werr error
+		if lsn, werr = j.log.Append(payload); werr != nil {
 			return fmt.Errorf("%w: %w", ErrJournal, werr)
 		}
 		return nil
@@ -235,7 +265,10 @@ func (j *Journal) UpsertPayload(id uint32, model trace.Model, rec trace.DayRecor
 	if err != nil {
 		return err
 	}
-	if j.opt.SnapshotEvery > 0 && j.sinceSnap.Add(1) >= int64(j.opt.SnapshotEvery) {
+	// Snapshot once replaying the tail would cost as much as loading the
+	// state: every record is then written once to the log and, amortised,
+	// at most once to a snapshot, however large the store is.
+	if every := j.opt.SnapshotEvery; every > 0 && j.tailAt(lsn) >= uint64(max(every, j.store.Records())) {
 		j.maybeSnapshot()
 	}
 	return nil
@@ -270,10 +303,12 @@ func (j *Journal) maybeSnapshot() {
 	}
 }
 
-// Snapshot writes a point-in-time snapshot of the store and prunes WAL
-// segments it fully covers. Safe to call concurrently with ingest: the
-// recorded LSN is read before the store copy, so every record the copy
-// might miss is replayed from the WAL on recovery.
+// Snapshot writes a snapshot of the store and prunes WAL segments it
+// fully covers. Safe to call concurrently with ingest: the recorded LSN
+// is read before the store is, so every record the snapshot might miss is
+// replayed from the WAL on recovery. The store is streamed a section at a
+// time out of its columns, so a snapshot costs one section buffer however
+// large the fleet is.
 func (j *Journal) Snapshot() error {
 	lsn := j.log.LastLSN()
 	// Make everything the snapshot will claim to cover durable before
@@ -284,12 +319,14 @@ func (j *Journal) Snapshot() error {
 	if err := j.log.Sync(); err != nil {
 		return err
 	}
-	drives := j.store.Drives()
-	payload := encodeStoreSnapshot(drives)
-	if err := j.log.WriteSnapshot(lsn, payload); err != nil {
+	err := j.log.WriteSnapshot(lsn, func(w *wal.SnapshotWriter) error {
+		var err error
+		j.snapBuf, err = j.store.appendSnapshotSections(j.snapBuf, w.Section)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	j.sinceSnap.Store(0)
 	if n, err := j.log.Prune(lsn + 1); err == nil {
 		j.pruned.Add(uint64(n))
 	}
@@ -308,80 +345,130 @@ func (j *Journal) Close() error {
 	return j.log.Close()
 }
 
-// Store snapshot payload: version u32, drive count u32, then per drive
-// the ID, model, retained-record count (u16), and fixed-width records.
-// OpenJournal rejects histories above the u16 limit, so the count never
-// silently truncates a drive's retained window.
-const storeSnapshotVersion = 1
+// A snapshot section's payload: version u32, drive count u32, then per
+// drive the ID, model, retained-record count (u16), and fixed-width
+// records, oldest first. OpenJournal rejects histories above the u16
+// limit, so the count never silently truncates a drive's retained
+// window. A section holds a run of one shard's slots, cut off at
+// snapshotSectionBytes; a file written before snapshots had sections is
+// one such payload holding the whole fleet.
+const (
+	storeSnapshotVersion = 1
+	snapshotSectionHead  = 8
+	snapshotDriveHead    = 7
+	snapshotSectionBytes = 256 << 10
+)
 
-func encodeStoreSnapshot(drives []DriveSnapshot) []byte {
-	size := 8
-	for i := range drives {
-		n := len(drives[i].Recent)
-		if n > math.MaxUint16 {
-			n = math.MaxUint16
-		}
-		size += 7 + n*dayRecordBinarySize
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, storeSnapshotVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(drives)))
-	for i := range drives {
-		d := &drives[i]
-		recent := d.Recent
-		if len(recent) > math.MaxUint16 {
-			// Unreachable while OpenJournal enforces the history limit;
-			// kept so a future format bug degrades to a shorter window
-			// instead of a corrupt payload.
-			recent = recent[len(recent)-math.MaxUint16:]
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, d.ID)
-		buf = append(buf, byte(d.Model))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(recent)))
-		for r := range recent {
-			buf = appendDayRecordBinary(buf, &recent[r])
-		}
-	}
-	return buf
-}
-
-func decodeStoreSnapshot(b []byte) ([]DriveSnapshot, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("serve: snapshot header truncated")
-	}
-	if v := binary.LittleEndian.Uint32(b); v != storeSnapshotVersion {
-		return nil, fmt.Errorf("serve: unsupported snapshot version %d", v)
-	}
-	n := binary.LittleEndian.Uint32(b[4:])
-	b = b[8:]
-	// Cap the preallocation so a hostile count cannot balloon memory.
-	alloc := int(n)
-	if alloc > 1<<16 {
-		alloc = 1 << 16
-	}
-	drives := make([]DriveSnapshot, 0, alloc)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 7 {
-			return nil, fmt.Errorf("serve: snapshot drive %d header truncated", i)
-		}
-		d := DriveSnapshot{ID: binary.LittleEndian.Uint32(b), Model: trace.Model(b[4])}
-		if int(d.Model) >= trace.NumModels {
-			return nil, fmt.Errorf("serve: snapshot drive %d has unknown model %d", i, b[4])
-		}
-		nrec := int(binary.LittleEndian.Uint16(b[5:]))
-		b = b[7:]
-		d.Recent = make([]trace.DayRecord, nrec)
-		for r := 0; r < nrec; r++ {
-			var err error
-			d.Recent[r], b, err = decodeDayRecordBinary(b)
-			if err != nil {
-				return nil, fmt.Errorf("serve: snapshot drive %d: %w", i, err)
+// appendSnapshotSections encodes the store section by section into buf
+// (reused for each) and passes every section to emit. Each section is
+// encoded under its shard's read lock, held for no longer than that, so
+// ingest proceeds on the other shards and between sections. Slots are
+// never freed or reordered, so resuming a shard at the slot the last
+// section stopped at visits every drive once. It returns buf for the next
+// snapshot.
+func (s *Store) appendSnapshotSections(buf []byte, emit func([]byte) error) ([]byte, error) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for slot, done := 0, false; !done; {
+			sh.mu.RLock()
+			buf, slot = sh.appendSnapshotSection(buf[:0], slot)
+			done = slot == len(sh.slots)
+			sh.mu.RUnlock()
+			if len(buf) > snapshotSectionHead {
+				if err := emit(buf); err != nil {
+					return buf, err
+				}
 			}
 		}
-		drives = append(drives, d)
+	}
+	return buf, nil
+}
+
+// appendSnapshotSection appends one section holding the shard's drives
+// from slot on, until the section reaches snapshotSectionBytes or the
+// shard ends, and returns the slot the next section starts at. The
+// caller holds sh.mu; the function is in ssdlint's hotalloc scope table
+// (a snapshot allocates per section buffer growth, never per drive).
+func (sh *storeShard) appendSnapshotSection(buf []byte, slot int) ([]byte, int) {
+	head := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, storeSnapshotVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the drive count, patched below
+	drives := uint32(0)
+	for ; slot < len(sh.slots) && len(buf)-head < snapshotSectionBytes; slot++ {
+		sl := &sh.slots[slot]
+		first, second := sh.runs(slot)
+		buf = binary.LittleEndian.AppendUint32(buf, sl.id)
+		buf = append(buf, byte(sl.model))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(first)+len(second)))
+		for r := range first {
+			buf = appendDayRecordBinary(buf, &first[r])
+		}
+		for r := range second {
+			buf = appendDayRecordBinary(buf, &second[r])
+		}
+		drives++
+	}
+	binary.LittleEndian.PutUint32(buf[head+4:], drives)
+	return buf, slot
+}
+
+// scanSnapshotSection checks one section payload front to back — version,
+// drive count against the bytes present, models — and, when drive is not
+// nil, hands it every drive's ID, model and encoded records (a multiple of
+// dayRecordBinarySize bytes, oldest first) as it goes. It returns the
+// number of drives. Nothing is allocated, so a hostile count costs
+// nothing: the walk ends where the bytes do. An error wraps
+// wal.ErrSnapshotCorrupt.
+func scanSnapshotSection(b []byte, drive func(id uint32, model trace.Model, recs []byte)) (int, error) {
+	corrupt := func(format string, args ...any) (int, error) {
+		return 0, fmt.Errorf("%w: serve: %s", wal.ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
+	}
+	if len(b) < snapshotSectionHead {
+		return corrupt("snapshot header truncated")
+	}
+	if v := binary.LittleEndian.Uint32(b); v != storeSnapshotVersion {
+		return corrupt("unsupported snapshot version %d", v)
+	}
+	n := binary.LittleEndian.Uint32(b[4:])
+	b = b[snapshotSectionHead:]
+	for i := uint32(0); i < n; i++ {
+		if len(b) < snapshotDriveHead {
+			return corrupt("snapshot drive %d header truncated", i)
+		}
+		id, model := binary.LittleEndian.Uint32(b), trace.Model(b[4])
+		if int(model) >= trace.NumModels {
+			return corrupt("snapshot drive %d has unknown model %d", i, b[4])
+		}
+		size := int(binary.LittleEndian.Uint16(b[5:])) * dayRecordBinarySize
+		b = b[snapshotDriveHead:]
+		if len(b) < size {
+			return corrupt("snapshot drive %d records truncated: %d of %d bytes", i, len(b), size)
+		}
+		if drive != nil {
+			drive(id, model, b[:size])
+		}
+		b = b[size:]
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("serve: %d trailing bytes after snapshot", len(b))
+		return corrupt("%d trailing bytes after snapshot", len(b))
 	}
-	return drives, nil
+	return int(n), nil
+}
+
+// loadDrive installs one drive from its snapshot encoding, decoding the
+// records straight into the drive's stride of the history column. Like
+// Restore it replaces any existing state, keeps the newest reports when
+// the snapshot holds more than the store retains, and validates nothing:
+// the records were validated when they were first ingested.
+func (s *Store) loadDrive(id uint32, model trace.Model, recs []byte) {
+	if over := len(recs)/dayRecordBinarySize - s.history; over > 0 {
+		recs = recs[over*dayRecordBinarySize:]
+	}
+	sh := s.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	dst := s.install(sh, id, model, len(recs)/dayRecordBinarySize)
+	for i := range dst {
+		decodeDayRecordBinary(recs[i*dayRecordBinarySize:], &dst[i])
+	}
 }

@@ -268,6 +268,16 @@ func New(cfg Config) (*Server, error) {
 		m.NewCounterFunc("ssdserved_wal_snapshots_total",
 			"Store snapshots written.",
 			func() uint64 { return j.WALStats().Snapshots })
+		m.NewCounterFunc("ssdserved_wal_snapshot_bytes_total",
+			"Bytes of store snapshot written.",
+			func() uint64 { return j.WALStats().SnapshotBytes })
+		// A counter in seconds: registered directly, the counter
+		// constructors being integral.
+		m.register(&metric{name: "ssdserved_wal_snapshot_seconds_total",
+			help: "Seconds spent writing store snapshots.", typ: "counter",
+			collect: func(emit emitFunc) {
+				emit("ssdserved_wal_snapshot_seconds_total", j.WALStats().SnapshotTime.Seconds())
+			}})
 		m.NewCounterFunc("ssdserved_wal_snapshot_failures_total",
 			"Store snapshots that failed to write.",
 			func() uint64 { return j.SnapshotFailures() })
@@ -287,6 +297,10 @@ func New(cfg Config) (*Server, error) {
 		m.NewGaugeFunc("ssdserved_wal_last_lsn",
 			"Most recently appended WAL log sequence number.",
 			func() float64 { return float64(j.LastLSN()) })
+		m.NewGaugeFunc("ssdserved_wal_tail_records",
+			"WAL records past the current snapshot: what a restart would replay now. "+
+				"An automatic snapshot starts when this reaches max(-snapshot-every, ssdserved_fleet_records).",
+			func() float64 { return float64(j.Tail()) })
 	}
 	m.NewGaugeFunc("ssdserved_fleet_drives",
 		"Drives currently tracked in the state store.",
@@ -789,7 +803,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshot_lsn": s.journal.LastLSN(),
+		"snapshot_lsn": s.journal.SnapshotLSN(),
 		"drives":       s.store.Len(),
 	})
 }
@@ -806,10 +820,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		resp["model_version"] = info.Version
 	}
-	if s.journal != nil {
-		resp["wal_last_lsn"] = s.journal.LastLSN()
-	}
+	s.walHealth(resp)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// walHealth adds the journal's position to a health response: where the
+// log ends, what the snapshot covers, and the tail between them that a
+// restart would replay.
+func (s *Server) walHealth(resp map[string]any) {
+	if s.journal == nil {
+		return
+	}
+	resp["wal_last_lsn"] = s.journal.LastLSN()
+	resp["wal_snapshot_lsn"] = s.journal.SnapshotLSN()
+	resp["wal_tail_records"] = s.journal.Tail()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -19,7 +19,11 @@ const (
 	// The standard feature pipeline needs the report being scored plus
 	// the previous one (for the bad-block delta); the extra slack keeps
 	// a rolling window available for trailing-window features and the
-	// drive-inspection endpoint.
+	// drive-inspection endpoint. The retained reports are what is
+	// resident (a stride of the shard's history column per drive, which
+	// deepens to this as the drives of a block fill it) and what a
+	// snapshot writes, so this is also the unit of the journal's snapshot
+	// trigger.
 	DefaultHistory = 8
 )
 
@@ -34,16 +38,45 @@ type Store struct {
 }
 
 // storeShard lays its drives out in slots: m maps a drive ID to its
-// slot, and the two columns are indexed by it. A slot is assigned when
-// the drive is first seen and never freed, so a fleet pass walks
-// slots[0:n] front to back without touching the map or chasing a
-// pointer per drive.
+// slot, and the columns are indexed by it. A slot is assigned when the
+// drive is first seen and never freed, so a fleet pass walks slots[0:n]
+// front to back without touching the map or chasing a pointer per drive.
+//
+// The history column is laid out in blocks of 1<<blockShift slots. Within
+// a block every slot owns a stride of consecutive records (stride(i)),
+// used as a ring: ring[i].n reports ascending by Day starting at
+// ring[i].head. A block starts histStartStride records deep and doubles,
+// up to history, when one of its slots needs more, so what is resident
+// follows what the drives have reported and a block is copied at most
+// log2(history) times in its life; the column as a whole grows by a
+// block, never by reallocating what it holds. A report that arrives at a
+// full ring overwrites the oldest in place, and a snapshot or recovery
+// reads or fills the column directly; no drive has an allocation of its
+// own.
 type storeShard struct {
-	mu     sync.RWMutex
-	m      map[uint32]int32
-	slots  []scoreSlot
-	recent [][]trace.DayRecord // per slot, ascending by Day, at most history entries
+	mu         sync.RWMutex
+	m          map[uint32]int32
+	slots      []scoreSlot
+	hist       [][]trace.DayRecord // hist[b] holds the strides of slots b<<blockShift...
+	ring       []ringPos
+	history    int
+	blockShift uint
 }
+
+const (
+	// histBlockRecords bounds one block of the history column: it holds
+	// the largest power-of-two number of slots whose full-depth strides
+	// fit in this many records (at least one), 64 slots or 100 KiB at
+	// the default history.
+	histBlockRecords = 512
+	// histStartStride is the depth a block starts at: the two reports
+	// scoring reads.
+	histStartStride = 2
+)
+
+// ringPos locates one slot's reports inside its stride of the history
+// column. head is 0 until the ring has wrapped.
+type ringPos struct{ head, n uint32 }
 
 // scoreSlot is one drive's entry in a shard's score column: who it is,
 // plus the memo of its last score. A score is a pure function of the
@@ -73,14 +106,108 @@ func (sl *scoreSlot) invalidate() {
 	sl.rev++
 }
 
-// add assigns the next slot to a new drive with the given (possibly
-// empty) history. The caller holds sh.mu.
-func (sh *storeShard) add(id uint32, model trace.Model, recent []trace.DayRecord) int32 {
+// add assigns the next slot, with an empty history, to a new drive. The
+// caller holds sh.mu.
+func (sh *storeShard) add(id uint32, model trace.Model) int32 {
 	slot := int32(len(sh.slots))
 	sh.m[id] = slot
 	sh.slots = append(sh.slots, scoreSlot{id: id, model: model})
-	sh.recent = append(sh.recent, recent)
+	sh.ring = append(sh.ring, ringPos{})
+	if slot&(1<<sh.blockShift-1) == 0 {
+		sh.hist = append(sh.hist, make([]trace.DayRecord, histStartStride<<sh.blockShift))
+	}
 	return slot
+}
+
+// stride returns the slot's window of the history column, as deep as its
+// block is now. The caller holds sh.mu.
+func (sh *storeShard) stride(slot int) []trace.DayRecord {
+	block := sh.hist[slot>>sh.blockShift]
+	n := len(block) >> sh.blockShift
+	at := slot & (1<<sh.blockShift - 1) * n
+	return block[at : at+n]
+}
+
+// deepen doubles the strides of slot's block until they hold n <= history
+// records, keeping what every slot of the block has. Rings only wrap at
+// full depth, so below it a stride's reports sit at its front and move as
+// they are. The caller holds sh.mu.
+func (sh *storeShard) deepen(slot, n int) {
+	old := sh.hist[slot>>sh.blockShift]
+	from := len(old) >> sh.blockShift
+	to := from
+	for to < n {
+		to = min(2*to, sh.history)
+	}
+	block := make([]trace.DayRecord, to<<sh.blockShift)
+	for i := 0; i < 1<<sh.blockShift; i++ {
+		copy(block[i*to:], old[i*from:(i+1)*from])
+	}
+	sh.hist[slot>>sh.blockShift] = block
+}
+
+// at returns the slot's i-th retained report, oldest first; i must be
+// below ring[slot].n. The caller holds sh.mu.
+func (sh *storeShard) at(slot, i int) *trace.DayRecord {
+	k := int(sh.ring[slot].head) + i
+	if k >= sh.history {
+		k -= sh.history
+	}
+	return &sh.stride(slot)[k]
+}
+
+// runs returns the slot's retained reports, oldest first, as the two
+// contiguous pieces the ring holds them in (the second is empty until
+// the ring has wrapped). The caller holds sh.mu.
+func (sh *storeShard) runs(slot int) (first, second []trace.DayRecord) {
+	p := sh.ring[slot]
+	stride := sh.stride(slot)
+	if end := p.head + p.n; int(end) > sh.history {
+		return stride[p.head:], stride[:int(end)-sh.history]
+	}
+	return stride[p.head : p.head+p.n], nil
+}
+
+// push appends rec to the slot's history, over the oldest report when
+// the ring is full, and reports whether the slot now retains one more.
+// The caller holds sh.mu; the function is in ssdlint's hotalloc scope
+// table.
+func (sh *storeShard) push(slot int, rec *trace.DayRecord) bool {
+	p := &sh.ring[slot]
+	if n := int(p.n); n < sh.history {
+		if n == len(sh.stride(slot)) {
+			sh.deepen(slot, n+1)
+		}
+		sh.stride(slot)[n] = *rec // not wrapped yet: the reports sit at the front
+		p.n++
+		return true
+	}
+	*sh.at(slot, 0) = *rec // the oldest report's place becomes the newest's
+	if p.head++; int(p.head) == sh.history {
+		p.head = 0
+	}
+	return false
+}
+
+// install resets a drive's slot (assigning one to a new drive) to a
+// history of n <= history reports, which the caller fills in through the
+// returned window, oldest first. The caller holds sh.mu.
+func (s *Store) install(sh *storeShard, id uint32, model trace.Model, n int) []trace.DayRecord {
+	slot, ok := sh.m[id]
+	if !ok {
+		slot = sh.add(id, model)
+		s.drives.Add(1)
+	} else {
+		s.records.Add(-int64(sh.ring[slot].n))
+		sh.slots[slot].model = model
+	}
+	sh.ring[slot] = ringPos{n: uint32(n)}
+	sh.slots[slot].invalidate()
+	s.records.Add(int64(n))
+	if n > len(sh.stride(int(slot))) {
+		sh.deepen(int(slot), n)
+	}
+	return sh.stride(int(slot))[:n]
 }
 
 // NewStore builds a store with the given shard count (rounded up to a
@@ -98,8 +225,14 @@ func NewStore(shards, history int) *Store {
 		history = DefaultHistory
 	}
 	s := &Store{shards: make([]storeShard, n), mask: uint32(n - 1), history: history}
+	shift := uint(0)
+	for history<<(shift+1) <= histBlockRecords {
+		shift++
+	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint32]int32)
+		s.shards[i].history = history
+		s.shards[i].blockShift = shift
 	}
 	return s
 }
@@ -136,8 +269,8 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 		if have := sh.slots[slot].model; have != model {
 			return fmt.Errorf("serve: drive %d model changed from %s to %s", id, have, model)
 		}
-		if recent := sh.recent[slot]; len(recent) > 0 {
-			last := &recent[len(recent)-1]
+		if n := int(sh.ring[slot].n); n > 0 {
+			last := sh.at(int(slot), n-1)
 			if rec.Day <= last.Day {
 				return fmt.Errorf("serve: drive %d day %d not after last ingested day %d", id, rec.Day, last.Day)
 			}
@@ -170,14 +303,10 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 		}
 	}
 	if !ok {
-		slot = sh.add(id, model, make([]trace.DayRecord, 0, 2))
+		slot = sh.add(id, model)
 		s.drives.Add(1)
 	}
-	if recent := sh.recent[slot]; len(recent) == s.history {
-		copy(recent, recent[1:])
-		recent[len(recent)-1] = rec
-	} else {
-		sh.recent[slot] = append(recent, rec)
+	if sh.push(int(slot), &rec) {
 		s.records.Add(1)
 	}
 	sh.slots[slot].invalidate()
@@ -205,18 +334,19 @@ func (s *Store) Get(id uint32) (DriveSnapshot, bool) {
 
 // snapshot copies one slot's rolling state. The caller holds sh.mu.
 func (sh *storeShard) snapshot(slot int) DriveSnapshot {
+	first, second := sh.runs(slot)
 	return DriveSnapshot{
 		ID:     sh.slots[slot].id,
 		Model:  sh.slots[slot].model,
-		Recent: append([]trace.DayRecord(nil), sh.recent[slot]...),
+		Recent: append(append([]trace.DayRecord(nil), first...), second...),
 	}
 }
 
 // Drives copies the full rolling state of every tracked drive, sorted
 // by drive ID. Shards are drained one at a time under their read lock,
-// so ingest proceeds on other shards concurrently; the copy is the unit
-// the durability layer snapshots, and the sort makes two snapshots of
-// the same state byte-identical.
+// so ingest proceeds on other shards concurrently. It is the inspection
+// and test view of the store; the durability layer snapshots the columns
+// themselves (appendSnapshotSections).
 func (s *Store) Drives() []DriveSnapshot {
 	out := make([]DriveSnapshot, 0, s.Len())
 	for i := range s.shards {
@@ -233,9 +363,7 @@ func (s *Store) Drives() []DriveSnapshot {
 
 // Restore installs one drive's rolling state wholesale, replacing any
 // existing state for that drive and trimming to the history cap. It is
-// the recovery-time inverse of Drives and performs no invariant
-// validation: the snapshot was validated when its records were first
-// ingested.
+// the inverse of Get and performs no invariant validation.
 func (s *Store) Restore(d DriveSnapshot) {
 	recent := d.Recent
 	if len(recent) > s.history {
@@ -244,18 +372,7 @@ func (s *Store) Restore(d DriveSnapshot) {
 	sh := s.shard(d.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	recent = append([]trace.DayRecord(nil), recent...)
-	slot, ok := sh.m[d.ID]
-	if !ok {
-		slot = sh.add(d.ID, d.Model, recent)
-		s.drives.Add(1)
-	} else {
-		s.records.Add(-int64(len(sh.recent[slot])))
-		sh.slots[slot].model = d.Model
-		sh.recent[slot] = recent
-	}
-	sh.slots[slot].invalidate()
-	s.records.Add(int64(len(recent)))
+	copy(s.install(sh, d.ID, d.Model, len(recent)), recent)
 }
 
 // Len returns the number of drives currently tracked.
@@ -299,16 +416,19 @@ func (s *Store) ScoreUnits(sinceDay int32) []ScoreUnit {
 // unchanged when the drive has no report yet or its latest one is older
 // than sinceDay. The caller holds sh.mu.
 func (sh *storeShard) appendUnit(units []ScoreUnit, slot int, sinceDay int32) []ScoreUnit {
-	recent := sh.recent[slot]
-	n := len(recent)
-	if n == 0 || recent[n-1].Day < sinceDay {
+	n := int(sh.ring[slot].n)
+	if n == 0 {
+		return units
+	}
+	last := sh.at(slot, n-1)
+	if last.Day < sinceDay {
 		return units
 	}
 	sl := &sh.slots[slot]
-	units = append(units, ScoreUnit{ID: sl.id, Model: sl.model, Last: recent[n-1]})
+	units = append(units, ScoreUnit{ID: sl.id, Model: sl.model, Last: *last})
 	if n > 1 {
 		u := &units[len(units)-1]
-		u.Prev = recent[n-2]
+		u.Prev = *sh.at(slot, n-2)
 		u.HasPrev = true
 	}
 	return units

@@ -151,3 +151,48 @@ func TestStoreScoreUnitsSince(t *testing.T) {
 		t.Fatal("single-report drive claims a previous record")
 	}
 }
+
+// TestStoreHistoryColumnDeepensWithFill pins what is resident: a block
+// of the history column is as deep as its fullest drive needs, doubling
+// from two reports to the history cap and no further, and a drive that
+// reports less keeps its reports through the moves.
+func TestStoreHistoryColumnDeepensWithFill(t *testing.T) {
+	s := NewStore(1, 6)
+	sh := &s.shards[0]
+	depth := func(block int) int { return len(sh.hist[block]) >> sh.blockShift }
+	if err := s.Upsert(2, trace.MLCB, rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	for day, want := range []int{2, 2, 4, 4, 6, 6, 6, 6, 6} {
+		if err := s.Upsert(1, trace.MLCA, rec(int32(day+1))); err != nil {
+			t.Fatal(err)
+		}
+		if got := depth(0); got != want {
+			t.Fatalf("after %d reports the block is %d deep, want %d", day+1, got, want)
+		}
+	}
+	if snap, _ := s.Get(2); len(snap.Recent) != 1 || snap.Recent[0] != rec(1) {
+		t.Fatalf("the one-report drive of the deepened block now holds %+v", snap.Recent)
+	}
+	if snap, _ := s.Get(1); len(snap.Recent) != 6 || snap.Recent[0].Day != 4 || snap.Recent[5].Day != 9 {
+		t.Fatalf("the full drive holds %+v, want days 4..9", snap.Recent)
+	}
+	// A drive restored with a long history deepens its block at once; the
+	// next block starts shallow.
+	for id := uint32(3); len(sh.hist) < 2; id++ {
+		if err := s.Upsert(id, trace.MLCA, rec(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := depth(1); got != 2 {
+		t.Fatalf("a new block is %d deep, want 2", got)
+	}
+	last := sh.slots[len(sh.slots)-1].id
+	s.Restore(DriveSnapshot{ID: last, Model: trace.MLCA, Recent: []trace.DayRecord{rec(1), rec(2), rec(3), rec(4), rec(5)}})
+	if got := depth(1); got != 6 {
+		t.Fatalf("after restoring five reports into it the block is %d deep, want 6", got)
+	}
+	if snap, _ := s.Get(last); len(snap.Recent) != 5 || snap.Recent[4].Day != 5 {
+		t.Fatalf("restored drive holds %+v", snap.Recent)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"ssdfail/internal/trace"
 )
@@ -115,19 +116,29 @@ const (
 
 // appendDayRecordBinary appends the fixed-width encoding of rec.
 func appendDayRecordBinary(buf []byte, rec *trace.DayRecord) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.Day))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.Age))
-	for _, v := range [6]uint64{rec.Reads, rec.Writes, rec.Erases, rec.CumReads, rec.CumWrites, rec.CumErases} {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.PECycles))
-	buf = binary.LittleEndian.AppendUint32(buf, rec.FactoryBadBlocks)
-	buf = binary.LittleEndian.AppendUint32(buf, rec.GrownBadBlocks)
+	n := len(buf)
+	buf = slices.Grow(buf, dayRecordBinarySize)[:n+dayRecordBinarySize]
+	b := buf[n:]
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], uint32(rec.Day))
+	le.PutUint32(b[4:], uint32(rec.Age))
+	le.PutUint64(b[8:], rec.Reads)
+	le.PutUint64(b[16:], rec.Writes)
+	le.PutUint64(b[24:], rec.Erases)
+	le.PutUint64(b[32:], rec.CumReads)
+	le.PutUint64(b[40:], rec.CumWrites)
+	le.PutUint64(b[48:], rec.CumErases)
+	le.PutUint64(b[56:], math.Float64bits(rec.PECycles))
+	le.PutUint32(b[64:], rec.FactoryBadBlocks)
+	le.PutUint32(b[68:], rec.GrownBadBlocks)
+	off := 72
 	for k := 0; k < trace.NumErrorKinds; k++ {
-		buf = binary.LittleEndian.AppendUint32(buf, rec.Errors[k])
+		le.PutUint32(b[off:], rec.Errors[k])
+		off += 4
 	}
 	for k := 0; k < trace.NumErrorKinds; k++ {
-		buf = binary.LittleEndian.AppendUint64(buf, rec.CumErrors[k])
+		le.PutUint64(b[off:], rec.CumErrors[k])
+		off += 8
 	}
 	var flags byte
 	if rec.Dead {
@@ -136,40 +147,38 @@ func appendDayRecordBinary(buf []byte, rec *trace.DayRecord) []byte {
 	if rec.ReadOnly {
 		flags |= 2
 	}
-	return append(buf, flags)
+	b[off] = flags
+	return buf
 }
 
-// decodeDayRecordBinary decodes one fixed-width record from the front
-// of b, returning the remainder.
-func decodeDayRecordBinary(b []byte) (trace.DayRecord, []byte, error) {
-	var rec trace.DayRecord
-	if len(b) < dayRecordBinarySize {
-		return rec, b, fmt.Errorf("serve: day record truncated: %d of %d bytes", len(b), dayRecordBinarySize)
-	}
-	rec.Day = int32(binary.LittleEndian.Uint32(b[0:]))
-	rec.Age = int32(binary.LittleEndian.Uint32(b[4:]))
-	rec.Reads = binary.LittleEndian.Uint64(b[8:])
-	rec.Writes = binary.LittleEndian.Uint64(b[16:])
-	rec.Erases = binary.LittleEndian.Uint64(b[24:])
-	rec.CumReads = binary.LittleEndian.Uint64(b[32:])
-	rec.CumWrites = binary.LittleEndian.Uint64(b[40:])
-	rec.CumErases = binary.LittleEndian.Uint64(b[48:])
-	rec.PECycles = math.Float64frombits(binary.LittleEndian.Uint64(b[56:]))
-	rec.FactoryBadBlocks = binary.LittleEndian.Uint32(b[64:])
-	rec.GrownBadBlocks = binary.LittleEndian.Uint32(b[68:])
+// decodeDayRecordBinary decodes the fixed-width record at the front of
+// b, which holds at least dayRecordBinarySize bytes, into rec.
+func decodeDayRecordBinary(b []byte, rec *trace.DayRecord) {
+	b = b[:dayRecordBinarySize]
+	le := binary.LittleEndian
+	rec.Day = int32(le.Uint32(b[0:]))
+	rec.Age = int32(le.Uint32(b[4:]))
+	rec.Reads = le.Uint64(b[8:])
+	rec.Writes = le.Uint64(b[16:])
+	rec.Erases = le.Uint64(b[24:])
+	rec.CumReads = le.Uint64(b[32:])
+	rec.CumWrites = le.Uint64(b[40:])
+	rec.CumErases = le.Uint64(b[48:])
+	rec.PECycles = math.Float64frombits(le.Uint64(b[56:]))
+	rec.FactoryBadBlocks = le.Uint32(b[64:])
+	rec.GrownBadBlocks = le.Uint32(b[68:])
 	off := 72
 	for k := 0; k < trace.NumErrorKinds; k++ {
-		rec.Errors[k] = binary.LittleEndian.Uint32(b[off:])
+		rec.Errors[k] = le.Uint32(b[off:])
 		off += 4
 	}
 	for k := 0; k < trace.NumErrorKinds; k++ {
-		rec.CumErrors[k] = binary.LittleEndian.Uint64(b[off:])
+		rec.CumErrors[k] = le.Uint64(b[off:])
 		off += 8
 	}
 	flags := b[off]
 	rec.Dead = flags&1 != 0
 	rec.ReadOnly = flags&2 != 0
-	return rec, b[off+1:], nil
 }
 
 // appendWALRecordBinary appends the WAL payload for one accepted
@@ -191,8 +200,9 @@ func decodeWALRecordBinary(b []byte) (uint32, trace.Model, trace.DayRecord, erro
 	if int(model) >= trace.NumModels {
 		return 0, 0, trace.DayRecord{}, fmt.Errorf("serve: WAL record has unknown model %d", b[4])
 	}
-	rec, _, err := decodeDayRecordBinary(b[5:])
-	return id, model, rec, err
+	var rec trace.DayRecord
+	decodeDayRecordBinary(b[5:], &rec)
+	return id, model, rec, nil
 }
 
 // WireRecord converts an internal record back to the wire form, used by

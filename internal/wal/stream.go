@@ -116,32 +116,44 @@ func (l *Log) ReadFrom(from uint64, fn func(lsn uint64, payload []byte) error) (
 // tailStart writes buffered frames through and looks from up: where to
 // start reading and the last LSN the read may deliver. When from is
 // past that LSN there is nothing to read and nothing is flushed.
+//
+// While the syncer is writing a batch outside l.mu the frames up to last
+// are not all in the file yet, so the look-up waits for that write (not
+// for the fsync after it) — and starts over afterwards, because the wait
+// releases l.mu: the log may have been closed, broken, appended to or
+// pruned meanwhile.
 func (l *Log) tailStart(from uint64) (indexEntry, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return indexEntry{}, 0, ErrClosed
+	for {
+		if l.closed {
+			return indexEntry{}, 0, ErrClosed
+		}
+		if l.err != nil {
+			return indexEntry{}, 0, fmt.Errorf("%w: %w", ErrBroken, l.err)
+		}
+		last := l.next - 1
+		if from > last {
+			return indexEntry{}, last, nil
+		}
+		floor := l.segStart // a log with no frames retains only its empty active segment
+		if len(l.index) > 0 {
+			floor = l.index[0].lsn
+		}
+		if from < floor {
+			return indexEntry{}, last, fmt.Errorf("%w: want %d, oldest retained %d", ErrPruned, from, floor)
+		}
+		if l.writing {
+			l.syncCond.Wait()
+			continue
+		}
+		if err := l.flushLocked(); err != nil {
+			return indexEntry{}, last, err
+		}
+		// floor <= from <= last: the index holds floor's entry at least.
+		i := sort.Search(len(l.index), func(i int) bool { return l.index[i].lsn > from })
+		return l.index[i-1], last, nil
 	}
-	if l.err != nil {
-		return indexEntry{}, 0, fmt.Errorf("%w: %w", ErrBroken, l.err)
-	}
-	last := l.next - 1
-	if from > last {
-		return indexEntry{}, last, nil
-	}
-	floor := l.segStart // a log with no frames retains only its empty active segment
-	if len(l.index) > 0 {
-		floor = l.index[0].lsn
-	}
-	if from < floor {
-		return indexEntry{}, last, fmt.Errorf("%w: want %d, oldest retained %d", ErrPruned, from, floor)
-	}
-	if err := l.flushLocked(); err != nil {
-		return indexEntry{}, last, err
-	}
-	// floor <= from <= last: the index holds floor's entry at least.
-	i := sort.Search(len(l.index), func(i int) bool { return l.index[i].lsn > from })
-	return l.index[i-1], last, nil
 }
 
 func (l *Log) openSegment(first uint64) (faultfs.File, error) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -97,7 +98,9 @@ func (m *tailModel) checkRead(t *testing.T, l *Log, fsys faultfs.FS, dir string,
 // TestTailReadMatchesModel interleaves appends of random sizes,
 // rotations, Flush/Sync, Prune, and close → reopen (with a torn tail,
 // and with MinLSN ahead of the tail) with reads at random positions
-// whose callback aborts at random frames.
+// whose callback aborts at random frames — some of them started while a
+// group commit has the append buffer and is writing it outside the lock,
+// which must not hide a frame from the read or reorder the file.
 func TestTailReadMatchesModel(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		seed := seed
@@ -108,6 +111,8 @@ func TestTailReadMatchesModel(t *testing.T) {
 			if seed%4 == 0 {
 				fsys, dir = faultfs.OS(), t.TempDir() // the real pread and unlink
 			}
+			inj := faultfs.New(fsys)
+			fsys = inj
 			opt := Options{
 				Dir: dir, FS: fsys, SyncInterval: -1,
 				SegmentBytes: []int64{300, 4 << 10, 1 << 20}[rng.IntN(3)],
@@ -194,6 +199,14 @@ func TestTailReadMatchesModel(t *testing.T) {
 					reopen(0, rng.IntN(2) == 0)
 				case op < 75:
 					reopen(m.last+uint64(rng.IntN(40)), false)
+				case op < 82:
+					// A read that starts while a group commit is writing the
+					// append buffer with l.mu released.
+					from := rng.Uint64N(m.last + 3)
+					if inWrite := holdNextCommit(l, inj); inWrite != nil {
+						<-inWrite
+					}
+					m.checkRead(t, l, fsys, dir, from, 0)
 				default:
 					from := rng.Uint64N(m.last + 3)
 					m.checkRead(t, l, fsys, dir, from, rng.IntN(4)*rng.IntN(40))
@@ -205,6 +218,37 @@ func TestTailReadMatchesModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// holdNextCommit makes the syncer start a group commit and stall inside
+// its write, which runs with l.mu released, until the scheduler has been
+// yielded to some fifty times. The returned channel is closed once the
+// write has begun; it is nil when there is no syncer or nothing buffered
+// for it to write. A reader that did not wait for the commit would run in
+// those yields and miss the frames in flight.
+func holdNextCommit(l *Log, inj *faultfs.Injector) <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.syncBusy {
+		l.syncCond.Wait()
+	}
+	if l.syncCh == nil || len(l.buf) == 0 || l.err != nil {
+		return nil
+	}
+	inWrite := make(chan struct{})
+	// With the syncer idle and l.mu held nothing else can write, so the
+	// next write is the commit's.
+	inj.Add(faultfs.Fault{Op: faultfs.OpWrite, N: inj.Count(faultfs.OpWrite) + 1, Mode: faultfs.ModeHook, Hook: func() {
+		close(inWrite)
+		for i := 0; i < 50; i++ {
+			runtime.Gosched()
+		}
+	}})
+	select {
+	case l.syncCh <- struct{}{}:
+	default: // a request is already queued
+	}
+	return inWrite
 }
 
 // tailLog opens a log on fsys and appends n records "rec-<lsn>".

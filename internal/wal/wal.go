@@ -9,7 +9,7 @@
 // On-disk layout (all integers little-endian):
 //
 //	wal-<first LSN, 20 digits>.seg   frames: len u32 | crc32c u32 | payload
-//	snapshot.snap                    "SSDWSNP1" | lsn u64 | len u32 | crc32c u32 | payload
+//	snapshot.snap                    "SSDWSNP2" | lsn u64 | sections | trailer (snapshot.go)
 //
 // Log sequence numbers (LSNs) start at 1 and are implicit: frame i of a
 // segment has LSN firstLSN+i. Payloads are opaque to this package and
@@ -148,15 +148,20 @@ type Stats struct {
 	Fsyncs    uint64
 	Rotations uint64
 	Snapshots uint64
+	// SnapshotBytes and SnapshotTime total the size of, and the time
+	// spent writing, the snapshots counted above.
+	SnapshotBytes uint64
+	SnapshotTime  time.Duration
 }
 
 // flushThreshold bounds how many buffered frame bytes accumulate
 // before they are written through to the segment file even when no
-// sync boundary has been reached. While the syncer goroutine has an
-// fsync in flight, writes to the same file would stall on the inode
-// lock, so appends keep buffering past the threshold up to
-// maxBufferBytes — the hard cap that applies backpressure instead of
-// letting a slow disk grow the buffer without bound.
+// sync boundary has been reached. While the syncer goroutine has a
+// group commit in flight (its write and fsync run with l.mu released),
+// appends keep buffering past the threshold up to maxBufferBytes — the
+// hard cap at which an append waits out the commit's write and then
+// writes through itself, beside the fsync, instead of letting a slow
+// disk grow the buffer without bound.
 const (
 	flushThreshold = 64 << 10
 	maxBufferBytes = 8 << 20
@@ -169,24 +174,34 @@ const (
 // sync boundaries, rotation, close, or the flush threshold — one write
 // syscall then covers a whole batch of frames. With SyncEvery == 1
 // every append is flushed and fsynced before it returns; with larger
-// policies the policy fsync is issued by a background syncer goroutine
-// (group commit), so appends never wait on the disk. Either way a
-// record is only guaranteed durable once its covering fsync completes,
-// which is the contract Options.SyncEvery documents.
+// policies the batch is written and fsynced by a background syncer
+// goroutine (group commit) that takes the buffer, leaves appends a spare
+// one, and does its I/O with l.mu released, so appends never wait on the
+// disk. Either way a record is only guaranteed durable once its covering
+// fsync completes, which is the contract Options.SyncEvery documents.
+//
+// Frames reach the file in LSN order because only one party writes it at
+// a time: while writing is set the syncer's batch is on its way to l.f,
+// and every other flush site first waits in settleLocked — those that
+// fsync or close the file until the commit's fsync is over too. That wait
+// releases l.mu, so whatever a caller checked before it must be checked
+// again after it.
 type Log struct {
 	opt Options
 
 	mu        sync.Mutex
-	syncCond  *sync.Cond // signals async-fsync completion; tied to mu
+	syncCond  *sync.Cond // signals that the syncer handed l.f back; tied to mu
 	f         faultfs.File
 	buf       []byte // appended frames not yet written to f
+	spare     []byte // the buffer appends get while the syncer writes the other one
 	segStart  uint64 // first LSN of the active segment
 	segBytes  int64  // includes buffered bytes
 	next      uint64 // LSN the next append receives
 	sinceSync int
 	dirty     bool  // bytes exist that no completed fsync covers
 	flushed   int64 // total bytes written through to segment files
-	syncBusy  bool  // the syncer goroutine is inside fsync
+	writing   bool  // the syncer is writing a batch to l.f outside l.mu: nobody else may write
+	syncBusy  bool  // the syncer has a group commit (that write, then an fsync) in flight outside l.mu
 	closed    bool
 	err       error // sticky write error
 
@@ -202,12 +217,15 @@ type Log struct {
 	// would need its own crash-consistency story.
 	index []indexEntry
 
-	snapMu sync.Mutex // serializes WriteSnapshot
+	snapMu  sync.Mutex    // serializes WriteSnapshot
+	snapLSN atomic.Uint64 // what the published snapshot covers; written under snapMu
 
 	appends   atomic.Uint64
 	fsyncs    atomic.Uint64
 	rotations atomic.Uint64
 	snapshots atomic.Uint64
+	snapBytes atomic.Uint64
+	snapNanos atomic.Int64
 }
 
 // indexStride is how many frames apart index entries sit: a tail read
@@ -269,11 +287,13 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 	}
 
 	l := &Log{opt: opt, next: 1, segStart: 1}
+	l.snapLSN.Store(opt.MinLSN)
 	if len(firsts) > 0 {
 		l.next = firsts[0]
 		l.segStart = firsts[0]
 	}
 	corrupt := false
+	var data []byte // one segment at a time, reused
 	for _, first := range firsts {
 		path := filepath.Join(opt.Dir, segName(first))
 		if corrupt || first != l.next {
@@ -287,8 +307,7 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 			stats.SegmentsDropped++
 			continue
 		}
-		data, err := readAll(opt.FS, path)
-		if err != nil {
+		if data, err = readAll(opt.FS, path, data); err != nil {
 			return nil, stats, fmt.Errorf("wal: reading segment: %w", err)
 		}
 		off := 0
@@ -388,13 +407,28 @@ func parseFrame(data []byte, maxRecord int) (int, []byte) {
 	return end, payload
 }
 
-func readAll(fsys faultfs.FS, path string) ([]byte, error) {
+// readAll reads the file into buf, grown to the file's size when it is
+// smaller, and returns the bytes read. Recovery passes each segment the
+// last one's buffer: read by doubling instead, a log's worth of segments
+// cost six times their size in discarded copies.
+func readAll(fsys faultfs.FS, path string, buf []byte) ([]byte, error) {
+	info, err := fsys.Stat(path)
+	if err != nil {
+		return nil, err
+	}
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() //ssdlint:allow droppederr read-only descriptor; Close cannot lose data we have not already read
-	return io.ReadAll(f)
+	if int64(cap(buf)) < info.Size() {
+		buf = make([]byte, info.Size())
+	}
+	n, err := io.ReadFull(f, buf[:info.Size()])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil // shorter than Stat said: what is there is what there is
+	}
+	return buf[:n], err
 }
 
 // Append writes one record and returns its LSN. Depending on the fsync
@@ -417,10 +451,16 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w: %w", ErrBroken, l.err)
 	}
 	frame := int64(frameHeaderSize + len(payload))
-	if l.segBytes > 0 && l.segBytes+frame > l.opt.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.err = err
+	if l.segmentFull(frame) {
+		if err := l.settleLocked(true); err != nil {
 			return 0, err
+		}
+		// Another append may have rotated during the wait.
+		if l.segmentFull(frame) {
+			if err := l.rotateLocked(); err != nil {
+				l.err = err
+				return 0, err
+			}
 		}
 	}
 	var hdr [frameHeaderSize]byte
@@ -443,7 +483,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	case l.opt.SyncEvery > 1 && l.sinceSync >= l.opt.SyncEvery:
-		// Group commit: hand the whole batch — flush and fsync — to the
+		// Group commit: hand the whole batch — write and fsync — to the
 		// syncer goroutine so appends never issue a syscall here.
 		// Durability is still only promised once the policy fsync
 		// completes.
@@ -453,6 +493,17 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		default: // a request is already queued; it will cover this batch
 		}
 	case len(l.buf) >= flushThreshold && (!l.syncBusy || len(l.buf) >= maxBufferBytes):
+		for l.writing {
+			l.syncCond.Wait()
+		}
+		// The frame was buffered before the wait: a Close that ran
+		// meanwhile has written it, and the syncer may have taken it.
+		if l.closed {
+			return lsn, nil
+		}
+		if l.err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrBroken, l.err)
+		}
 		if err := l.flushLocked(); err != nil {
 			return 0, err
 		}
@@ -460,7 +511,32 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// flushLocked writes buffered frames through to the active segment.
+// segmentFull reports whether a frame of this size belongs in the next
+// segment.
+func (l *Log) segmentFull(frame int64) bool {
+	return l.segBytes > 0 && l.segBytes+frame > l.opt.SegmentBytes
+}
+
+// settleLocked waits until the syncer's write is on the file — with
+// commit, until its whole group commit is over, which a caller that
+// fsyncs, closes or replaces l.f needs — and reports whether the log can
+// still be written. The wait releases l.mu, so this is where a flush site
+// validates the log, not before.
+func (l *Log) settleLocked(commit bool) error {
+	for l.writing || (commit && l.syncBusy) {
+		l.syncCond.Wait()
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	if l.err != nil {
+		return fmt.Errorf("%w: %w", ErrBroken, l.err)
+	}
+	return nil
+}
+
+// flushLocked writes buffered frames through to the active segment. The
+// caller has waited out the syncer's write (settleLocked).
 func (l *Log) flushLocked() error {
 	if len(l.buf) == 0 {
 		return nil
@@ -475,12 +551,13 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// syncer issues policy fsyncs off the append path. One in-flight fsync
-// covers every byte flushed before it started; coalesced requests mean
-// a slow disk degrades to fewer, larger group commits rather than a
-// queue of fsyncs. A SyncInterval ticker additionally bounds how long
-// dirty bytes can sit buffered under trickle traffic that never fills
-// a batch.
+// syncer issues policy group commits off the append path: it takes the
+// append buffer, leaves the spare in its place, and writes and fsyncs
+// with l.mu released, so a commit stalls no appender for a disk write.
+// Coalesced requests mean a slow disk degrades to fewer, larger group
+// commits rather than a queue of fsyncs. A SyncInterval ticker
+// additionally bounds how long dirty bytes can sit buffered under trickle
+// traffic that never fills a batch.
 func (l *Log) syncer() {
 	defer close(l.syncerDone)
 	var tickC <-chan time.Time
@@ -502,17 +579,33 @@ func (l *Log) syncer() {
 			l.mu.Unlock()
 			continue
 		}
-		if err := l.flushLocked(); err != nil {
-			l.syncCond.Broadcast() // sticky error set; wake any waiter
-			l.mu.Unlock()
-			continue
-		}
-		f := l.f
-		mark := l.flushed
-		l.syncBusy = true
+		// Nobody else sets writing, and every other writer of l.f waits
+		// for it to clear, so until then the file's tail and the batch are
+		// this goroutine's alone.
+		batch, f := l.buf, l.f
+		l.buf, l.spare = l.spare[:0], nil
+		l.writing, l.syncBusy = true, true
 		l.mu.Unlock()
 
-		err := f.Sync()
+		var n int
+		var err error
+		if len(batch) > 0 {
+			n, err = f.Write(batch)
+		}
+
+		// The write is on the file: readers and the buffer-full fallback
+		// may go on beside the fsync.
+		l.mu.Lock()
+		l.spare = batch[:0]
+		l.writing = false
+		l.flushed += int64(n)
+		mark := l.flushed
+		l.syncCond.Broadcast()
+		l.mu.Unlock()
+
+		if err == nil {
+			err = f.Sync()
+		}
 
 		l.mu.Lock()
 		l.syncBusy = false
@@ -522,7 +615,7 @@ func (l *Log) syncer() {
 			}
 		} else {
 			l.fsyncs.Add(1)
-			// Only bytes flushed before the fsync started are covered.
+			// Only bytes written before the fsync started are covered.
 			if l.flushed == mark && len(l.buf) == 0 {
 				l.dirty = false
 			}
@@ -533,7 +626,8 @@ func (l *Log) syncer() {
 }
 
 // rotateLocked syncs and closes the active segment and starts a new one
-// whose name carries the next LSN.
+// whose name carries the next LSN. The caller has waited out the syncer's
+// whole commit (settleLocked).
 //
 //ssdlint:allow lockheld the -Locked suffix is the contract: rotation runs under l.mu so no append can land in a segment mid-swap
 func (l *Log) rotateLocked() error {
@@ -559,17 +653,12 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// syncLocked makes everything appended so far durable: it waits out an
-// in-flight async fsync, flushes the buffer, and fsyncs inline.
+// syncLocked makes everything appended so far durable: it flushes the
+// buffer and fsyncs inline. The caller has waited out the syncer's whole
+// commit (settleLocked; with SyncEvery == 1 there is no syncer).
 //
 //ssdlint:allow lockheld fsync-under-l.mu is the durability point by design; SyncEvery batching and the async syncer bound how often appends pay it
 func (l *Log) syncLocked() error {
-	for l.syncBusy {
-		l.syncCond.Wait()
-	}
-	if l.err != nil {
-		return fmt.Errorf("%w: %w", ErrBroken, l.err)
-	}
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
@@ -594,11 +683,8 @@ func (l *Log) syncLocked() error {
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return fmt.Errorf("%w: %w", ErrBroken, l.err)
+	if err := l.settleLocked(false); err != nil {
+		return err
 	}
 	return l.flushLocked()
 }
@@ -607,11 +693,8 @@ func (l *Log) Flush() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return fmt.Errorf("%w: %w", ErrBroken, l.err)
+	if err := l.settleLocked(true); err != nil {
+		return err
 	}
 	return l.syncLocked()
 }
@@ -619,11 +702,14 @@ func (l *Log) Sync() error {
 // Close syncs and closes the active segment and stops the syncer.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if l.closed {
+	err := l.settleLocked(true)
+	if errors.Is(err, ErrClosed) {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	err := l.syncLocked()
+	if err == nil {
+		err = l.syncLocked()
+	}
 	l.closed = true
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: close: %w", cerr)
@@ -643,6 +729,12 @@ func (l *Log) LastLSN() uint64 {
 	return l.next - 1
 }
 
+// SnapshotLSN returns the LSN the snapshot in Options.Dir covers: the
+// one the last WriteSnapshot published, or until then Options.MinLSN,
+// the snapshot the caller recovered from. LastLSN minus this is how many
+// records a recovery would replay.
+func (l *Log) SnapshotLSN() uint64 { return l.snapLSN.Load() }
+
 // Stats returns cumulative operation counts.
 func (l *Log) Stats() Stats {
 	return Stats{
@@ -650,6 +742,9 @@ func (l *Log) Stats() Stats {
 		Fsyncs:    l.fsyncs.Load(),
 		Rotations: l.rotations.Load(),
 		Snapshots: l.snapshots.Load(),
+
+		SnapshotBytes: l.snapBytes.Load(),
+		SnapshotTime:  time.Duration(l.snapNanos.Load()),
 	}
 }
 

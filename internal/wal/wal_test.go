@@ -1,10 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,10 +163,32 @@ func TestRecoveryDropsSegmentsAfterCorruptFrame(t *testing.T) {
 	}
 }
 
+// writeSnap writes a snapshot of the given sections.
+func writeSnap(l *Log, lsn uint64, sections ...string) error {
+	return l.WriteSnapshot(lsn, func(w *SnapshotWriter) error {
+		for _, s := range sections {
+			if err := w.Section([]byte(s)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// loadSnap loads the snapshot and joins its sections with "|".
+func loadSnap(opt Options) (payload []byte, lsn uint64, found bool, err error) {
+	var parts []string
+	lsn, found, err = LoadSnapshot(opt, func(p []byte) error {
+		parts = append(parts, string(p))
+		return nil
+	})
+	return []byte(strings.Join(parts, "|")), lsn, found, err
+}
+
 func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	fs := faultfs.Mem()
 	opt := testOpts(fs)
-	if _, _, found, err := LoadSnapshot(opt); found || err != nil {
+	if _, _, found, err := loadSnap(opt); found || err != nil {
 		t.Fatalf("empty dir: found=%v err=%v", found, err)
 	}
 	l, _, _ := collect(t, opt)
@@ -171,10 +197,10 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot(l.LastLSN(), []byte("snapshot-state")); err != nil {
+	if err := writeSnap(l, l.LastLSN(), "snapshot-state"); err != nil {
 		t.Fatal(err)
 	}
-	payload, lsn, found, err := LoadSnapshot(opt)
+	payload, lsn, found, err := loadSnap(opt)
 	if err != nil || !found {
 		t.Fatalf("load: found=%v err=%v", found, err)
 	}
@@ -224,7 +250,7 @@ func TestRecoveryFloorsNextLSNAtSnapshot(t *testing.T) {
 	// A snapshot claiming coverage through LSN 5 is published, but the
 	// five frames were never flushed. Abandon the log without Close:
 	// the crash loses the entire buffered tail.
-	if err := l.WriteSnapshot(5, []byte("covers-1-through-5")); err != nil {
+	if err := writeSnap(l, 5, "covers-1-through-5"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -273,7 +299,7 @@ func TestPeriodicSyncBoundsTrickleLatency(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The fsync covered real bytes: the frame reached the segment file.
-	data, err := readAll(fs, filepath.Join(opt.Dir, segName(1)))
+	data, err := readAll(fs, filepath.Join(opt.Dir, segName(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +312,7 @@ func TestCorruptSnapshotIsReportedNotFatal(t *testing.T) {
 	fs := faultfs.Mem()
 	opt := testOpts(fs)
 	l, _, _ := collect(t, opt)
-	if err := l.WriteSnapshot(3, []byte("good")); err != nil {
+	if err := writeSnap(l, 3, "good"); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -297,12 +323,121 @@ func TestCorruptSnapshotIsReportedNotFatal(t *testing.T) {
 	}
 	f.Write([]byte("XXXX")) //nolint:errcheck
 	f.Close()
-	_, _, found, err := LoadSnapshot(opt)
+	_, _, found, err := loadSnap(opt)
 	if found {
 		t.Fatal("corrupt snapshot reported as found")
 	}
 	if !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestSnapshotSectionsValidated writes a three-section snapshot and
+// damages it every way the format is meant to catch: each must be
+// reported corrupt, and only after the sections before the damage were
+// delivered — the reason a caller that applies sections reads twice.
+func TestSnapshotSectionsValidated(t *testing.T) {
+	fs := faultfs.Mem()
+	opt := testOpts(fs)
+	l, _, _ := collect(t, opt)
+	defer l.Close()
+	if err := writeSnap(l, 9, "alpha", "bravo-bravo", "charlie"); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Snapshots != 1 || st.SnapshotBytes == 0 || l.SnapshotLSN() != 9 {
+		t.Fatalf("after one snapshot: stats %+v, snapshot lsn %d", st, l.SnapshotLSN())
+	}
+	path := filepath.Join(opt.Dir, SnapshotName)
+	good, err := readAll(fs, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(good)) != l.Stats().SnapshotBytes {
+		t.Fatalf("snapshot file is %d bytes, stats count %d", len(good), l.Stats().SnapshotBytes)
+	}
+	if payload, lsn, found, err := loadSnap(opt); err != nil || !found || lsn != 9 || string(payload) != "alpha|bravo-bravo|charlie" {
+		t.Fatalf("intact snapshot = (%q, %d, %v, %v)", payload, lsn, found, err)
+	}
+	// Offsets: header, then len|crc|payload per section, then the trailer.
+	sec2 := snapHeader + 8 + len("alpha")
+	sec3 := sec2 + 8 + len("bravo-bravo")
+	trailer := sec3 + 8 + len("charlie")
+	flip := func(at int) []byte {
+		b := append([]byte(nil), good...)
+		b[at] ^= 0x40
+		return b
+	}
+	cases := []struct {
+		name      string
+		data      []byte
+		delivered string // sections handed out before the damage shows
+	}{
+		{"bad magic", flip(3), ""},
+		{"flipped payload byte", flip(sec2 + 8 + 2), "alpha"},
+		{"flipped section checksum", flip(sec3 + 5), "alpha|bravo-bravo"},
+		{"section length past the file", flip(sec2 + 3), "alpha"},
+		{"cut at a section boundary", good[:sec3], "alpha|bravo-bravo"},
+		{"cut inside a section", good[:sec3+10], "alpha|bravo-bravo"},
+		{"trailer missing", good[:trailer], "alpha|bravo-bravo|charlie"},
+		{"trailer cut short", good[:len(good)-3], "alpha|bravo-bravo|charlie"},
+		{"trailer section count", flip(trailer + 4), "alpha|bravo-bravo|charlie"},
+		{"trailer file length", flip(trailer + 8), "alpha|bravo-bravo|charlie"},
+		{"trailer checksum", flip(len(good) - 1), "alpha|bravo-bravo|charlie"},
+		{"trailing garbage", append(append([]byte(nil), good...), 'x'), "alpha|bravo-bravo|charlie"},
+		{"empty file", nil, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(tc.data) //nolint:errcheck
+			f.Close()
+			payload, _, found, err := loadSnap(opt)
+			if found || !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("found=%v err=%v, want ErrSnapshotCorrupt", found, err)
+			}
+			if string(payload) != tc.delivered {
+				t.Fatalf("delivered %q before the error, want %q", payload, tc.delivered)
+			}
+		})
+	}
+}
+
+// TestSnapshotLegacyFormatLoads: a file in the pre-section layout
+// (SSDWSNP1: one length, one checksum, one payload) loads as a single
+// section.
+func TestSnapshotLegacyFormatLoads(t *testing.T) {
+	fs := faultfs.Mem()
+	opt := testOpts(fs)
+	l, _, _ := collect(t, opt)
+	l.Close()
+	payload := []byte("whole-store-in-one-piece")
+	file := append([]byte("SSDWSNP1"), 42, 0, 0, 0, 0, 0, 0, 0)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
+	file = append(file, payload...)
+	write := func(b []byte) {
+		f, err := fs.OpenFile(filepath.Join(opt.Dir, SnapshotName), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(b) //nolint:errcheck
+		f.Close()
+	}
+	write(file)
+	if got, lsn, found, err := loadSnap(opt); err != nil || !found || lsn != 42 || !bytes.Equal(got, payload) {
+		t.Fatalf("legacy snapshot = (%q, %d, %v, %v)", got, lsn, found, err)
+	}
+	write(file[:len(file)-1])
+	if _, _, found, err := loadSnap(opt); found || !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("truncated legacy snapshot: found=%v err=%v", found, err)
+	}
+	file[len(file)-1] ^= 1
+	write(file)
+	if _, _, found, err := loadSnap(opt); found || !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("legacy snapshot with a flipped byte: found=%v err=%v", found, err)
 	}
 }
 
@@ -345,13 +480,13 @@ func TestOpenOnRealFilesystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot(4, []byte("disk-snap")); err != nil {
+	if err := writeSnap(l, 4, "disk-snap"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	payload, lsn, found, err := LoadSnapshot(opt)
+	payload, lsn, found, err := loadSnap(opt)
 	if err != nil || !found || lsn != 4 || string(payload) != "disk-snap" {
 		t.Fatalf("snapshot = (%q, %d, %v, %v)", payload, lsn, found, err)
 	}
