@@ -12,10 +12,78 @@ import (
 	"sort"
 )
 
-// AUC returns the area under the ROC curve computed by the rank
-// (Mann-Whitney U) method with midrank handling of tied scores. It
-// returns 0.5 when either class is absent.
+// AUC returns the area under the ROC curve: the Mann-Whitney U statistic
+// — positive/negative pairs the scores order correctly, plus half the
+// tied pairs — over the number of pairs. It returns 0.5 when either
+// class is absent.
+//
+// It sorts the smaller class once and places each score of the larger
+// class in it by binary search, counting pairs as integers. U is a
+// whole number of half-pairs, exact in float64, so the result equals
+// the midrank rank-sum method (aucRanks) bit for bit. Scores holding a
+// NaN, which has no place in a sorted order, are left to aucRanks.
 func AUC(scores []float64, y []int8) float64 {
+	var nPos int
+	for i, s := range scores {
+		if s != s {
+			return aucRanks(scores, y)
+		}
+		if y[i] == 1 {
+			nPos++
+		}
+	}
+	nNeg := len(scores) - nPos
+	if nPos == 0 || nNeg == 0 {
+		return 0.5
+	}
+	smallPos := nPos <= nNeg
+	small := make([]float64, 0, min(nPos, nNeg))
+	for i, s := range scores {
+		if (y[i] == 1) == smallPos {
+			small = append(small, s)
+		}
+	}
+	slices.Sort(small)
+	// Per score of the larger class: lo small-class scores below it,
+	// hi-lo equal to it, len(small)-hi above it.
+	var wins, ties int
+	for i, s := range scores {
+		if (y[i] == 1) == smallPos {
+			continue
+		}
+		hi := countNotAbove(small, s)
+		lo := hi
+		if hi > 0 && small[hi-1] == s {
+			lo, _ = slices.BinarySearch(small[:hi], s)
+		}
+		if smallPos {
+			wins += len(small) - hi // positives above this negative
+		} else {
+			wins += lo // negatives below this positive
+		}
+		ties += hi - lo
+	}
+	return (float64(wins) + float64(ties)/2) / (float64(nPos) * float64(nNeg))
+}
+
+// countNotAbove returns how many elements of the ascending slice a are
+// at most x.
+func countNotAbove(a []float64, x float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// aucRanks is AUC by the rank-sum (Mann-Whitney U) method with midrank
+// handling of tied scores: one sort of every score.
+func aucRanks(scores []float64, y []int8) float64 {
 	type pair struct {
 		score float64
 		pos   bool

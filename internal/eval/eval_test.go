@@ -42,6 +42,42 @@ func TestAUCMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// Property: the counting AUC equals the rank-sum AUC bit for bit — on
+// few or many distinct scores (ties within and across classes), all
+// scores equal, signed zeros, one class absent, a NaN (which takes the
+// rank-sum path), and either class in the minority.
+func TestAUCMatchesRanksProperty(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := fleetsim.NewRNG(seed)
+		n := 1 + int(seed%300)
+		posRate := []float64{0, 0.03, 0.5, 0.97, 1}[seed%5]
+		levels := []float64{1, 4, 50, 1 << 30}[(seed/5)%4]
+		scores := make([]float64, n)
+		y := make([]int8, n)
+		for i := range scores {
+			scores[i] = math.Round(rng.Float64()*levels) / levels
+			if scores[i] == 0 && rng.Intn(2) == 0 {
+				scores[i] = math.Copysign(0, -1)
+			}
+			if rng.Float64() < posRate {
+				y[i] = 1
+			}
+		}
+		if seed%7 == 0 {
+			scores[rng.Intn(n)] = math.NaN()
+		}
+		got, want := AUC(scores, y), aucRanks(scores, y)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Logf("seed %d: AUC %v, rank-sum %v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: trapezoid AUC of the ROC curve equals the rank AUC.
 func TestROCTrapezoidMatchesRankAUC(t *testing.T) {
 	prop := func(seed uint64) bool {

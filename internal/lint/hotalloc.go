@@ -46,6 +46,9 @@ var hotPathFuncs = map[string]map[string]bool{
 	"internal/ml/neuralnet": {"Model.Score": true},
 	"internal/ml/logreg":    {"Model.Score": true},
 	"internal/ml/svm":       {"Model.Score": true},
+	// The SIMD kernels' wrappers, called once per scan chunk and per
+	// layer under those Score methods.
+	"internal/ml/vec": {"SqDists": true, "Affine": true},
 	"internal/trace": {
 		"AppendFrame": true,
 		"BeginFrame":  true,

@@ -3,15 +3,23 @@
 // voting. At this feature width (33) and training size (a few hundred
 // rows) a KD-tree visited 72 % of the stored points per query, so the
 // flat scan does the same arithmetic without the tree's bookkeeping.
+//
+// On hosts with AVX2 the scan runs in internal/ml/vec's kernel, eight
+// rows per pass with one row per SIMD lane, over rows stored in blocks
+// of four interleaved by feature; elsewhere it is a scalar loop over
+// row-major rows, four rows per pass. Every distance is the same
+// left-to-right sum on both paths, so the scores are bit-identical.
 package knn
 
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sync"
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/ml"
+	"ssdfail/internal/ml/vec"
 )
 
 // Config holds the k-NN hyperparameters.
@@ -24,12 +32,16 @@ func DefaultConfig() Config { return Config{K: 15} }
 
 // Model is a fitted k-NN classifier.
 type Model struct {
-	cfg     Config
-	scaler  *dataset.Scaler
-	pts     []float64 // standardized training rows, row-major, stride w
-	labels  []int8
-	w       int
-	scratch *sync.Pool // *scratch sized for the fitted rows, one per concurrent Score
+	cfg    Config
+	scaler *dataset.Scaler
+	// The standardized training rows, in one of two layouts: pts,
+	// row-major with stride w, for the scalar scan; or blocks, four rows
+	// interleaved by feature (vec.Interleave4), for the AVX2 kernel.
+	// Fit fills exactly one; both are padded with rows at infinity.
+	pts, blocks []float64
+	labels      []int8
+	w           int
+	scratch     *sync.Pool // *scratch sized for the fitted rows, one per concurrent Score
 }
 
 // neighbor is one of the k best so far.
@@ -42,6 +54,7 @@ type neighbor struct {
 type scratch struct {
 	q    []float64  // the standardized query
 	best []neighbor // ascending by (dist, idx); capacity min(K, stored points)
+	dist [chunkRows]float64
 }
 
 // New returns an unfitted model.
@@ -63,12 +76,29 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 		return errors.New("knn: empty training set")
 	}
 	m.scaler = dataset.FitScaler(data)
-	scaled := m.scaler.Apply(data)
-	m.pts, m.w = scaled.X, scaled.W()
-	// The scan takes rows four at a time: pad to a whole block with rows
-	// at infinity, which are nearer to no query than any bound.
-	for len(m.pts)%(4*m.w) != 0 {
-		m.pts = append(m.pts, math.Inf(1))
+	w := data.W()
+	// The scan takes rows four (scalar) or eight (kernel) at a time: pad
+	// to a whole pass with rows at infinity, which are nearer to no query
+	// than any bound.
+	kernel := vec.AVX2
+	pass := 4
+	if kernel {
+		pass = 8
+	}
+	pts := make([]float64, (n+pass-1)/pass*pass*w)
+	copy(pts, data.X)
+	for i := 0; i < n; i++ {
+		m.scaler.Transform(pts[i*w : (i+1)*w])
+	}
+	for i := n * w; i < len(pts); i++ {
+		pts[i] = math.Inf(1)
+	}
+	m.w = w
+	if kernel {
+		m.pts, m.blocks = nil, make([]float64, len(pts))
+		vec.Interleave4(m.blocks, pts, w)
+	} else {
+		m.pts, m.blocks = pts, nil
 	}
 	m.labels = append([]int8(nil), data.Y...)
 	k := m.cfg.K
@@ -78,7 +108,6 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 	if k > n {
 		k = n
 	}
-	w := m.w
 	m.scratch = &sync.Pool{New: func() any {
 		return &scratch{q: make([]float64, w), best: make([]neighbor, k)}
 	}}
@@ -91,14 +120,20 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 // the vote is summed in that order, so the score depends on neither
 // scan order nor goroutine.
 func (m *Model) Score(x []float64) float64 {
-	if m.pts == nil {
+	if m.labels == nil {
 		return 0.5
 	}
 	sc := m.scratch.Get().(*scratch)
 	copy(sc.q, x)
 	m.scaler.Transform(sc.q)
+	var best []neighbor
+	if m.blocks != nil {
+		best = m.nearestBlocks(sc.q, sc.best, &sc.dist)
+	} else {
+		best = m.nearest(sc.q, sc.best)
+	}
 	var wPos, wAll float64
-	for _, nb := range m.nearest(sc.q, sc.best) {
+	for _, nb := range best {
 		w := 1 / (1e-9 + nb.dist)
 		wAll += w
 		if m.labels[nb.idx] == 1 {
@@ -112,10 +147,12 @@ func (m *Model) Score(x []float64) float64 {
 	return wPos / wAll
 }
 
-// cutDims is where the scan compares partial distances with the current
-// k-th best and drops the points already beyond it. On the Table 6
-// folds a block of four is dropped there 37 % of the time; any cut from
-// 6 to 12 saves the same arithmetic within 2 %, and a later one less.
+// cutDims is where the scan compares partial distances with the k-th
+// best and drops the points already beyond it. On the train_grid folds
+// (~280 stored rows, 33 features) 60 % of rows have reached the live
+// k-th best by then; the scalar scan drops a block of four 37 % of the
+// time, the kernel (bound as of its chunk's start) a pass of eight 23 %.
+// Cuts of 6 and 12 time the same within noise.
 const cutDims = 8
 
 // topK holds the k best neighbors found so far, ascending by
@@ -150,7 +187,9 @@ func (t *topK) add(d float64, i int) float64 {
 // left-to-right sum of squared differences; four rows are summed per
 // pass so their additions overlap, and a block whose partial sums all
 // reach the k-th best already is abandoned (squares only grow the sum,
-// and a later row loses a tie to an earlier one).
+// and a later row loses a tie to an earlier one). Each square is
+// rounded before it is added (the float64 conversion forbids a fused
+// multiply-add), as in the kernel nearestBlocks runs.
 func (m *Model) nearest(q []float64, best []neighbor) []neighbor {
 	w := m.w
 	q = q[:w]
@@ -162,18 +201,48 @@ func (m *Model) nearest(q []float64, best []neighbor) []neighbor {
 		var s0, s1, s2, s3 float64
 		for j := 0; j < cut; j++ {
 			d0, d1, d2, d3 := q[j]-p0[j], q[j]-p1[j], q[j]-p2[j], q[j]-p3[j]
-			s0, s1, s2, s3 = s0+d0*d0, s1+d1*d1, s2+d2*d2, s3+d3*d3
+			s0, s1, s2, s3 = s0+float64(d0*d0), s1+float64(d1*d1), s2+float64(d2*d2), s3+float64(d3*d3)
 		}
 		if s0 >= bound && s1 >= bound && s2 >= bound && s3 >= bound {
 			continue
 		}
 		for j := cut; j < w; j++ {
 			d0, d1, d2, d3 := q[j]-p0[j], q[j]-p1[j], q[j]-p2[j], q[j]-p3[j]
-			s0, s1, s2, s3 = s0+d0*d0, s1+d1*d1, s2+d2*d2, s3+d3*d3
+			s0, s1, s2, s3 = s0+float64(d0*d0), s1+float64(d1*d1), s2+float64(d2*d2), s3+float64(d3*d3)
 		}
 		for j, d := range [4]float64{s0, s1, s2, s3} {
 			if d < bound {
 				bound = t.add(d, i+j)
+			}
+		}
+	}
+	return best[:t.found]
+}
+
+// chunkRows is how many rows nearestBlocks hands the kernel per call,
+// the most its row mask holds: the kernel prunes with the k-th best as
+// it stood at the start of the chunk, and the bound tightens between
+// calls.
+const chunkRows = 64
+
+// nearestBlocks is nearest over the interleaved rows, distances from
+// vec.SqDists a chunk at a time. A value the kernel wrote is below the
+// bound exactly when the row's full distance is, and then equals it; the
+// rows it masks as below its bound are visited in row order with the
+// same d < bound test, so the same neighbors are picked.
+func (m *Model) nearestBlocks(q []float64, best []neighbor, dist *[chunkRows]float64) []neighbor {
+	w := m.w
+	q = q[:w]
+	cut := min(cutDims, w)
+	t := topK{best: best}
+	bound := math.Inf(1)
+	rows := len(m.blocks) / w
+	for lo := 0; lo < rows; lo += chunkRows {
+		d := dist[:min(chunkRows, rows-lo)]
+		for below := vec.SqDists(d, q, m.blocks[lo*w:(lo+len(d))*w], cut, bound); below != 0; below &= below - 1 {
+			j := bits.TrailingZeros64(below)
+			if d[j] < bound {
+				bound = t.add(d[j], lo+j)
 			}
 		}
 	}

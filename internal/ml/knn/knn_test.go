@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -8,7 +9,19 @@ import (
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/mltest"
+	"ssdfail/internal/ml/vec"
 )
+
+// bothPaths runs f on the AVX2 kernel, where the host has one, and then
+// on the scalar scan, by clearing vec.AVX2 around the second run.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	if vec.AVX2 {
+		t.Run("avx2", f)
+		vec.AVX2 = false
+		defer func() { vec.AVX2 = true }()
+	}
+	t.Run("scalar", f)
+}
 
 func TestLearnsSeparableBlobs(t *testing.T) {
 	train := mltest.TwoBlobs(300, 3, 1)
@@ -86,7 +99,7 @@ func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
 		var s float64
 		for f, v := range pts.Row(i) {
 			d := q[f] - v
-			s += d * d
+			s += float64(d * d)
 		}
 		hits[i] = hit{s, i}
 	}
@@ -113,8 +126,11 @@ func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
 // times, two under each label — so the k-th place usually falls
 // inside a group of equal distances and only the (distance, row index)
 // order picks the right labels — and with K below 1 (the default),
-// small, and above the number of stored points.
-func TestScoreMatchesReference(t *testing.T) {
+// small, and above the number of stored points. It runs on both scan
+// paths.
+func TestScoreMatchesReference(t *testing.T) { bothPaths(t, testScoreMatchesReference) }
+
+func testScoreMatchesReference(t *testing.T) {
 	check := func(seed uint64, w, k int) bool {
 		rng := fleetsim.NewRNG(seed)
 		train := &dataset.Matrix{}
@@ -169,6 +185,43 @@ func TestScoreMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPathsAgreeOnNonFiniteQueries scores queries holding NaN, ±Inf and
+// values whose squares overflow on both scan paths: every distance is
+// then +Inf or NaN for some rows, none of which may become a neighbor,
+// and the two paths must still agree bit for bit.
+func TestPathsAgreeOnNonFiniteQueries(t *testing.T) {
+	if !vec.AVX2 {
+		t.Skip("no AVX2 kernel on this host; the scalar scan is the only path")
+	}
+	train := mltest.TwoBlobs(101, 2, 4)
+	kernel := New(DefaultConfig())
+	if err := kernel.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	vec.AVX2 = false
+	scalar := New(DefaultConfig())
+	err := scalar.Fit(train)
+	vec.AVX2 = true
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := fleetsim.NewRNG(9)
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -1e200}
+	q := make([]float64, train.W())
+	for trial := 0; trial < 200; trial++ {
+		for f := range q {
+			q[f] = rng.NormFloat64()
+			if rng.Intn(64) == 0 {
+				q[f] = odd[rng.Intn(len(odd))]
+			}
+		}
+		a, b := kernel.Score(q), scalar.Score(q)
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("trial %d: kernel path %v, scalar path %v", trial, a, b)
+		}
 	}
 }
 

@@ -1,6 +1,12 @@
 // Package neuralnet implements a small multilayer perceptron for binary
 // classification: fully connected layers with ReLU activations, a
 // logistic output, binary cross-entropy loss, and Adam optimization.
+//
+// On hosts with AVX2 the forward pass of every layer with four or more
+// units runs in internal/ml/vec's kernel, one unit per SIMD lane, over
+// a copy of the weights interleaved four units at a time; elsewhere it
+// is a scalar loop, four units per pass. Each unit's sum has the same
+// order on both paths, so scores and fitted weights are bit-identical.
 package neuralnet
 
 import (
@@ -11,6 +17,7 @@ import (
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
+	"ssdfail/internal/ml/vec"
 )
 
 // Config holds the MLP hyperparameters. Hidden layer sizes are the knob
@@ -34,6 +41,10 @@ type layer struct {
 	in, out int
 	w       []float64 // out x in, row-major
 	b       []float64
+	// wi is w's first out/4*4 rows interleaved four at a time
+	// (vec.Interleave4) for the AVX2 forward kernel; nil on the scalar
+	// path. It is refreshed from w after every update.
+	wi []float64
 	// Adam moments.
 	mw, vw []float64
 	mb, vb []float64
@@ -51,7 +62,18 @@ func newLayer(in, out int, rng *fleetsim.RNG) *layer {
 	for i := range l.w {
 		l.w[i] = rng.NormFloat64() * scale
 	}
+	if vec.AVX2 && out >= 4 {
+		l.wi = make([]float64, out/4*4*in)
+		l.interleave()
+	}
 	return l
+}
+
+// interleave refreshes the kernel's copy of the weights.
+func (l *layer) interleave() {
+	if l.wi != nil {
+		vec.Interleave4(l.wi, l.w[:len(l.wi)], l.in)
+	}
 }
 
 // Model is a trained MLP.
@@ -89,15 +111,22 @@ func (m *Model) newBuffers() *forwardBuffers {
 }
 
 // forward runs the network on fb.acts[0], filling activations; the final
-// activation (single unit) is returned as a probability. Four output
-// units are summed per pass over the input so their additions overlap;
-// each unit's sum keeps its order, bias first and then the inputs left
-// to right.
+// activation (single unit) is returned as a probability. Each unit's sum
+// keeps one order, bias first and then w*x input by input, each product
+// rounded before it is added (the float64 conversion forbids a fused
+// multiply-add, as the kernel uses none). The units of a layer's
+// interleaved weights are summed by the kernel; the scalar loop sums
+// four units per pass so their additions overlap, then the rest one by
+// one.
 func (m *Model) forward(fb *forwardBuffers) float64 {
 	for li, l := range m.layers {
 		in := fb.acts[li][:l.in]
 		out := fb.acts[li+1][:l.out]
 		o := 0
+		if l.wi != nil {
+			o = len(l.wi) / l.in
+			vec.Affine(out[:o], l.b, l.wi, in)
+		}
 		for ; o+4 <= l.out; o += 4 {
 			r0 := l.w[(o+0)*l.in:][:len(in)]
 			r1 := l.w[(o+1)*l.in:][:len(in)]
@@ -105,10 +134,10 @@ func (m *Model) forward(fb *forwardBuffers) float64 {
 			r3 := l.w[(o+3)*l.in:][:len(in)]
 			s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
 			for i, v := range in {
-				s0 += r0[i] * v
-				s1 += r1[i] * v
-				s2 += r2[i] * v
-				s3 += r3[i] * v
+				s0 += float64(r0[i] * v)
+				s1 += float64(r1[i] * v)
+				s2 += float64(r2[i] * v)
+				s3 += float64(r3[i] * v)
 			}
 			out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
 		}
@@ -116,7 +145,7 @@ func (m *Model) forward(fb *forwardBuffers) float64 {
 			s := l.b[o]
 			row := l.w[o*l.in:][:len(in)]
 			for i, v := range in {
-				s += row[i] * v
+				s += float64(row[i] * v)
 			}
 			out[o] = s
 		}
@@ -240,6 +269,7 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 					l.vb[o] = beta2*l.vb[o] + (1-beta2)*g*g
 					l.b[o] -= lr * (l.mb[o] / bc1) / (math.Sqrt(l.vb[o]/bc2) + eps)
 				}
+				l.interleave()
 			}
 		}
 	}

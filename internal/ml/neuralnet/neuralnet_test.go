@@ -6,7 +6,19 @@ import (
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/mltest"
+	"ssdfail/internal/ml/vec"
 )
+
+// bothPaths runs f on the AVX2 kernel, where the host has one, and then
+// on the scalar loops, by clearing vec.AVX2 around the second run.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	if vec.AVX2 {
+		t.Run("avx2", f)
+		vec.AVX2 = false
+		defer func() { vec.AVX2 = true }()
+	}
+	t.Run("scalar", f)
+}
 
 func TestLearnsSeparableBlobs(t *testing.T) {
 	train := mltest.TwoBlobs(300, 3, 1)
@@ -108,7 +120,7 @@ func naiveForward(m *Model, x []float64) float64 {
 		for o := range out {
 			s := l.b[o]
 			for i, v := range act {
-				s += l.w[o*l.in+i] * v
+				s += float64(l.w[o*l.in+i] * v)
 			}
 			if li < len(m.layers)-1 && s < 0 {
 				s = 0
@@ -120,13 +132,15 @@ func naiveForward(m *Model, x []float64) float64 {
 	return ml.Sigmoid(act[0])
 }
 
-// TestBlockedForwardMatchesNaive pins the four-units-per-pass forward to
-// the per-unit one bit for bit, on layer widths that are and are not
-// multiples of four.
-func TestBlockedForwardMatchesNaive(t *testing.T) {
+// TestBlockedForwardMatchesNaive pins the blocked forward — the kernel's
+// and the scalar loop's — to the per-unit one bit for bit, on layer
+// widths that are and are not multiples of four and of sixteen.
+func TestBlockedForwardMatchesNaive(t *testing.T) { bothPaths(t, testBlockedForwardMatchesNaive) }
+
+func testBlockedForwardMatchesNaive(t *testing.T) {
 	train := mltest.TwoBlobs(200, 2, 1)
 	test := mltest.TwoBlobs(100, 2, 2)
-	for _, hidden := range [][]int{{32, 16}, {7}, {6, 3}} {
+	for _, hidden := range [][]int{{32, 16}, {7}, {6, 3}, {20, 12, 5}} {
 		cfg := DefaultConfig()
 		cfg.Hidden = hidden
 		cfg.Epochs = 10
