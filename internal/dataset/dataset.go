@@ -10,6 +10,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 
 	"ssdfail/internal/failure"
 	"ssdfail/internal/fleetsim"
@@ -113,11 +114,14 @@ func (m *Matrix) Positives() int {
 	return n
 }
 
-// appendRow extracts the feature vector for one record.
+// appendRow extracts the feature vector for one record. It writes every
+// feature, so the row may land on reused capacity (after Reset) without
+// being zeroed first; Extract sizes the columns exactly, so there the
+// appends never grow.
 func (m *Matrix) appendRow(di int32, r, prev *trace.DayRecord, label int8) {
 	base := len(m.X)
-	m.X = append(m.X, make([]float64, NumFeatures)...)
-	x := m.X[base : base+NumFeatures]
+	m.X = slices.Grow(m.X, NumFeatures)[:base+NumFeatures]
+	x := m.X[base:]
 
 	x[FReadCount] = float64(r.Reads)
 	x[FWriteCount] = float64(r.Writes)
@@ -132,12 +136,8 @@ func (m *Matrix) appendRow(di int32, r, prev *trace.DayRecord, label int8) {
 		x[FBadBlockDelta] = float64(r.GrownBadBlocks)
 	}
 	x[FCumBadBlockCount] = float64(r.BadBlocks())
-	if r.Dead {
-		x[FStatusDead] = 1
-	}
-	if r.ReadOnly {
-		x[FStatusReadOnly] = 1
-	}
+	x[FStatusDead] = flag(r.Dead)
+	x[FStatusReadOnly] = flag(r.ReadOnly)
 	for k := 0; k < trace.NumErrorKinds; k++ {
 		x[FErrBase+k] = float64(r.Errors[k])
 		x[FCumErrBase+k] = float64(r.CumErrors[k])
@@ -149,6 +149,14 @@ func (m *Matrix) appendRow(di int32, r, prev *trace.DayRecord, label int8) {
 	m.DriveIdx = append(m.DriveIdx, di)
 	m.Day = append(m.Day, r.Day)
 	m.Age = append(m.Age, r.Age)
+}
+
+// flag encodes a status bit as a feature value.
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AppendFeatureRow appends the feature vector of a single record with a
@@ -169,6 +177,8 @@ type Options struct {
 	NegativeSampleProb float64
 	Seed               uint64
 	// IncludeDrive filters drives (fold selection); nil includes all.
+	// Extract calls it twice per drive (one counting pass, one filling
+	// pass), so it must be a pure function of the drive index.
 	IncludeDrive func(driveIdx int) bool
 	// AgeMin/AgeMax restrict rows to an age band (inclusive); use a
 	// negative AgeMax for no upper bound. This implements the paper's
@@ -185,14 +195,41 @@ type Options struct {
 // inside a reconstructed non-operational window (after a failure, before
 // the corresponding repair re-entry) are skipped, since those days are
 // after the event being predicted.
+//
+// The fleet is walked twice: once to count the kept rows, then again to
+// fill columns allocated at exactly that size, so no column ever grows.
 func Extract(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 	if o.Lookahead < 1 {
 		o.Lookahead = 1
 	}
+	n := 0
+	walkRows(f, an, &o, func(int, int, *trace.DayRecord, int8) { n++ })
+
 	m := &Matrix{}
 	if o.WindowDays > 0 {
 		m.Width = NumFeatures + NumWindowFeatures
 	}
+	m.X = make([]float64, 0, n*m.W())
+	m.Y = make([]int8, 0, n)
+	m.DriveIdx = make([]int32, 0, n)
+	m.Day = make([]int32, 0, n)
+	m.Age = make([]int32, 0, n)
+	walkRows(f, an, &o, func(di, j int, prev *trace.DayRecord, label int8) {
+		d := &f.Drives[di]
+		m.appendRow(int32(di), &d.Days[j], prev, label)
+		if o.WindowDays > 0 {
+			m.appendWindow(d, j, o.WindowDays)
+		}
+	})
+	return m
+}
+
+// walkRows calls emit for every row Extract keeps, in output order, with
+// the drive index, the record's index in the drive's Days, the drive's
+// previous report (nil for its first) and the row's label. Negative
+// sampling draws from an RNG seeded afresh from o.Seed on every walk, so
+// two walks under the same options visit the same rows.
+func walkRows(f *trace.Fleet, an *failure.Analysis, o *Options, emit func(di, j int, prev *trace.DayRecord, label int8)) {
 	rng := fleetsim.NewRNG(o.Seed ^ 0x5ca1ab1e)
 	keepNeg := o.NegativeSampleProb > 0 && o.NegativeSampleProb < 1
 
@@ -229,14 +266,10 @@ func Extract(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 				prev = r
 				continue
 			}
-			m.appendRow(int32(di), r, prev, label)
-			if o.WindowDays > 0 {
-				m.appendWindow(d, j, o.WindowDays)
-			}
+			emit(di, j, prev, label)
 			prev = r
 		}
 	}
-	return m
 }
 
 // inNonOpWindow reports whether day falls strictly inside any event's

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -296,14 +297,7 @@ func TestScalerEmptyAndConstant(t *testing.T) {
 func TestNonOpWindowRowsExcluded(t *testing.T) {
 	// Generate a real fleet and verify no emitted row falls in a
 	// reconstructed non-operational window.
-	cfg := fleetsim.DefaultConfig(5, 60)
-	cfg.HorizonDays = 900
-	cfg.EarlyWindow = 250
-	fleet, _, err := fleetsim.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := failure.Analyze(fleet)
+	fleet, an := oracleFleet(t)
 	m := Extract(fleet, an, Options{Lookahead: 2, AgeMax: -1})
 	for i := 0; i < m.Len(); i++ {
 		di := int(m.DriveIdx[i])
@@ -349,5 +343,163 @@ func TestLabelConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// extractAppending is the one-pass extraction Extract replaced: it grows
+// every column row by row. It is the reference the two-pass Extract must
+// reproduce byte for byte.
+func extractAppending(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
+	if o.Lookahead < 1 {
+		o.Lookahead = 1
+	}
+	m := &Matrix{}
+	if o.WindowDays > 0 {
+		m.Width = NumFeatures + NumWindowFeatures
+	}
+	rng := fleetsim.NewRNG(o.Seed ^ 0x5ca1ab1e)
+	keepNeg := o.NegativeSampleProb > 0 && o.NegativeSampleProb < 1
+	for di := range f.Drives {
+		if o.IncludeDrive != nil && !o.IncludeDrive(di) {
+			continue
+		}
+		d := &f.Drives[di]
+		events := an.PerDrive[di]
+		var prev *trace.DayRecord
+		ei := 0
+		for j := range d.Days {
+			r := &d.Days[j]
+			for ei < len(events) && an.Events[events[ei]].FailDay < r.Day {
+				ei++
+			}
+			if inNonOpWindow(an, events, r.Day) || r.Age < o.AgeMin || (o.AgeMax >= 0 && r.Age > o.AgeMax) {
+				prev = r
+				continue
+			}
+			var label int8
+			if ei < len(events) && an.Events[events[ei]].FailDay-r.Day < int32(o.Lookahead) {
+				label = 1
+			}
+			if label == 0 && keepNeg && !rng.Bernoulli(o.NegativeSampleProb) {
+				prev = r
+				continue
+			}
+			m.appendRow(int32(di), r, prev, label)
+			if o.WindowDays > 0 {
+				m.appendWindow(d, j, o.WindowDays)
+			}
+			prev = r
+		}
+	}
+	return m
+}
+
+// oracleFleet is a generated fleet large enough that every extraction
+// option keeps and drops rows.
+func oracleFleet(t *testing.T) (*trace.Fleet, *failure.Analysis) {
+	t.Helper()
+	cfg := fleetsim.DefaultConfig(5, 60)
+	cfg.HorizonDays = 900
+	cfg.EarlyWindow = 250
+	fleet, _, err := fleetsim.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet, failure.Analyze(fleet)
+}
+
+// TestExtractMatchesAppendingOracle holds the two-pass Extract to the
+// one-pass appending extraction across the option space, bit for bit,
+// and requires every column to be allocated at exactly its final size.
+func TestExtractMatchesAppendingOracle(t *testing.T) {
+	fleet, an := oracleFleet(t)
+	folds := Folds(len(fleet.Drives), 5, 3)
+	cases := map[string]Options{
+		"lookahead 1":    {Lookahead: 1, AgeMax: -1},
+		"lookahead 7":    {Lookahead: 7, AgeMax: -1},
+		"neg 0.2":        {Lookahead: 7, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 11},
+		"neg 1":          {Lookahead: 1, AgeMax: -1, NegativeSampleProb: 1, Seed: 11},
+		"fold filter":    {Lookahead: 1, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 5, IncludeDrive: func(di int) bool { return folds[di] != 2 }},
+		"age band":       {Lookahead: 7, AgeMin: 30, AgeMax: 400, NegativeSampleProb: 0.2, Seed: 5},
+		"window 7":       {Lookahead: 1, AgeMax: -1, WindowDays: 7},
+		"window and neg": {Lookahead: 7, AgeMax: -1, WindowDays: 7, NegativeSampleProb: 0.2, Seed: 9},
+	}
+	for name, o := range cases {
+		t.Run(name, func(t *testing.T) {
+			want, got := extractAppending(fleet, an, o), Extract(fleet, an, o)
+			if want.Len() == 0 {
+				t.Fatal("oracle extracted no rows")
+			}
+			if got.Width != want.Width || !slices.Equal(got.Y, want.Y) || !slices.Equal(got.DriveIdx, want.DriveIdx) ||
+				!slices.Equal(got.Day, want.Day) || !slices.Equal(got.Age, want.Age) {
+				t.Fatalf("width, labels or provenance differ from the appending oracle (%d vs %d rows)", got.Len(), want.Len())
+			}
+			if len(got.X) != len(want.X) {
+				t.Fatalf("X has %d values, oracle %d", len(got.X), len(want.X))
+			}
+			for i := range want.X {
+				if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+					t.Fatalf("X[%d] = %v, oracle %v", i, got.X[i], want.X[i])
+				}
+			}
+			if cap(got.X) != len(got.X) || cap(got.Y) != len(got.Y) || cap(got.DriveIdx) != len(got.DriveIdx) ||
+				cap(got.Day) != len(got.Day) || cap(got.Age) != len(got.Age) {
+				t.Errorf("columns have spare capacity: X %d/%d Y %d/%d DriveIdx %d/%d Day %d/%d Age %d/%d",
+					len(got.X), cap(got.X), len(got.Y), cap(got.Y), len(got.DriveIdx), cap(got.DriveIdx),
+					len(got.Day), cap(got.Day), len(got.Age), cap(got.Age))
+			}
+		})
+	}
+}
+
+// TestExtractAllocations pins Extract's allocation count: the matrix,
+// its five columns and the two walks' RNGs, whatever the row count. A
+// column grown row by row would take dozens of allocations here.
+func TestExtractAllocations(t *testing.T) {
+	fleet, an := oracleFleet(t)
+	o := Options{Lookahead: 7, AgeMax: -1, WindowDays: 7}
+	if rows := Extract(fleet, an, o).Len(); rows < 10000 {
+		t.Fatalf("fixture extracts only %d rows", rows)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { Extract(fleet, an, o) }); allocs > 10 {
+		t.Errorf("Extract allocates %v times per call, want at most 10", allocs)
+	}
+}
+
+// TestAppendFeatureRowReusesCapacity checks that a row written over
+// capacity left behind by Reset carries no stale values.
+func TestAppendFeatureRowReusesCapacity(t *testing.T) {
+	f, _ := smallFleet()
+	r := &f.Drives[0].Days[2]
+	var fresh Matrix
+	fresh.AppendFeatureRow(r, nil)
+
+	reused := Matrix{X: make([]float64, NumFeatures)}
+	for i := range reused.X {
+		reused.X[i] = math.NaN()
+	}
+	reused.Reset()
+	reused.AppendFeatureRow(r, nil)
+	for i, v := range fresh.X {
+		if math.Float64bits(reused.X[i]) != math.Float64bits(v) {
+			t.Fatalf("feature %d = %v on reused capacity, %v fresh", i, reused.X[i], v)
+		}
+	}
+}
+
+// BenchmarkExtract builds one base matrix of the train_grid benchmark:
+// its fleet, one lookahead, negatives thinned as the grid thins them.
+func BenchmarkExtract(b *testing.B) {
+	cfg := fleetsim.DefaultConfig(1, 150) // the train_grid fleet
+	fleet, _, err := fleetsim.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an := failure.Analyze(fleet)
+	o := Options{Lookahead: 1, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Extract(fleet, an, o)
 	}
 }

@@ -195,6 +195,87 @@ func TestEngineTinyCacheStillDeterministic(t *testing.T) {
 	}
 }
 
+// multiCellSpec is a four-cell grid: two scopes over the fixture fleet
+// times two lookaheads, one cheap classifier.
+func multiCellSpec(t *testing.T) Spec {
+	spec := testSpec(t)
+	f, an := fixture(t)
+	spec.Scopes = []Scope{{Name: "a", Fleet: f, An: an}, {Name: "b", Fleet: f, An: an}}
+	spec.Classifiers = spec.Classifiers[:1]
+	return spec
+}
+
+// TestScheduleOneCellAhead pins the submission order: a permutation of
+// the canonical tasks in which each cell's first task is submitted
+// before the second task of the cell ahead of it, so the next matrix
+// builds while the current one is in use.
+func TestScheduleOneCellAhead(t *testing.T) {
+	spec := multiCellSpec(t).normalized()
+	tasks := enumerate(&spec)
+	order := schedule(tasks)
+	pos := make([]int, len(tasks)) // submission position of each task
+	seen := make([]bool, len(tasks))
+	if len(order) != len(tasks) {
+		t.Fatalf("schedule has %d entries for %d tasks", len(order), len(tasks))
+	}
+	for p, i := range order {
+		if i < 0 || i >= len(tasks) || seen[i] {
+			t.Fatalf("schedule %v is not a permutation of %d tasks", order, len(tasks))
+		}
+		seen[i] = true
+		pos[i] = p
+	}
+	perCell := len(spec.Classifiers) * spec.Folds
+	cells := len(tasks) / perCell
+	if cells != 4 {
+		t.Fatalf("fixture has %d cells, want 4", cells)
+	}
+	for c := 0; c+1 < cells; c++ {
+		first, second, nextFirst := c*perCell, c*perCell+1, (c+1)*perCell
+		if pos[nextFirst] > pos[second] {
+			t.Errorf("cell %d's first task is submitted at %d, after cell %d's second at %d",
+				c+1, pos[nextFirst], c, pos[second])
+		}
+		if pos[first] > pos[nextFirst] {
+			t.Errorf("cell %d starts after cell %d", c, c+1)
+		}
+	}
+	// Within a cell the tasks keep their canonical order.
+	for i := 1; i < len(tasks); i++ {
+		if i%perCell != 0 && pos[i] < pos[i-1] {
+			t.Errorf("task %d submitted before task %d of the same cell", i, i-1)
+		}
+	}
+}
+
+// TestScheduleBuildsEachCellOnce: with the default cache budget the
+// overlapped builds still extract every cell's matrix exactly once, at
+// any worker count, and the table matches across worker counts.
+func TestScheduleBuildsEachCellOnce(t *testing.T) {
+	var ref []byte
+	for _, workers := range []int{1, 2, 4} {
+		spec := multiCellSpec(t)
+		spec.Workers = workers
+		res, err := Run(spec)
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		cells := int64(len(spec.Scopes) * len(spec.Lookaheads))
+		if res.Stats.CacheMisses != cells || res.Stats.CacheEvictions != 0 {
+			t.Errorf("workers=%d: %d cache misses and %d evictions, want %d and 0",
+				workers, res.Stats.CacheMisses, res.Stats.CacheEvictions, cells)
+		}
+		if table := res.AUCTable(); ref == nil {
+			ref = table
+		} else if !bytes.Equal(ref, table) {
+			t.Fatalf("workers=%d: AUC table differs from workers=1", workers)
+		}
+	}
+}
+
 // TestSplitRowsFoldHygiene checks the §5 methodology invariants on the
 // engine's row splitter: train and test never share a drive, test holds
 // exactly the fold's rows, and downsampling keeps every positive.
@@ -234,6 +315,10 @@ func TestSplitRowsFoldHygiene(t *testing.T) {
 		}
 		if len(test) != wantTest {
 			t.Fatalf("fold %d: test has %d rows, want %d", k, len(test), wantTest)
+		}
+		if cap(train) != len(train) || cap(test) != len(test) {
+			t.Errorf("fold %d: row lists not allocated at their final size: train %d/%d test %d/%d",
+				k, len(train), cap(train), len(test), cap(test))
 		}
 		gotPos := 0
 		for _, i := range train {

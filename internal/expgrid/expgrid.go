@@ -147,9 +147,9 @@ type task struct {
 }
 
 // enumerate lists the grid's tasks in canonical order: scope-major, then
-// lookahead, classifier, fold. Grouping a cell's tasks together maximizes
-// matrix-cache locality under the LRU bound; the order has no effect on
-// results, only on scheduling.
+// lookahead, classifier, fold, so each (scope, lookahead) cell's tasks
+// are contiguous. The order fixes result slots, never seeds (those come
+// from the keys); Run submits the tasks in the order schedule gives.
 func enumerate(s *Spec) []task {
 	var out []task
 	for si, sc := range s.Scopes {
@@ -166,6 +166,36 @@ func enumerate(s *Spec) []task {
 		}
 	}
 	return out
+}
+
+// schedule returns the submission order of the canonically ordered
+// tasks, as indices into them: the first task of cell c+1 goes right
+// after the first task of cell c, ahead of the rest of cell c. A free
+// worker then builds the next cell's matrix while the others train on
+// the current one, instead of queueing on the same single-flight build,
+// and submission never runs more than one cell ahead.
+func schedule(tasks []task) []int {
+	var starts []int // index of each cell's first task
+	for i := range tasks {
+		if i == 0 || tasks[i].scopeIdx != tasks[i-1].scopeIdx || tasks[i].key.Lookahead != tasks[i-1].key.Lookahead {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(tasks))
+	order := make([]int, 0, len(tasks))
+	for c, first := range starts[:len(starts)-1] {
+		if c == 0 {
+			order = append(order, first)
+		}
+		next := starts[c+1]
+		if next < len(tasks) {
+			order = append(order, next)
+		}
+		for i := first + 1; i < next; i++ {
+			order = append(order, i)
+		}
+	}
+	return order
 }
 
 // cellKey is the matrix-cache key of a (scope, lookahead) cell under the
@@ -201,26 +231,33 @@ func buildBase(s *Spec, sc *Scope, lookahead int) (*dataset.Matrix, error) {
 // per-row hashing. Row decisions depend only on (sampleSeed, row index),
 // never on visit order.
 func splitRows(m *dataset.Matrix, folds []int, k int, sampleSeed uint64, ratio float64) (train, test []int) {
-	var pos, neg int
+	var pos, neg, nTest int
 	for i := 0; i < m.Len(); i++ {
-		if folds[m.DriveIdx[i]] != k {
-			if m.Y[i] == 1 {
-				pos++
-			} else {
-				neg++
-			}
+		switch {
+		case folds[m.DriveIdx[i]] == k:
+			nTest++
+		case m.Y[i] == 1:
+			pos++
+		default:
+			neg++
 		}
 	}
 	p := 1.0
 	if ratio > 0 && neg > 0 {
 		p = float64(pos) * ratio / float64(neg)
 	}
+	keep := func(i int) bool { return m.Y[i] == 1 || p >= 1 || hash01(sampleSeed, i) < p }
+	nTrain := 0
+	for i := 0; i < m.Len(); i++ {
+		if folds[m.DriveIdx[i]] != k && keep(i) {
+			nTrain++
+		}
+	}
+	train, test = make([]int, 0, nTrain), make([]int, 0, nTest)
 	for i := 0; i < m.Len(); i++ {
 		if folds[m.DriveIdx[i]] == k {
 			test = append(test, i)
-			continue
-		}
-		if m.Y[i] == 1 || p >= 1 || hash01(sampleSeed, i) < p {
+		} else if keep(i) {
 			train = append(train, i)
 		}
 	}
@@ -247,7 +284,7 @@ func Run(spec Spec) (*Result, error) {
 	results := make([]TaskResult, len(tasks))
 	start := time.Now() //ssdlint:allow nondeterminism wall time feeds only throughput Stats, never task results
 	pool := parallel.NewPool(spec.Workers)
-	for i := range tasks {
+	for _, i := range schedule(tasks) {
 		i := i
 		pool.Submit(func() {
 			results[i] = runTask(&spec, cache, scopeFolds, tasks[i])

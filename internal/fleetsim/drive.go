@@ -2,6 +2,7 @@ package fleetsim
 
 import (
 	"math"
+	"sync"
 
 	"ssdfail/internal/trace"
 )
@@ -253,9 +254,18 @@ func (st *driveState) growBadBlocks(e *[trace.NumErrorKinds]uint32) {
 	}
 }
 
+// dayBufs holds per-goroutine scratch for simulateDrive: a drive's
+// reports are appended into a reused buffer and copied out once, at
+// their final length, so the fleet holds no spare capacity.
+var dayBufs = sync.Pool{New: func() any { return new([]trace.DayRecord) }}
+
 // simulateDrive generates the full observational record and ground truth
-// for one drive. The RNG must be exclusive to this drive.
+// for one drive. The RNG must be exclusive to this drive. Days holds
+// exactly the drive's reports (cap == len), and stays nil when the drive
+// never reports.
 func simulateDrive(fc *FleetConfig, cfg *ModelConfig, id uint32, rng *RNG) (trace.Drive, DriveTruth) {
+	buf := dayBufs.Get().(*[]trace.DayRecord)
+	days := (*buf)[:0]
 	st := &driveState{cfg: cfg, rng: rng}
 	st.activity = rng.LogNormal(0, cfg.ActivitySigma)
 	st.errProne = rng.LogNormal(0, cfg.ErrorProneSigma)
@@ -346,7 +356,7 @@ func simulateDrive(fc *FleetConfig, cfg *ModelConfig, id uint32, rng *RNG) (trac
 				st.readOnly = true
 			}
 			if rng.Bernoulli(cfg.ReportProb) || day == failDay {
-				d.Days = append(d.Days, st.record(day, age, reads, writes, erases, errs))
+				days = append(days, st.record(day, age, reads, writes, erases, errs))
 			}
 		}
 		if failDay >= fc.HorizonDays {
@@ -374,7 +384,7 @@ func simulateDrive(fc *FleetConfig, cfg *ModelConfig, id uint32, rng *RNG) (trac
 			if rng.Bernoulli(cfg.ReportProb) {
 				rec := st.record(dd, dd-arrival, 0, 0, 0, [trace.NumErrorKinds]uint32{})
 				rec.Dead = true
-				d.Days = append(d.Days, rec)
+				days = append(days, rec)
 			}
 		}
 
@@ -410,6 +420,12 @@ func simulateDrive(fc *FleetConfig, cfg *ModelConfig, id uint32, rng *RNG) (trac
 		day = returnDay
 	}
 
+	if len(days) > 0 {
+		d.Days = make([]trace.DayRecord, len(days))
+		copy(d.Days, days)
+	}
+	*buf = days
+	dayBufs.Put(buf)
 	return d, truth
 }
 

@@ -97,6 +97,35 @@ func TestGenerateByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestGenerateDaysExactAndUnshared pins the exact-size copy out of the
+// pooled per-goroutine scratch: every drive's Days has no spare
+// capacity, and no two drives share backing memory — a write through
+// one drive's Days is seen by no other drive.
+func TestGenerateDaysExactAndUnshared(t *testing.T) {
+	cfg := testConfig(7, 30)
+	cfg.Workers = 4
+	fleet, _, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fleet.Drives {
+		d := &fleet.Drives[i]
+		if cap(d.Days) != len(d.Days) {
+			t.Fatalf("drive %d: Days len %d cap %d", d.ID, len(d.Days), cap(d.Days))
+		}
+		for j := range d.Days {
+			d.Days[j].Day = -int32(i) - 1
+		}
+	}
+	for i := range fleet.Drives {
+		for _, r := range fleet.Drives[i].Days {
+			if r.Day != -int32(i)-1 {
+				t.Fatalf("drive %d holds a record written through drive %d's Days", i, -r.Day-1)
+			}
+		}
+	}
+}
+
 func TestGenerateSeedsDiffer(t *testing.T) {
 	f1, _, err := Generate(testConfig(1, 10))
 	if err != nil {
@@ -494,6 +523,18 @@ func TestFailDayIsLastActiveDay(t *testing.T) {
 						d.ID, r.Day, ft.FailDay, ft.SwapDay)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkGenerate simulates the train_grid benchmark's fleet: 150
+// drives per model over the default horizon.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig(1, 150)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,11 +2,16 @@
 // classification with Gini impurity, depth and leaf-size controls, and
 // per-feature random candidate subsets (the building block the random
 // forest reuses).
+//
+// Features must be finite: split search sorts (value, label) pairs and
+// counts labels only at value boundaries, which is independent of the
+// order within ties for finite values but not with NaNs. dataset.Extract
+// emits only finite features.
 package tree
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/fleetsim"
@@ -85,7 +90,8 @@ func (t *Tree) FitRows(m *dataset.Matrix, rows []int32) error {
 	b := &builder{
 		t: t, m: m, total: float64(len(rows)),
 		minLeaf: minLeaf, minSplit: minSplit,
-		scratch: make([]int32, len(rows)),
+		pairs: make([]valLabel, len(rows)),
+		feats: make([]int, t.width),
 	}
 	b.grow(rows, 0)
 	// Normalize importances to sum to 1 when any split occurred.
@@ -106,7 +112,24 @@ type builder struct {
 	m                 *dataset.Matrix
 	total             float64
 	minLeaf, minSplit int
-	scratch           []int32
+	pairs             []valLabel // split-search scratch, one per row
+	feats             []int      // candidate-feature scratch, one per feature
+}
+
+// valLabel is one row's value of the feature under search and its label.
+type valLabel struct {
+	v   float64
+	pos bool
+}
+
+func cmpValue(a, b valLabel) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
 }
 
 // gini returns the Gini impurity for pos positives out of n.
@@ -179,24 +202,24 @@ func (b *builder) bestSplit(rows []int32, pos float64) (int, float64, float64) {
 	var bestThresh, bestGain float64
 
 	feats := b.candidateFeatures()
-	idx := b.scratch[:len(rows)]
+	pairs := b.pairs[:len(rows)]
+	m := b.m
 	for _, f := range feats {
-		copy(idx, rows)
-		m := b.m
-		sort.Slice(idx, func(a, c int) bool {
-			return m.Row(int(idx[a]))[f] < m.Row(int(idx[c]))[f]
-		})
+		for i, r := range rows {
+			pairs[i] = valLabel{m.Row(int(r))[f], m.Y[r] == 1}
+		}
+		slices.SortFunc(pairs, cmpValue)
 		var leftPos, leftN float64
-		for i := 0; i < len(idx)-1; i++ {
-			if m.Y[idx[i]] == 1 {
+		for i := 0; i < len(pairs)-1; i++ {
+			if pairs[i].pos {
 				leftPos++
 			}
 			leftN++
-			v, next := m.Row(int(idx[i]))[f], m.Row(int(idx[i+1]))[f]
+			v, next := pairs[i].v, pairs[i+1].v
 			if v == next {
 				continue
 			}
-			if int(leftN) < b.minLeaf || len(idx)-int(leftN) < b.minLeaf {
+			if int(leftN) < b.minLeaf || len(pairs)-int(leftN) < b.minLeaf {
 				continue
 			}
 			rightPos := pos - leftPos
@@ -215,22 +238,21 @@ func (b *builder) bestSplit(rows []int32, pos float64) (int, float64, float64) {
 	return bestFeat, bestThresh, bestGain
 }
 
-// candidateFeatures returns the feature subset for this split.
+// candidateFeatures returns the feature subset for this split, in the
+// builder's reused buffer (valid until the next call). The buffer is
+// refilled with 0..width-1 every call, so the partial shuffle draws
+// exactly what it would from a fresh index slice.
 func (b *builder) candidateFeatures() []int {
 	width := b.t.width
-	k := b.t.cfg.MaxFeatures
-	if k <= 0 || k >= width {
-		all := make([]int, width)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	// Partial Fisher-Yates over a fresh index slice.
-	perm := make([]int, width)
+	perm := b.feats
 	for i := range perm {
 		perm[i] = i
 	}
+	k := b.t.cfg.MaxFeatures
+	if k <= 0 || k >= width {
+		return perm
+	}
+	// Partial Fisher-Yates.
 	for i := 0; i < k; i++ {
 		j := i + b.t.rng.Intn(width-i)
 		perm[i], perm[j] = perm[j], perm[i]
