@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-contracts fmt vet baseline remedy-scenarios cluster-chaos train-loop bench bench-compare
+.PHONY: all build test race lint lint-contracts fmt vet baseline remedy-scenarios cluster-chaos train-loop bench bench-compare experiments
 
 all: build lint test
 
@@ -79,6 +79,12 @@ bench:
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
 	$(GO) run ./bench/cmd/ssdbench -compare $(OLD) $(NEW)
+
+# Regenerate EXPERIMENTS.md at the default flags (about 1.5 min on 2
+# vCPUs). The output holds no wall-clock number, so on an unchanged
+# tree this rewrites the committed file byte for byte; CI checks that.
+experiments:
+	$(GO) run ./cmd/ssdreport -out EXPERIMENTS.md
 
 fmt:
 	gofmt -l -w .

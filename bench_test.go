@@ -24,7 +24,6 @@ import (
 	"ssdfail/internal/failure"
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/forest"
-	"ssdfail/internal/ml/gbdt"
 	"ssdfail/internal/serve"
 	"ssdfail/internal/sparepool"
 	"ssdfail/internal/trace"
@@ -128,20 +127,6 @@ func BenchmarkForestTraining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := forest.New(cfg)
 		if err := f.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGBDTTraining(b *testing.B) {
-	ctx := getBenchCtx(b)
-	train := dataset.Extract(ctx.Fleet, ctx.An, dataset.Options{Lookahead: 1, AgeMax: -1})
-	train = dataset.Downsample(train, 1, 7)
-	cfg := gbdt.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := gbdt.New(cfg)
-		if err := m.Fit(train); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -591,28 +576,6 @@ func BenchmarkAblationForestSize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.AblationForestSize(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Extensions beyond the paper ---
-
-func BenchmarkExtensionWindowedFeatures(b *testing.B) {
-	ctx := getBenchCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtensionWindowedFeatures(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExtensionGBDTCV(b *testing.B) {
-	ctx := getBenchCtx(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtensionGBDT(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

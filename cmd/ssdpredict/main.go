@@ -31,7 +31,7 @@ func main() {
 		horizon   = flag.Int("horizon", 2190, "horizon in days when simulating")
 		folds     = flag.Int("folds", 5, "cross-validation folds")
 		treesN    = flag.Int("trees", 100, "random forest size")
-		what      = flag.String("what", "all", "comma-separated: table6,table7,table8,fig12,fig13,fig14,fig15,fig16,grid,ablations,extension")
+		what      = flag.String("what", "all", "comma-separated: table6,table7,table8,fig12,fig13,fig14,fig15,fig16,grid,ablations")
 		plots     = flag.Bool("plots", true, "render ASCII plots alongside tables")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
 	)
@@ -167,21 +167,6 @@ func main() {
 	if all || want["grid"] {
 		timed("grid", func() error {
 			tbl, err := experiments.HyperparameterGrid(ctx)
-			if err != nil {
-				return err
-			}
-			show(tbl, nil)
-			return nil
-		})
-	}
-	if all || want["extension"] {
-		timed("extension", func() error {
-			tbl, err := experiments.ExtensionWindowedFeatures(ctx)
-			if err != nil {
-				return err
-			}
-			show(tbl, nil)
-			tbl, err = experiments.ExtensionGBDT(ctx)
 			if err != nil {
 				return err
 			}

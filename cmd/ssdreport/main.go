@@ -3,6 +3,10 @@
 // markdown file (EXPERIMENTS.md by default), printing progress to
 // stderr.
 //
+// The markdown is a pure function of the flags, and -workers does not
+// change it: every wall-clock number goes to stderr, so regenerating at
+// the same flags rewrites the file byte for byte (`make experiments`).
+//
 // Usage:
 //
 //	ssdreport [-out EXPERIMENTS.md] [-drives 300] [-seed 42]
@@ -53,8 +57,8 @@ func main() {
 	fmt.Fprintf(&buf, "# EXPERIMENTS — paper vs. measured\n\n")
 	fmt.Fprintf(&buf, "Reproduction of every table and figure in \"SSD Failures in the Field\" (SC '19)\n")
 	fmt.Fprintf(&buf, "on a synthetic fleet (see DESIGN.md §2 for the data substitution).\n\n")
-	fmt.Fprintf(&buf, "- generated: %s\n- seed: %d\n- drives per model: %d\n- horizon: %d days\n",
-		time.Now().Format(time.RFC3339), cfg.Seed, cfg.DrivesPerModel, cfg.HorizonDays)
+	fmt.Fprintf(&buf, "- seed: %d\n- drives per model: %d\n- horizon: %d days\n",
+		cfg.Seed, cfg.DrivesPerModel, cfg.HorizonDays)
 	fmt.Fprintf(&buf, "- drive-days: %d\n- swap events: %d\n- CV folds: %d\n- forest trees: %d\n\n",
 		ctx.Fleet.DriveDays(), len(ctx.An.Events), cfg.CVFolds, cfg.ForestTrees)
 	fmt.Fprintf(&buf, "Absolute values are not expected to match the proprietary trace; the shape\n")
@@ -173,18 +177,7 @@ func main() {
 		return t, nil, err
 	})
 
-	// Extensions beyond the paper (its §7 future work, plus a seventh
-	// classifier).
-	step("Extension — trailing-window features for large N", func() (*report.Table, *report.Plot, error) {
-		t, err := experiments.ExtensionWindowedFeatures(ctx)
-		return t, nil, err
-	})
-	step("Extension — gradient boosting", func() (*report.Table, *report.Plot, error) {
-		t, err := experiments.ExtensionGBDT(ctx)
-		return t, nil, err
-	})
-
-	fmt.Fprintf(&buf, `## Fidelity summary
+	buf.WriteString(`## Fidelity summary
 
 Shape results that reproduce (see sections above for numbers):
 
@@ -196,12 +189,12 @@ Shape results that reproduce (see sections above for numbers):
   drive types with modest degradation (Figure 13, Table 7)
 - infant mortality: elevated failure rate in the first ~3 months, with
   no corresponding write-intensity burn-in (Figures 6-7)
-- ~98%% of failures occur below half the P/E limit and the post-limit
+- ~98% of failures occur below half the P/E limit and the post-limit
   failure rate stays low (Figures 8-9)
 - failed drives show orders-of-magnitude heavier error tails, yet most
   failures occur with no recent uncorrectable error (Figures 10-11)
-- the repair pipeline is slow and lossy: ~20%% swapped within a day,
-  ~80%% within a week, roughly half never return (Figures 4-5, Table 5)
+- the repair pipeline is slow and lossy: ~20% swapped within a day,
+  ~80% within a week, roughly half never return (Figures 4-5, Table 5)
 
 Known deviations:
 
@@ -218,9 +211,13 @@ Known deviations:
   (Table 1), but Spearman magnitudes for the rare error pairs are
   noisier than the paper's 40M-drive-day sample (Table 2)
 
----
-total wall time: %v
-`, time.Since(start).Round(time.Second))
+Tried and retired: two extensions beyond the paper aimed at its §7
+future work, large-N prediction, and found nothing. Gradient-boosted
+trees tied the random forest at N=1 (0.903 ± 0.032 vs 0.899 ± 0.039)
+and lost at N=7 (0.741 vs 0.760). Seven-day trailing-window aggregate
+features moved the forest's AUC by at most ±0.007 at N = 1, 7, 15 and
+30. Both were deleted; commit c0b08ba is the last that has their code.
+`)
 	if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
 		fatal(err)
 	}

@@ -65,8 +65,8 @@ func FeatureNames() []string {
 
 // Matrix is a dense feature matrix with labels and row provenance.
 // Rows are stored flat in row-major order. Width is the row stride; the
-// zero value means the standard NumFeatures layout, while extensions
-// (e.g. trailing-window features) may use wider rows.
+// zero value means the standard NumFeatures layout, which is all Extract
+// produces. Matrices built by hand may set another width.
 type Matrix struct {
 	X        []float64
 	Y        []int8  // 1 = failure within lookahead, 0 = not
@@ -184,10 +184,6 @@ type Options struct {
 	// negative AgeMax for no upper bound. This implements the paper's
 	// §5.3 age-partitioned training.
 	AgeMin, AgeMax int32
-	// WindowDays > 0 appends trailing-window aggregate features over
-	// that many days to every row (see window.go) — an extension beyond
-	// the paper that targets its large-N future work.
-	WindowDays int32
 }
 
 // Extract builds the matrix for a fleet given its failure analysis.
@@ -203,33 +199,27 @@ func Extract(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 		o.Lookahead = 1
 	}
 	n := 0
-	walkRows(f, an, &o, func(int, int, *trace.DayRecord, int8) { n++ })
+	walkRows(f, an, &o, func(int, *trace.DayRecord, *trace.DayRecord, int8) { n++ })
 
-	m := &Matrix{}
-	if o.WindowDays > 0 {
-		m.Width = NumFeatures + NumWindowFeatures
+	m := &Matrix{
+		X:        make([]float64, 0, n*NumFeatures),
+		Y:        make([]int8, 0, n),
+		DriveIdx: make([]int32, 0, n),
+		Day:      make([]int32, 0, n),
+		Age:      make([]int32, 0, n),
 	}
-	m.X = make([]float64, 0, n*m.W())
-	m.Y = make([]int8, 0, n)
-	m.DriveIdx = make([]int32, 0, n)
-	m.Day = make([]int32, 0, n)
-	m.Age = make([]int32, 0, n)
-	walkRows(f, an, &o, func(di, j int, prev *trace.DayRecord, label int8) {
-		d := &f.Drives[di]
-		m.appendRow(int32(di), &d.Days[j], prev, label)
-		if o.WindowDays > 0 {
-			m.appendWindow(d, j, o.WindowDays)
-		}
+	walkRows(f, an, &o, func(di int, r, prev *trace.DayRecord, label int8) {
+		m.appendRow(int32(di), r, prev, label)
 	})
 	return m
 }
 
 // walkRows calls emit for every row Extract keeps, in output order, with
-// the drive index, the record's index in the drive's Days, the drive's
-// previous report (nil for its first) and the row's label. Negative
-// sampling draws from an RNG seeded afresh from o.Seed on every walk, so
-// two walks under the same options visit the same rows.
-func walkRows(f *trace.Fleet, an *failure.Analysis, o *Options, emit func(di, j int, prev *trace.DayRecord, label int8)) {
+// the drive index, the record, the drive's previous report (nil for its
+// first) and the row's label. Negative sampling draws from an RNG seeded
+// afresh from o.Seed on every walk, so two walks under the same options
+// visit the same rows.
+func walkRows(f *trace.Fleet, an *failure.Analysis, o *Options, emit func(di int, r, prev *trace.DayRecord, label int8)) {
 	rng := fleetsim.NewRNG(o.Seed ^ 0x5ca1ab1e)
 	keepNeg := o.NegativeSampleProb > 0 && o.NegativeSampleProb < 1
 
@@ -266,7 +256,7 @@ func walkRows(f *trace.Fleet, an *failure.Analysis, o *Options, emit func(di, j 
 				prev = r
 				continue
 			}
-			emit(di, j, prev, label)
+			emit(di, r, prev, label)
 			prev = r
 		}
 	}

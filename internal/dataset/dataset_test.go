@@ -354,9 +354,6 @@ func extractAppending(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 		o.Lookahead = 1
 	}
 	m := &Matrix{}
-	if o.WindowDays > 0 {
-		m.Width = NumFeatures + NumWindowFeatures
-	}
 	rng := fleetsim.NewRNG(o.Seed ^ 0x5ca1ab1e)
 	keepNeg := o.NegativeSampleProb > 0 && o.NegativeSampleProb < 1
 	for di := range f.Drives {
@@ -385,9 +382,6 @@ func extractAppending(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 				continue
 			}
 			m.appendRow(int32(di), r, prev, label)
-			if o.WindowDays > 0 {
-				m.appendWindow(d, j, o.WindowDays)
-			}
 			prev = r
 		}
 	}
@@ -415,14 +409,12 @@ func TestExtractMatchesAppendingOracle(t *testing.T) {
 	fleet, an := oracleFleet(t)
 	folds := Folds(len(fleet.Drives), 5, 3)
 	cases := map[string]Options{
-		"lookahead 1":    {Lookahead: 1, AgeMax: -1},
-		"lookahead 7":    {Lookahead: 7, AgeMax: -1},
-		"neg 0.2":        {Lookahead: 7, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 11},
-		"neg 1":          {Lookahead: 1, AgeMax: -1, NegativeSampleProb: 1, Seed: 11},
-		"fold filter":    {Lookahead: 1, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 5, IncludeDrive: func(di int) bool { return folds[di] != 2 }},
-		"age band":       {Lookahead: 7, AgeMin: 30, AgeMax: 400, NegativeSampleProb: 0.2, Seed: 5},
-		"window 7":       {Lookahead: 1, AgeMax: -1, WindowDays: 7},
-		"window and neg": {Lookahead: 7, AgeMax: -1, WindowDays: 7, NegativeSampleProb: 0.2, Seed: 9},
+		"lookahead 1": {Lookahead: 1, AgeMax: -1},
+		"lookahead 7": {Lookahead: 7, AgeMax: -1},
+		"neg 0.2":     {Lookahead: 7, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 11},
+		"neg 1":       {Lookahead: 1, AgeMax: -1, NegativeSampleProb: 1, Seed: 11},
+		"fold filter": {Lookahead: 1, AgeMax: -1, NegativeSampleProb: 0.2, Seed: 5, IncludeDrive: func(di int) bool { return folds[di] != 2 }},
+		"age band":    {Lookahead: 7, AgeMin: 30, AgeMax: 400, NegativeSampleProb: 0.2, Seed: 5},
 	}
 	for name, o := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -457,7 +449,7 @@ func TestExtractMatchesAppendingOracle(t *testing.T) {
 // column grown row by row would take dozens of allocations here.
 func TestExtractAllocations(t *testing.T) {
 	fleet, an := oracleFleet(t)
-	o := Options{Lookahead: 7, AgeMax: -1, WindowDays: 7}
+	o := Options{Lookahead: 7, AgeMax: -1}
 	if rows := Extract(fleet, an, o).Len(); rows < 10000 {
 		t.Fatalf("fixture extracts only %d rows", rows)
 	}

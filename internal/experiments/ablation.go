@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/eval"
@@ -182,7 +181,7 @@ func AblationFeatureSets(ctx *Context) (*report.Table, error) {
 		}}
 	}
 	names := []string{"daily only", "cumulative only", "daily + cumulative (paper)"}
-	_, results, err := ctx.forestSweep([]expgrid.ClassifierSpec{
+	results, err := ctx.forestSweep([]expgrid.ClassifierSpec{
 		masked(names[0], daily), masked(names[1], cumulative), rf,
 	})
 	if err != nil {
@@ -214,21 +213,21 @@ func (ctx *Context) forestVariant(label string, mod func(*forest.Config)) expgri
 
 // forestSweep cross-validates the variants side by side in one N=1 grid
 // — one extraction, every variant on the same train rows — and returns
-// their summaries in order beside the raw result.
-func (ctx *Context) forestSweep(variants []expgrid.ClassifierSpec) (*expgrid.Result, []eval.Result, error) {
+// their summaries in order.
+func (ctx *Context) forestSweep(variants []expgrid.ClassifierSpec) ([]eval.Result, error) {
 	spec := ctx.forestGrid(1)
 	spec.Classifiers = variants
 	res, err := runGrid(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	results := make([]eval.Result, len(variants))
 	for i, v := range variants {
 		if results[i], err = cellSummary(res, "all", v.Label, 1); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return res, results, nil
+	return results, nil
 }
 
 // bestMean returns the index of the highest mean AUC; the first of
@@ -253,7 +252,7 @@ func HyperparameterGrid(ctx *Context) (*report.Table, error) {
 		variants = append(variants, ctx.forestVariant(fmt.Sprintf("depth=%d", d),
 			func(cfg *forest.Config) { cfg.MaxDepth = d }))
 	}
-	_, results, err := ctx.forestSweep(variants)
+	results, err := ctx.forestSweep(variants)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +271,8 @@ func HyperparameterGrid(ctx *Context) (*report.Table, error) {
 	return tbl, nil
 }
 
-// AblationForestSize sweeps the number of trees, reporting AUC and the
-// summed fit and score time of each size's fold tasks.
+// AblationForestSize sweeps the number of trees and reports AUC only;
+// what each size costs is BenchmarkAblationForestSize's to measure.
 func AblationForestSize(ctx *Context) (*report.Table, error) {
 	sizes := []int{5, 25, 50, 100, 200}
 	var variants []expgrid.ClassifierSpec
@@ -281,24 +280,16 @@ func AblationForestSize(ctx *Context) (*report.Table, error) {
 		variants = append(variants, ctx.forestVariant(fmt.Sprintf("trees=%d", trees),
 			func(cfg *forest.Config) { cfg.Trees = trees }))
 	}
-	res, results, err := ctx.forestSweep(variants)
+	results, err := ctx.forestSweep(variants)
 	if err != nil {
 		return nil, err
 	}
 	tbl := &report.Table{
 		Title:   "Ablation: forest size (N=1)",
-		Columns: []string{"Trees", "AUC", "std", "CV fit+score time"},
+		Columns: []string{"Trees", "AUC", "std"},
 	}
 	for i, r := range results {
-		var secs float64
-		for j := range res.Tasks {
-			if res.Tasks[j].Key.Classifier == variants[i].Label {
-				secs += res.Tasks[j].FitSeconds + res.Tasks[j].ScoreSeconds
-			}
-		}
-		elapsed := time.Duration(secs * float64(time.Second)).Round(time.Millisecond)
-		tbl.AddRow(fmt.Sprintf("%d", sizes[i]), report.F(r.Mean, 3), report.F(r.Std, 3),
-			elapsed.String())
+		tbl.AddRow(fmt.Sprintf("%d", sizes[i]), report.F(r.Mean, 3), report.F(r.Std, 3))
 	}
 	return tbl, nil
 }

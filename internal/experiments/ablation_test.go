@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/expgrid"
 )
 
 func TestAblationSplit(t *testing.T) {
@@ -33,9 +31,9 @@ func TestAblationSplit(t *testing.T) {
 }
 
 // TestAblationBaselinesAreGridCells is the one-engine property: where an
-// ablation or extension leaves Table 6's forest spec unchanged, its cell
-// is the forest-only grid's cell bit for bit — whatever other
-// lookaheads or classifiers share the run.
+// ablation leaves Table 6's forest spec unchanged, its cell is the
+// forest-only grid's cell bit for bit — whatever other lookaheads share
+// the run.
 func TestAblationBaselinesAreGridCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -45,26 +43,14 @@ func TestAblationBaselinesAreGridCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name       string
-		spec       expgrid.Spec
-		lookaheads []int
-	}{
-		{"AblationDownsampling 1:1 row", ctx.downsampleSpec(1), []int{1}},
-		{"ExtensionWindowedFeatures single-day column", ctx.windowedSpec(0), []int{1, 7}},
-		{"ExtensionGBDT forest column", ctx.gbdtSpec(), []int{1, 7}},
-	} {
-		res, err := runGrid(c.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for _, n := range c.lookaheads {
-			want, _ := ref.Cell("all", "Random Forest", n)
-			got, _ := res.Cell("all", "Random Forest", n)
-			if len(want) != ctx.Cfg.CVFolds || !slices.Equal(got, want) {
-				t.Errorf("%s N=%d: fold AUCs %v, forest-only grid %v", c.name, n, got, want)
-			}
-		}
+	res, err := runGrid(ctx.downsampleSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.Cell("all", "Random Forest", 1)
+	got, _ := res.Cell("all", "Random Forest", 1)
+	if len(want) != ctx.Cfg.CVFolds || !slices.Equal(got, want) {
+		t.Errorf("AblationDownsampling 1:1 row: fold AUCs %v, forest-only grid %v", got, want)
 	}
 }
 
@@ -107,47 +93,6 @@ func TestAblationForestSize(t *testing.T) {
 	}
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	// The time column is fit + score time only: it used to be task wall
-	// time, which charged the grid's one feature extraction to whichever
-	// sizes ran first. Forty times the trees must cost more.
-	first, err1 := time.ParseDuration(tbl.Rows[0][3])
-	last, err2 := time.ParseDuration(tbl.Rows[4][3])
-	if err1 != nil || err2 != nil || first <= 0 || first >= last {
-		t.Errorf("fit+score time: 5 trees %q, 200 trees %q", tbl.Rows[0][3], tbl.Rows[4][3])
-	}
-}
-
-func TestExtensionWindowedFeatures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	ctx := getCtx(t)
-	tbl, err := ExtensionWindowedFeatures(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != 4 || row[1] == "" || row[2] == "" {
-			t.Fatalf("malformed row %v", row)
-		}
-	}
-}
-
-func TestExtensionGBDT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	ctx := getCtx(t)
-	tbl, err := ExtensionGBDT(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
 	}
 }
 

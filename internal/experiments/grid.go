@@ -111,8 +111,8 @@ func (ctx *Context) ModelGridSpec(folds int, lookaheads ...int) expgrid.Spec {
 }
 
 // forestGrid builds the forest-only grid on the whole fleet that every
-// ablation and extension varies: with no field changed, its cells are
-// Table 6's "Random Forest" cells bit for bit (same task keys, same seeds).
+// ablation varies: with no field changed, its cells are Table 6's
+// "Random Forest" cells bit for bit (same task keys, same seeds).
 func (ctx *Context) forestGrid(lookaheads ...int) expgrid.Spec {
 	spec := ctx.baseSpec(ctx.allScope(), lookaheads)
 	spec.Classifiers = ctx.forestSpec()

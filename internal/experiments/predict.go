@@ -43,11 +43,7 @@ func Table6(ctx *Context) (*report.Table, map[string][]eval.Result, error) {
 		results[cs.Label] = rs
 	}
 	tbl.Notes = append(tbl.Notes,
-		"paper: random forest best at every N; AUC decreases with N for all models",
-		fmt.Sprintf("engine: %d tasks, %.1f tasks/s (task-seconds: wait %.1f, fit %.1f, score %.1f, eval %.1f), cache hit rate %.0f%%, peak matrices %.0f MiB",
-			res.Stats.Tasks, res.Stats.TasksPerSec, res.Stats.WaitSeconds, res.Stats.FitSeconds,
-			res.Stats.ScoreSeconds, res.Stats.EvalSeconds, 100*res.Stats.CacheHitRate,
-			float64(res.Stats.PeakMatrixBytes)/(1<<20)))
+		"paper: random forest best at every N; AUC decreases with N for all models")
 	return tbl, results, nil
 }
 

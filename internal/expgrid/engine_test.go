@@ -451,9 +451,37 @@ func pooledRows(t *testing.T, spec Spec) map[rowID]bool {
 	return rows
 }
 
+// TestCellKeyPinsExtractionSeed pins the cache key that buildBase hashes
+// into every cell's extraction seed. The Table 6 cells (experiments'
+// default config: the "all" scope, no age band, negatives thinned to
+// 0.25, seed 42) must keep their exact strings, "w=0" included, or every
+// cell re-seeds and table6_golden.json moves. Each extraction field must
+// still reach the key, so two different extractions never share a cell.
+func TestCellKeyPinsExtractionSeed(t *testing.T) {
+	table6 := Spec{Seed: 42, TestNegSampleProb: 0.25}.normalized()
+	for _, n := range []int{1, 2, 3, 7} {
+		want := fmt.Sprintf("all|N=%d|w=0|age=0..-1|q=0.25|seed=42", n)
+		if got := cellKey(&table6, "all", n); got != want {
+			t.Errorf("Table 6 N=%d cell key %q, want %q", n, got, want)
+		}
+	}
+	ref := cellKey(&table6, "all", 7)
+	for name, mod := range map[string]func(*Spec){
+		"AgeMin":            func(s *Spec) { s.AgeMin = 91 },
+		"AgeMax":            func(s *Spec) { s.AgeMax = 90 },
+		"TestNegSampleProb": func(s *Spec) { s.TestNegSampleProb = 0.5 },
+		"Seed":              func(s *Spec) { s.Seed = 43 },
+	} {
+		s := table6
+		mod(&s)
+		if cellKey(&s, "all", 7) == ref {
+			t.Errorf("changing %s leaves the cell key at %q", name, ref)
+		}
+	}
+}
+
 // TestSpecRowOptions covers the Spec options that decide which rows a
-// task sees and how wide they are: the age band, the trailing window,
-// and the training downsampling ratio.
+// task sees: the age band and the training downsampling ratio.
 func TestSpecRowOptions(t *testing.T) {
 	f, an := fixture(t)
 	// One cheap classifier, a lookahead with several positive days per
@@ -492,28 +520,6 @@ func TestSpecRowOptions(t *testing.T) {
 			}
 			if len(youngRows) == 0 || len(oldRows) == 0 || len(youngRows)+len(oldRows) != len(all) {
 				t.Errorf("young %d + old %d rows do not cover the unbanded %d", len(youngRows), len(oldRows), len(all))
-			}
-		}},
-		{"trailing window", func(s *Spec) { s.WindowDays = 7 }, func(t *testing.T, win Spec) {
-			single := base.normalized()
-			win = win.normalized()
-			if cellKey(&single, "all", 7) == cellKey(&win, "all", 7) {
-				t.Error("windowed and single-day grids share a cache cell")
-			}
-			m0, err := buildBase(&single, &single.Scopes[0], 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m7, err := buildBase(&win, &win.Scopes[0], 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m0.W() != dataset.NumFeatures || m7.W() != dataset.NumFeatures+dataset.NumWindowFeatures {
-				t.Errorf("row widths %d and %d, want %d and %d", m0.W(), m7.W(),
-					dataset.NumFeatures, dataset.NumFeatures+dataset.NumWindowFeatures)
-			}
-			if m0.Len() != m7.Len() {
-				t.Errorf("window changed the row set: %d vs %d rows", m0.Len(), m7.Len())
 			}
 		}},
 	}

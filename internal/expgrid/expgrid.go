@@ -73,8 +73,6 @@ type Spec struct {
 	// AgeMin/AgeMax restrict rows to an age band (inclusive);
 	// AgeMax < 0 means unbounded (0 is normalized to unbounded).
 	AgeMin, AgeMax int32
-	// WindowDays > 0 appends trailing-window features (dataset.Options).
-	WindowDays int32
 
 	Workers    int   // concurrent tasks; <= 0 = all CPUs
 	CacheBytes int64 // matrix cache budget; 0 = DefaultCacheBytes, < 0 = unbounded
@@ -201,8 +199,10 @@ func schedule(tasks []task) []int {
 // cellKey is the matrix-cache key of a (scope, lookahead) cell under the
 // spec's extraction options.
 func cellKey(s *Spec, scope string, lookahead int) string {
-	return fmt.Sprintf("%s|N=%d|w=%d|age=%d..%d|q=%g|seed=%d",
-		scope, lookahead, s.WindowDays, s.AgeMin, s.AgeMax, s.TestNegSampleProb, s.Seed)
+	// "w=0" is the retired trailing-window width; buildBase hashes this
+	// string into every cell's extraction seed, so it must stay.
+	return fmt.Sprintf("%s|N=%d|w=0|age=%d..%d|q=%g|seed=%d",
+		scope, lookahead, s.AgeMin, s.AgeMax, s.TestNegSampleProb, s.Seed)
 }
 
 // buildBase extracts the cell's base matrix: every drive of the scope,
@@ -216,7 +216,6 @@ func buildBase(s *Spec, sc *Scope, lookahead int) (*dataset.Matrix, error) {
 		Seed:               mix64(s.Seed ^ fnv1a64(cellKey(s, sc.Name, lookahead))),
 		AgeMin:             s.AgeMin,
 		AgeMax:             s.AgeMax,
-		WindowDays:         s.WindowDays,
 	})
 	if m.Len() == 0 {
 		return nil, fmt.Errorf("expgrid: scope %q N=%d extracts no rows", sc.Name, lookahead)

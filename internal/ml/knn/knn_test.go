@@ -174,7 +174,8 @@ func testScoreMatchesReference(t *testing.T) {
 		return true
 	}
 	prop := func(seed uint64) bool {
-		for _, w := range []int{dataset.NumFeatures, dataset.NumFeatures + dataset.NumWindowFeatures} {
+		// 43 is a second width that is not a multiple of the 4-lane stride.
+		for _, w := range []int{dataset.NumFeatures, 43} {
 			for _, k := range []int{-1, 0, 1, 2, 4, 5, 7, 15, 22, 23} {
 				if !check(seed, w, k) {
 					return false
