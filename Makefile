@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-contracts fmt vet baseline remedy-scenarios cluster-chaos train-loop bench bench-compare experiments
+.PHONY: all build test race lint fmt vet remedy-scenarios cluster-chaos train-loop bench bench-compare experiments
 
 all: build lint test
 
@@ -14,23 +14,10 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Static analysis: the determinism/durability contract checkers.
-# Exits nonzero on any finding not fixed, //ssdlint:allow-ed, or
-# parked in .ssdlint-baseline.
+# Exits nonzero on any finding not fixed or //ssdlint:allow-ed. The
+# analyzers' own tests (fixtures, CFG, summaries) run under `make test`.
 lint:
-	$(GO) run ./cmd/ssdlint -baseline .ssdlint-baseline -strict-baseline ./...
-
-# The dataflow contract wall: runs the four CFG-based analyzers over
-# their fixture packages (each must fail with exactly its want-annotated
-# findings), the CFG/summary unit tests, and the full-module clean
-# check, then writes LINT_REPORT.json with per-analyzer counts.
-lint-contracts:
-	$(GO) test -count=1 -run 'TestCFG|TestSummary|TestAnalyzerFixtures|TestFixturesFailViaCLI|TestContractAnalyzers|TestMainModuleIsClean|TestStrictBaseline|TestReportCounts|TestHotAllocCatches|TestPoolEscapeCatches' ./internal/lint/
-	$(GO) run ./cmd/ssdlint -baseline .ssdlint-baseline -strict-baseline -report LINT_REPORT.json ./...
-
-# Regenerate the baseline. Only for adopting the tool on a tree with
-# known findings; the committed baseline is empty and should stay so.
-baseline:
-	$(GO) run ./cmd/ssdlint -baseline .ssdlint-baseline -write-baseline ./...
+	$(GO) run ./cmd/ssdlint ./...
 
 # Replay every committed remediation scenario at two GOMAXPROCS
 # settings and diff the event logs against each other and the committed

@@ -5,13 +5,12 @@
 // Usage:
 //
 //	go run ./cmd/ssdlint ./...
-//	go run ./cmd/ssdlint -json ./internal/serve
-//	go run ./cmd/ssdlint -baseline .ssdlint-baseline ./...
-//	go run ./cmd/ssdlint -baseline .ssdlint-baseline -write-baseline ./...
-//	go run ./cmd/ssdlint -baseline .ssdlint-baseline -strict-baseline -report LINT_REPORT.json ./...
+//	go run ./cmd/ssdlint ./internal/serve
+//	go run ./cmd/ssdlint -list
 //
-// Exit status: 0 when no findings outside the baseline, 1 when new
-// findings exist, 2 on usage or load errors. Individual findings are
+// Each finding prints as one file:line:col: analyzer: message line, in
+// a stable order. Exit status: 0 when there are no findings, 1 when
+// there are any, 2 on usage or load errors. Individual findings are
 // suppressed inline with
 //
 //	//ssdlint:allow <analyzer> <reason>
@@ -28,14 +27,9 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	baseline := flag.String("baseline", "", "baseline `file` of accepted findings (missing file = empty)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file with the current findings and exit 0")
-	strictBaseline := flag.Bool("strict-baseline", false, "fail (exit 1) when the -baseline file has stale entries matching no current finding")
-	report := flag.String("report", "", "write a JSON run summary with per-analyzer finding counts to `file`")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ssdlint [flags] packages...\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ssdlint [-list] packages...\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -51,13 +45,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ssdlint: %v\n", err)
 		os.Exit(lint.ExitError)
 	}
-	os.Exit(lint.Run(lint.Options{
-		Dir:            cwd,
-		Patterns:       flag.Args(),
-		JSON:           *jsonOut,
-		BaselinePath:   *baseline,
-		WriteBaseline:  *writeBaseline,
-		StrictBaseline: *strictBaseline,
-		ReportPath:     *report,
-	}))
+	os.Exit(lint.Run(lint.Options{Dir: cwd, Patterns: flag.Args()}))
 }

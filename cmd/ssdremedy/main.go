@@ -130,7 +130,7 @@ func runLive(addr string, policy remedy.Policy, spares int, interval time.Durati
 	if err != nil {
 		return err
 	}
-	engine, err := remedy.NewEngine(policy, pool, remedy.NewEventLog(os.Stdout, 0))
+	engine, err := remedy.NewEngine(policy, pool, remedy.NewEventLog(os.Stdout))
 	if err != nil {
 		return err
 	}

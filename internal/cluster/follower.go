@@ -41,8 +41,6 @@ type Follower struct {
 	// pull, or after an empty reply from a primary that did not park the
 	// request (0 = 50ms). A parked pull is re-issued at once.
 	PollInterval time.Duration
-	// MaxBytes caps one pull response (0 = server default).
-	MaxBytes int
 
 	next       atomic.Uint64 // LSN the next pull starts from
 	primaryLSN atomic.Uint64 // the primary's last LSN, from its latest reply
@@ -156,9 +154,6 @@ func (f *Follower) PullOnce(ctx context.Context) (bool, error) {
 func (f *Follower) pull(ctx context.Context, client *http.Client, wait time.Duration) (progressed, parked bool, err error) {
 	from := f.next.Load() + 1
 	url := fmt.Sprintf("%s/v1/wal/stream?from=%d", f.Upstream, from)
-	if f.MaxBytes > 0 {
-		url += fmt.Sprintf("&max_bytes=%d", f.MaxBytes)
-	}
 	if wait > 0 {
 		url += fmt.Sprintf("&wait_ms=%d", wait.Milliseconds())
 	}

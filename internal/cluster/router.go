@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -459,15 +460,28 @@ func degradedList(legs []leg) []string {
 	return out
 }
 
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readBody reads the size-capped request body. When the read fails it
+// answers the request itself and returns false: 413 for a body over
+// MaxBodyBytes, 400 for any other failure (a client hanging up
+// mid-body), as the node's decodeJSON does.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	return io.ReadAll(r.Body)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err.Error())
+		return nil, false
+	}
+	return body, true
 }
 
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	var probe struct {
@@ -586,9 +600,8 @@ func (rt *Router) forwardBatchLegs(w http.ResponseWriter, r *http.Request, path,
 }
 
 func (rt *Router) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	var raws []json.RawMessage
@@ -638,9 +651,8 @@ func (rt *Router) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 // fixed-size frame invariant the nodes enforce cannot hold for a
 // partial split.
 func (rt *Router) handleIngestBin(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
 	count, rest, err := serve.ParseBinHeader(body)

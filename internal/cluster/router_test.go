@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -235,5 +237,39 @@ func TestRouterMetricsRollup(t *testing.T) {
 	want := "ssdserved_ingest_records_total " + strconv.Itoa(len(fleetRecords(0)))
 	if !strings.Contains(text, want) {
 		t.Fatalf("rollup does not sum node counters (want %q):\n%s", want, text)
+	}
+}
+
+// TestRouterBodyReadStatus: every ingest route answers a body over the
+// cap with 413 and any other body-read failure — a client hanging up
+// mid-body — with 400, before anything is forwarded.
+func TestRouterBodyReadStatus(t *testing.T) {
+	rt, err := NewRouter(RouterConfig{
+		Nodes:        []Node{{Name: "n", URL: "http://127.0.0.1:1"}},
+		MaxBodyBytes: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	bodies := []struct {
+		name string
+		body func() io.Reader
+		want int
+	}{
+		{"oversized", func() io.Reader { return strings.NewReader(strings.Repeat("x", 128)) },
+			http.StatusRequestEntityTooLarge},
+		{"hang-up", func() io.Reader {
+			return io.MultiReader(strings.NewReader(`[{"drive_id":`), iotest.ErrReader(io.ErrUnexpectedEOF))
+		}, http.StatusBadRequest},
+	}
+	for _, path := range []string{"/v1/ingest", "/v1/ingest/batch", "/v1/ingest/bin"} {
+		for _, b := range bodies {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, b.body()))
+			if rec.Code != b.want {
+				t.Errorf("%s %s: status %d, want %d (%s)", path, b.name, rec.Code, b.want, rec.Body)
+			}
+		}
 	}
 }

@@ -106,28 +106,25 @@ func (e Event) String() string {
 }
 
 // EventLog collects the trainer's decisions: every event goes to the
-// optional sink as one canonical line, and the most recent ringCap
-// events stay queryable in memory. Safe for concurrent use.
+// optional sink as one canonical line, and the most recent
+// DefaultRingCap events stay queryable in memory. Safe for concurrent
+// use.
 type EventLog struct {
 	mu      sync.Mutex
 	sink    io.Writer
 	ring    []Event
-	ringCap int
 	start   int
 	total   uint64
 	sinkErr error
 }
 
-// DefaultRingCap bounds the in-memory tail when none is given.
+// DefaultRingCap bounds the in-memory tail.
 const DefaultRingCap = 256
 
 // NewEventLog builds a log writing lines to sink (nil = in-memory ring
-// only) keeping the last ringCap events queryable (0 = DefaultRingCap).
-func NewEventLog(sink io.Writer, ringCap int) *EventLog {
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
-	}
-	return &EventLog{sink: sink, ring: make([]Event, 0, ringCap), ringCap: ringCap}
+// only).
+func NewEventLog(sink io.Writer) *EventLog {
+	return &EventLog{sink: sink, ring: make([]Event, 0, DefaultRingCap)}
 }
 
 // Append records one event.
@@ -135,11 +132,11 @@ func (l *EventLog) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
-	if len(l.ring) < l.ringCap {
+	if len(l.ring) < DefaultRingCap {
 		l.ring = append(l.ring, e)
 	} else {
 		l.ring[l.start] = e
-		l.start = (l.start + 1) % l.ringCap
+		l.start = (l.start + 1) % DefaultRingCap
 	}
 	if l.sink != nil && l.sinkErr == nil {
 		_, err := io.WriteString(l.sink, e.String()+"\n")

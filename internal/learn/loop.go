@@ -89,10 +89,8 @@ type Config struct {
 	// produces a deliberately crippled challenger, which the
 	// non-inferiority gate must reject while the champion keeps serving.
 	MutateTrain func(m *dataset.Matrix)
-	// Sink receives canonical event lines (nil = ring only); RingCap
-	// bounds the queryable tail.
-	Sink    io.Writer
-	RingCap int
+	// Sink receives canonical event lines (nil = ring only).
+	Sink io.Writer
 }
 
 func (c Config) withDefaults() Config {
@@ -208,7 +206,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 	cfg = cfg.withDefaults()
 	l := &Loop{
 		cfg:   cfg,
-		log:   NewEventLog(cfg.Sink, cfg.RingCap),
+		log:   NewEventLog(cfg.Sink),
 		state: newFleetState(),
 		cache: expgrid.NewMatrixCache(cfg.CacheBytes),
 	}

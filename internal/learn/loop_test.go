@@ -112,22 +112,23 @@ func TestEventCanonicalEncoding(t *testing.T) {
 
 func TestEventLogRingAndSink(t *testing.T) {
 	var sink bytes.Buffer
-	l := NewEventLog(&sink, 4)
-	for i := 1; i <= 6; i++ {
+	l := NewEventLog(&sink)
+	const n = DefaultRingCap + 2
+	for i := 1; i <= n; i++ {
 		l.Append(Event{Tick: uint64(i), Kind: EventObserve})
 	}
-	if l.Total() != 6 {
-		t.Fatalf("total %d, want 6", l.Total())
+	if l.Total() != n {
+		t.Fatalf("total %d, want %d", l.Total(), n)
 	}
 	recent := l.Recent(0)
-	if len(recent) != 4 || recent[0].Tick != 3 || recent[3].Tick != 6 {
-		t.Fatalf("ring kept %v", recent)
+	if len(recent) != DefaultRingCap || recent[0].Tick != 3 || recent[DefaultRingCap-1].Tick != n {
+		t.Fatalf("ring kept %d events from tick %d, want ticks 3..%d", len(recent), recent[0].Tick, n)
 	}
-	if got := strings.Count(sink.String(), "\n"); got != 6 {
-		t.Fatalf("sink got %d lines, want 6", got)
+	if got := strings.Count(sink.String(), "\n"); got != n {
+		t.Fatalf("sink got %d lines, want %d", got, n)
 	}
 
-	failing := NewEventLog(failWriter{}, 0)
+	failing := NewEventLog(failWriter{})
 	failing.Append(Event{Tick: 1, Kind: EventObserve})
 	if failing.SinkErr() == nil {
 		t.Fatal("sink error not latched")

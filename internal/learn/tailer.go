@@ -33,8 +33,6 @@ type TrainerConfig struct {
 	Client *http.Client
 	// PollInterval is the idle re-poll cadence (0 = 250ms).
 	PollInterval time.Duration
-	// MaxBytes caps one WAL pull (0 = server default).
-	MaxBytes int
 	// Loop is the engine configuration. Champion, Donor, and Promote
 	// are populated by NewTrainer.
 	Loop Config
@@ -91,7 +89,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	tr.Follower = &cluster.Follower{
 		Upstream: cfg.Upstream,
 		Client:   cfg.Client,
-		MaxBytes: cfg.MaxBytes,
 		Apply: func(id uint32, model trace.Model, rec trace.DayRecord) (bool, error) {
 			loop.Observe(id, model, rec)
 			return true, nil

@@ -6,23 +6,19 @@ import (
 	"go/token"
 )
 
-// clockPkgs is the clockpath scope: the serving daemon, whose PR-3
+// clockPkgs is the clockpath scope: the serving daemon, whose
 // clock-injection seam (serve.Config.Clock) exists precisely so that
 // frozen-clock tests cover every handler's latency and age metrics, and
-// the remediation engine, whose only notion of time is the evaluation
-// tick — a wall-clock read there would break byte-identical scenario
-// replay. The cluster tier is held to the same discipline: its failover
-// decisions are keyed to probe rounds (so partition scenarios replay
-// byte-identically) and its only time dependencies are injected
-// intervals and context deadlines, never a wall-clock read.
-// The learn trainer joins for the same reason as remedy: its notion of
-// time is the stream record count, and a wall-clock read would break
-// byte-identical decision-log replay.
+// the cluster tier, whose failover decisions are keyed to probe rounds
+// (so partition scenarios replay byte-identically) and whose only time
+// dependencies are injected intervals and context deadlines, never a
+// wall-clock read. The remediation engine and the learning loop are
+// held to the stricter nondeterminism contract instead, which already
+// flags every wall-clock read there; listing them here too would report
+// each such read twice.
 var clockPkgs = []string{
 	"internal/serve",
-	"internal/remedy",
 	"internal/cluster",
-	"internal/learn",
 }
 
 // ClockPathAnalyzer flags direct wall-clock reads — time.Now() or
@@ -34,8 +30,8 @@ func ClockPathAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "clockpath",
 		Doc: "flags direct time.Now()/time.Since() calls in clock-disciplined packages " +
-			"(internal/serve, internal/remedy, internal/cluster, internal/learn) outside " +
-			"the clock-injection seam (binding time.Now as a default is the seam)",
+			"(internal/serve, internal/cluster) outside the clock-injection seam " +
+			"(binding time.Now as a default is the seam)",
 		InScope: scopePackages("clockpath", clockPkgs, nil),
 		Check:   checkClockPath,
 	}
@@ -53,7 +49,7 @@ func checkClockPath(p *Package, inScope func(*ast.File) bool, report func(pos to
 			}
 			if name := timeFunc(useOf(p.Info, call.Fun)); name != "" {
 				report(call.Pos(), fmt.Sprintf(
-					"direct wall-clock read time.%s() in %s; route it through an injected clock (serve.Config.Clock) or the evaluation tick",
+					"direct wall-clock read time.%s() in %s; route it through an injected clock (serve.Config.Clock)",
 					name, modRel(p.Path)))
 			}
 			return true

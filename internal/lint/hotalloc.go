@@ -5,23 +5,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// hotPathDirective marks a function as allocation-free by contract:
-//
-//	//ssdlint:hotpath [reason]
-//
-// in the function's doc comment. The scope table below covers the
-// functions the DESIGN §15 0 B/op contract already names, so the
-// annotation is for new hot paths, not a retrofit.
-const hotPathDirective = "//ssdlint:hotpath"
-
-// hotPathFuncs is the static scope table: module-relative package path
-// to "Receiver.Method" (or plain "Func") names under the zero-alloc
-// contract. These are the functions whose steady state the
-// AllocsPerRun tests pin at 0 B/op; hotalloc turns that dynamic pin
-// into a source-level one.
+// hotPathFuncs is the scope table, the one way a function comes under
+// hotalloc: module-relative package path to "Receiver.Method" (or plain
+// "Func") names under the DESIGN §15 zero-alloc contract. These are the
+// functions whose steady state the AllocsPerRun tests pin at 0 B/op;
+// hotalloc turns that dynamic pin into a source-level one. A new hot
+// path joins by adding its entry here.
 var hotPathFuncs = map[string]map[string]bool{
 	"internal/serve": {
 		"Server.processBinBatch":  true,
@@ -58,6 +49,13 @@ var hotPathFuncs = map[string]map[string]bool{
 	"internal/wal": {
 		"Log.Append": true,
 	},
+	// The analyzer's own fixture.
+	"internal/lint/testdata/hotalloc": {
+		"Render":  true,
+		"Bad":     true,
+		"Cold":    true,
+		"Allowed": true,
+	},
 }
 
 // HotAllocAnalyzer flags allocation sites inside hot-path functions:
@@ -71,9 +69,8 @@ func HotAllocAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",
 		Doc: "flags allocation sites (composite literals, make/new, growing append, " +
-			"string/[]byte conversions, interface boxing, closures, fmt.*) in functions " +
-			"marked //ssdlint:hotpath or listed in the zero-alloc scope table, " +
-			"with CFG-detected error paths exempt",
+			"string/[]byte conversions, interface boxing, closures, fmt.*) in the functions " +
+			"listed in the zero-alloc scope table, with CFG-detected error paths exempt",
 		InScope: scopeAll("hotalloc"),
 		Check:   checkHotAlloc,
 	}
@@ -98,27 +95,18 @@ func funcKey(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// isHotPathFunc reports whether a declaration is under the zero-alloc
-// contract, via annotation or the scope table.
-func isHotPathFunc(pkgPath string, fd *ast.FuncDecl) bool {
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if strings.HasPrefix(c.Text, hotPathDirective) {
-				return true
-			}
-		}
-	}
-	return hotPathFuncs[modRel(pkgPath)][funcKey(fd)]
-}
-
 func checkHotAlloc(p *Package, inScope func(*ast.File) bool, report func(pos token.Pos, msg string)) {
+	hot := hotPathFuncs[modRel(p.Path)]
+	if hot == nil {
+		return
+	}
 	for _, file := range p.Files {
 		if !inScope(file) {
 			continue
 		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotPathFunc(p.Path, fd) {
+			if !ok || fd.Body == nil || !hot[funcKey(fd)] {
 				continue
 			}
 			checkHotAllocBody(p, fd.Body, report)

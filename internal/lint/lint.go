@@ -4,7 +4,8 @@
 // paper reproduction depends on:
 //
 //   - nondeterminism: the experiment pipeline (fleetsim, dataset, ml,
-//     expgrid, experiments, loadgen schedule construction) must produce
+//     expgrid, experiments, loadgen schedule construction), the
+//     remediation engine and the learning loop must produce
 //     bit-identical outputs at any worker count, so wall-clock reads
 //     and global math/rand draws are banned there — only injected
 //     clocks and key-derived seeds are legal.
@@ -14,17 +15,16 @@
 //   - droppederr: in internal/wal and internal/serve a swallowed error
 //     from Sync, Flush, Close, or Write is a durability hole — an
 //     fsync failure the operator never hears about.
-//   - clockpath: internal/serve routes time through an injected clock
-//     seam so frozen-clock tests cover every handler; direct
-//     time.Now()/time.Since() calls bypass it.
+//   - clockpath: internal/serve and internal/cluster route time through
+//     an injected clock seam so frozen-clock tests cover every handler;
+//     direct time.Now()/time.Since() calls bypass it.
 //
 // Four further analyzers are built on a per-function CFG and forward
 // dataflow framework (cfg.go) with memoized call-effect summaries
 // (summary.go):
 //
-//   - hotalloc: allocation sites in functions under the DESIGN §15
-//     zero-alloc contract (//ssdlint:hotpath or the scope table), with
-//     CFG-detected error paths exempt.
+//   - hotalloc: allocation sites in the functions the zero-alloc scope
+//     table names, with CFG-detected error paths exempt.
 //   - poolescape: sync.Pool values escaping their Get/Put ownership
 //     window, or used after Put, tracked as taint through the CFG.
 //   - lockheld: blocking operations reachable while a sync.Mutex or
@@ -37,9 +37,8 @@
 //
 //	//ssdlint:allow <analyzer> <reason>
 //
-// on (or immediately above) the offending line, and pre-existing
-// accepted findings can be parked in a committed baseline file so they
-// do not block CI while new ones still do.
+// on (or immediately above) the offending line; every other finding
+// fails the run.
 package lint
 
 import (
@@ -51,12 +50,11 @@ import (
 
 // A Finding is one diagnostic produced by an analyzer.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"` // module-relative path
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	File     string // module-relative path
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the finding in the classic file:line:col form.
@@ -121,7 +119,7 @@ func AnalyzerNames() []string {
 }
 
 // run applies every analyzer to one package and returns raw findings
-// (suppressions and baseline are applied by the caller).
+// (suppressions are applied by the caller).
 func run(p *Package, analyzers []*Analyzer, rel func(string) string) []Finding {
 	var out []Finding
 	for _, a := range analyzers {
@@ -142,7 +140,6 @@ func run(p *Package, analyzers []*Analyzer, rel func(string) string) []Finding {
 			position := p.Fset.Position(pos)
 			out = append(out, Finding{
 				Analyzer: a.Name,
-				Pos:      position,
 				File:     rel(position.Filename),
 				Line:     position.Line,
 				Col:      position.Column,

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"bytes"
-	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -140,36 +142,8 @@ func TestFixturesFailViaCLI(t *testing.T) {
 	}
 }
 
-// TestJSONOutput checks the -json rendering is a parseable array with
-// module-relative paths.
-func TestJSONOutput(t *testing.T) {
-	loader := loaderForModule(t)
-	var stdout, stderr bytes.Buffer
-	code := Run(Options{
-		Dir:      loader.Root,
-		Patterns: []string{"./internal/lint/testdata/clockpath"},
-		JSON:     true,
-		Stdout:   &stdout,
-		Stderr:   &stderr,
-	})
-	if code != ExitFindings {
-		t.Fatalf("exit = %d, want %d; stderr: %s", code, ExitFindings, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		`"analyzer": "clockpath"`,
-		`"file": "internal/lint/testdata/clockpath/fixture.go"`,
-		`"line":`,
-		`"message":`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON output missing %s:\n%s", want, out)
-		}
-	}
-}
-
-// writeTestModule materializes a throwaway module so suppression,
-// scoping, and baseline mechanics can be tested against controlled
+// writeTestModule materializes a throwaway module so suppression and
+// scoping can be tested against controlled
 // sources. files maps module-relative paths to contents.
 func writeTestModule(t *testing.T, files map[string]string) string {
 	t.Helper()
@@ -235,6 +209,80 @@ func TestLoadgenScopeIsFileScoped(t *testing.T) {
 	}
 }
 
+// TestOneWallClockCallOneFinding: the nondeterminism and clockpath
+// scopes do not overlap, so one direct time.Now() call is exactly one
+// finding wherever it sits, and one allow directive silences it.
+func TestOneWallClockCallOneFinding(t *testing.T) {
+	for _, tc := range []struct{ pkg, analyzer string }{
+		{"remedy", "nondeterminism"},
+		{"learn", "nondeterminism"},
+		{"serve", "clockpath"},
+		{"cluster", "clockpath"},
+	} {
+		code, stdout, _ := runOnModule(t, map[string]string{
+			"internal/" + tc.pkg + "/clock.go": "package " + tc.pkg +
+				"\n\nimport \"time\"\n\nfunc Stamp() time.Time { return time.Now() }\n",
+		})
+		lines := strings.Split(strings.TrimSpace(stdout), "\n")
+		if code != ExitFindings || len(lines) != 1 || !strings.Contains(lines[0], " "+tc.analyzer+": ") {
+			t.Errorf("internal/%s: exit %d, want exactly one %s finding, got:\n%s",
+				tc.pkg, code, tc.analyzer, stdout)
+		}
+	}
+}
+
+// TestHotAllocScopeIsTheTable: a function comes under hotalloc only by
+// its entry in hotPathFuncs — a doc-comment annotation does nothing —
+// and every entry names a function its package still declares, so a
+// rename cannot silently drop a hot path out of the contract.
+func TestHotAllocScopeIsTheTable(t *testing.T) {
+	code, stdout, _ := runOnModule(t, map[string]string{
+		"internal/codec/codec.go": `package codec
+
+// Encode is not in the scope table.
+//
+//ssdlint:hotpath an annotation puts nothing under the contract
+func Encode(n int) []byte { return make([]byte, n) }
+`,
+	})
+	if code != ExitClean {
+		t.Fatalf("exit = %d, want clean: only the scope table names hot paths\n%s", code, stdout)
+	}
+
+	root, _, err := FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg, funcs := range hotPathFuncs {
+		dir := filepath.Join(root, filepath.FromSlash(pkg))
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", pkg, err)
+		}
+		declared := map[string]bool{}
+		fset := token.NewFileSet()
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					declared[funcKey(fd)] = true
+				}
+			}
+		}
+		for fn := range funcs {
+			if !declared[fn] {
+				t.Errorf("hotPathFuncs[%q] names %s, which the package does not declare", pkg, fn)
+			}
+		}
+	}
+}
+
 func TestMainModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module lint typechecks net/http from source; skipped in -short")
@@ -251,12 +299,4 @@ func TestMainModuleIsClean(t *testing.T) {
 		t.Fatalf("ssdlint ./... = exit %d, want clean\nstdout:\n%s\nstderr:\n%s",
 			code, stdout.String(), stderr.String())
 	}
-}
-
-func fmtFindings(fs []Finding) string {
-	var sb strings.Builder
-	for _, f := range fs {
-		fmt.Fprintln(&sb, f)
-	}
-	return sb.String()
 }

@@ -29,7 +29,7 @@ func NondeterminismAnalyzer() *Analyzer {
 		Name: "nondeterminism",
 		Doc: "flags time.Now, global math/rand draws, and clock-seeded rand sources " +
 			"in the deterministic packages (fleetsim, dataset, ml, expgrid, experiments, " +
-			"loadgen schedule construction)",
+			"remedy, learn, loadgen schedule construction)",
 		InScope: scopePackages("nondeterminism", deterministicPkgs, deterministicFiles),
 		Check:   checkNondeterminism,
 	}

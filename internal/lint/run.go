@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -16,35 +15,8 @@ type Options struct {
 	// Patterns are package patterns: ./..., ./internal/serve,
 	// internal/wal/..., or full import paths.
 	Patterns []string
-	// JSON switches the finding output from file:line:col text to a
-	// JSON array.
-	JSON bool
-	// BaselinePath, when set, loads the committed baseline: findings
-	// matching it do not fail the run, and entries matching nothing are
-	// reported as removable.
-	BaselinePath string
-	// WriteBaseline rewrites BaselinePath with the current findings
-	// instead of failing on them.
-	WriteBaseline bool
-	// StrictBaseline makes stale baseline entries — entries matching no
-	// current finding — fail the run, so the baseline can only shrink
-	// toward its removal.
-	StrictBaseline bool
-	// ReportPath, when set, writes a JSON report with per-analyzer
-	// finding counts (fresh findings only, after suppression and
-	// baseline filtering) alongside the normal output.
-	ReportPath string
 
 	Stdout, Stderr io.Writer
-}
-
-// A Report is the machine-readable run summary written to ReportPath.
-type Report struct {
-	Analyzers []string       `json:"analyzers"`
-	Counts    map[string]int `json:"counts"` // fresh findings per analyzer
-	Total     int            `json:"total"`
-	Stale     int            `json:"stale_baseline_entries"`
-	Findings  []Finding      `json:"findings"`
 }
 
 // Exit codes: 0 clean, 1 findings, 2 usage or load failure.
@@ -54,7 +26,8 @@ const (
 	ExitError    = 2
 )
 
-// Run executes the linter and returns the process exit code.
+// Run executes the linter, prints each finding as one file:line:col
+// line in a stable order, and returns the process exit code.
 func Run(opts Options) int {
 	if opts.Stdout == nil {
 		opts.Stdout = os.Stdout
@@ -65,12 +38,6 @@ func Run(opts Options) int {
 	fail := func(err error) int {
 		fmt.Fprintf(opts.Stderr, "ssdlint: %v\n", err)
 		return ExitError
-	}
-	if opts.WriteBaseline && opts.BaselinePath == "" {
-		return fail(fmt.Errorf("-write-baseline requires -baseline"))
-	}
-	if opts.StrictBaseline && opts.BaselinePath == "" {
-		return fail(fmt.Errorf("-strict-baseline requires -baseline"))
 	}
 	if len(opts.Patterns) == 0 {
 		return fail(fmt.Errorf("no packages named; try ./..."))
@@ -125,91 +92,16 @@ func Run(opts Options) int {
 		return a.Analyzer < b.Analyzer
 	})
 
-	if opts.WriteBaseline {
-		if err := os.WriteFile(opts.BaselinePath, FormatBaseline(findings), 0o644); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(opts.Stderr, "ssdlint: wrote %d baseline entr%s to %s\n",
-			len(findings), plural(len(findings), "y", "ies"), opts.BaselinePath)
-		return ExitClean
+	for _, f := range findings {
+		fmt.Fprintln(opts.Stdout, f)
 	}
-
-	fresh := findings
-	staleCount := 0
-	if opts.BaselinePath != "" {
-		baseline, err := LoadBaseline(opts.BaselinePath)
-		if err != nil {
-			return fail(err)
+	if n := len(findings); n > 0 {
+		s := "s"
+		if n == 1 {
+			s = ""
 		}
-		var stale []string
-		fresh, stale = baseline.Filter(findings)
-		staleCount = len(stale)
-		for _, s := range stale {
-			fmt.Fprintf(opts.Stderr, "ssdlint: stale baseline entry (removable): %s\n", s)
-		}
-	}
-
-	if opts.ReportPath != "" {
-		if err := writeReport(opts.ReportPath, fresh, staleCount); err != nil {
-			return fail(err)
-		}
-	}
-
-	if opts.JSON {
-		out := fresh
-		if out == nil {
-			out = []Finding{}
-		}
-		enc := json.NewEncoder(opts.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fail(err)
-		}
-	} else {
-		for _, f := range fresh {
-			fmt.Fprintln(opts.Stdout, f)
-		}
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(opts.Stderr, "ssdlint: %d finding%s\n", len(fresh), plural(len(fresh), "", "s"))
-		return ExitFindings
-	}
-	if opts.StrictBaseline && staleCount > 0 {
-		fmt.Fprintf(opts.Stderr, "ssdlint: %d stale baseline entr%s under -strict-baseline; "+
-			"remove them (or rerun with -write-baseline)\n", staleCount, plural(staleCount, "y", "ies"))
+		fmt.Fprintf(opts.Stderr, "ssdlint: %d finding%s\n", n, s)
 		return ExitFindings
 	}
 	return ExitClean
-}
-
-// writeReport writes the per-analyzer summary consumed by CI.
-func writeReport(path string, fresh []Finding, stale int) error {
-	r := Report{
-		Analyzers: AnalyzerNames(),
-		Counts:    map[string]int{},
-		Total:     len(fresh),
-		Stale:     stale,
-		Findings:  fresh,
-	}
-	if r.Findings == nil {
-		r.Findings = []Finding{}
-	}
-	for _, name := range r.Analyzers {
-		r.Counts[name] = 0
-	}
-	for _, f := range fresh {
-		r.Counts[f.Analyzer]++
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -37,7 +37,6 @@ func collectAllows(p *Package, known map[string]bool, rel func(string) string) (
 		position := p.Fset.Position(pos)
 		misuse = append(misuse, Finding{
 			Analyzer: MetaAnalyzer,
-			Pos:      position,
 			File:     rel(position.Filename),
 			Line:     position.Line,
 			Col:      position.Column,

@@ -6,17 +6,12 @@ import (
 	"testing"
 )
 
-func runOnModule(t *testing.T, files map[string]string, opts Options) (int, string, string) {
+func runOnModule(t *testing.T, files map[string]string) (int, string, string) {
 	t.Helper()
 	root := writeTestModule(t, files)
 	var stdout, stderr bytes.Buffer
-	opts.Dir = root
-	if opts.Patterns == nil {
-		opts.Patterns = []string{"./..."}
-	}
-	opts.Stdout = &stdout
-	opts.Stderr = &stderr
-	return Run(opts), stdout.String(), stderr.String()
+	code := Run(Options{Dir: root, Patterns: []string{"./..."}, Stdout: &stdout, Stderr: &stderr})
+	return code, stdout.String(), stderr.String()
 }
 
 func TestAllowSuppressesFinding(t *testing.T) {
@@ -30,7 +25,7 @@ func Stamp() time.Time {
 	return time.Now()
 }
 `,
-	}, Options{})
+	})
 	if code != ExitClean {
 		t.Fatalf("exit = %d, want clean\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -46,7 +41,7 @@ func Stamp() time.Time {
 	return time.Now() //ssdlint:allow nondeterminism boot banner only
 }
 `,
-	}, Options{})
+	})
 	if code != ExitClean {
 		t.Fatalf("exit = %d, want clean\nstdout: %s", code, stdout)
 	}
@@ -67,7 +62,7 @@ func Stamp() time.Time {
 	return time.Now()
 }
 `,
-	}, Options{})
+	})
 	if code != ExitFindings {
 		t.Fatalf("exit = %d, want findings", code)
 	}
@@ -90,7 +85,7 @@ func Stamp() time.Time {
 	return time.Now()
 }
 `,
-	}, Options{})
+	})
 	if code != ExitFindings {
 		t.Fatalf("exit = %d, want findings", code)
 	}
@@ -113,7 +108,7 @@ import "time"
 
 func Stamp() time.Time { return time.Now() }
 `,
-	}, Options{})
+	})
 	if code != ExitFindings {
 		t.Fatalf("exit = %d, want findings (directive detached from the read)\n%s", code, stdout)
 	}
@@ -137,7 +132,7 @@ func Stamp() time.Time {
 	return a.Add(time.Since(b))
 }
 `,
-	}, Options{})
+	})
 	if code != ExitClean {
 		t.Fatalf("exit = %d, want clean (doc-comment directive covers the body)\n%s", code, stdout)
 	}
@@ -154,7 +149,7 @@ func Stamp() time.Time {
 	return time.Now()
 }
 `,
-	}, Options{})
+	})
 	if code != ExitFindings {
 		t.Fatalf("exit = %d, want findings: an allow for a different analyzer must not suppress\n%s", code, stdout)
 	}

@@ -1,6 +1,7 @@
-// Package hotalloc is the analyzer fixture: functions under the
-// //ssdlint:hotpath annotation must be allocation-free outside
-// CFG-detected error paths; everything else may allocate freely.
+// Package hotalloc is the analyzer fixture: the functions the scope
+// table lists for this package (Render, Bad, Cold, Allowed) must be
+// allocation-free outside CFG-detected error paths; everything else may
+// allocate freely.
 package hotalloc
 
 import (
@@ -15,8 +16,6 @@ func sink(v any) { _ = v }
 
 // Render is the shape the contract wants: self-appends and
 // strconv.Append* helpers into a caller-owned buffer.
-//
-//ssdlint:hotpath fixture: render path must stay 0 B/op
 func Render(buf []byte, vals []int64) []byte {
 	for _, v := range vals {
 		buf = append(buf, ',')
@@ -26,8 +25,6 @@ func Render(buf []byte, vals []int64) []byte {
 }
 
 // Bad collects one of each allocation class.
-//
-//ssdlint:hotpath fixture: every site below is a finding
 func Bad(buf []byte, other []byte, n int64) []byte {
 	scratch := make([]byte, 0, 8) // want "make allocates"
 	scratch = append(scratch, 'x')
@@ -55,8 +52,6 @@ func Bad(buf []byte, other []byte, n int64) []byte {
 // Cold shows the error-path exemption: every statement in the failing
 // branch continues only into an error-constructing return, so the
 // Sprintf and the boxing inside it are exempt.
-//
-//ssdlint:hotpath fixture: error paths may allocate
 func Cold(buf []byte, n int) ([]byte, error) {
 	if n < 0 {
 		msg := fmt.Sprintf("bad n: %d", n)
@@ -66,14 +61,12 @@ func Cold(buf []byte, n int) ([]byte, error) {
 }
 
 // Allowed shows inline suppression of an accepted allocation.
-//
-//ssdlint:hotpath fixture: allow-directive demo
 func Allowed() []int {
 	//ssdlint:allow hotalloc first-sight allocation, amortized across the run
 	return []int{1, 2, 3}
 }
 
-// NotHot allocates at will: no annotation, no table entry, no findings.
+// NotHot allocates at will: no table entry, no findings.
 func NotHot(n int64) string {
 	return fmt.Sprint(n)
 }

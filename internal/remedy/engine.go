@@ -59,7 +59,7 @@ func NewEngine(policy Policy, pool *sparepool.Pool, log *EventLog) (*Engine, err
 		return nil, errors.New("remedy: nil spare pool")
 	}
 	if log == nil {
-		log = NewEventLog(nil, 0)
+		log = NewEventLog(nil)
 	}
 	return &Engine{
 		policy: p,

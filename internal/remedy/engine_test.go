@@ -337,18 +337,20 @@ func TestEventCanonicalEncoding(t *testing.T) {
 }
 
 func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(nil, 3)
-	for i := 1; i <= 5; i++ {
+	l := NewEventLog(nil)
+	const n = DefaultRingCap + 2
+	for i := 1; i <= n; i++ {
 		l.Append(Event{Tick: uint64(i), Action: ActionCordon, Drive: uint32(i)})
 	}
-	if l.Total() != 5 {
+	if l.Total() != n {
 		t.Fatalf("total = %d", l.Total())
 	}
 	recent := l.Recent(0)
-	if len(recent) != 3 || recent[0].Tick != 3 || recent[2].Tick != 5 {
-		t.Fatalf("recent = %+v, want ticks 3..5 oldest first", recent)
+	if len(recent) != DefaultRingCap || recent[0].Tick != 3 || recent[DefaultRingCap-1].Tick != n {
+		t.Fatalf("recent = %d events from tick %d, want ticks 3..%d oldest first",
+			len(recent), recent[0].Tick, n)
 	}
-	if two := l.Recent(2); len(two) != 2 || two[0].Tick != 4 {
+	if two := l.Recent(2); len(two) != 2 || two[0].Tick != n-1 {
 		t.Fatalf("recent(2) = %+v", two)
 	}
 }

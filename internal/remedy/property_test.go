@@ -3,6 +3,7 @@ package remedy
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ssdfail/internal/sparepool"
@@ -178,8 +179,8 @@ func TestPropertyEvaluateDeterministic(t *testing.T) {
 			MaxDrainFraction: 0.25, DrainTicks: 2, SwapCost: 1, LossCost: 20}
 		fleet := propFleet(18)
 		pool, _ := sparepool.NewPool(6)
-		log := NewEventLog(nil, 4096)
-		e, err := NewEngine(p, pool, log)
+		var sink strings.Builder
+		e, err := NewEngine(p, pool, NewEventLog(&sink))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +212,7 @@ func TestPropertyEvaluateDeterministic(t *testing.T) {
 				t.Fatalf("tick %d: %v", tick, err)
 			}
 		}
-		var out string
-		for _, ev := range log.Recent(0) {
-			out += ev.String() + "\n"
-		}
-		return out
+		return sink.String()
 	}
 	for seed := int64(7); seed < 12; seed++ {
 		a, b := run(seed, seed+1000), run(seed, seed+2000)

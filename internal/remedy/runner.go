@@ -35,7 +35,7 @@ func Run(sc *Scenario) (*RunResult, error) {
 		return nil, err
 	}
 	var logBuf bytes.Buffer
-	engine, err := NewEngine(sc.Policy.Resolve(), pool, NewEventLog(&logBuf, 0))
+	engine, err := NewEngine(sc.Policy.Resolve(), pool, NewEventLog(&logBuf))
 	if err != nil {
 		return nil, err
 	}

@@ -73,10 +73,6 @@ type Config struct {
 	// backoff plus jitter — bootstrap environments often race the
 	// trainer writing the model file. 0 or 1 means a single attempt.
 	ModelLoadAttempts int
-	// ModelRetryBase and ModelRetryMax bound the backoff schedule
-	// (defaults 200ms and 5s).
-	ModelRetryBase time.Duration
-	ModelRetryMax  time.Duration
 
 	// RemedyPolicy enables the remediation control plane: a policy
 	// engine that walks fleet scores through cordon/drain/swap decisions
@@ -86,9 +82,6 @@ type Config struct {
 	RemedyPolicy *remedy.Policy
 	// RemedySpares stocks the spare pool at startup.
 	RemedySpares int
-	// RemedyLogCap bounds the in-memory remediation event ring
-	// (0 = remedy.DefaultRingCap).
-	RemedyLogCap int
 
 	// NodeName identifies this daemon in a cluster; it is reported by
 	// GET /v1/health so routers and operators can tell nodes apart.
@@ -347,21 +340,15 @@ func New(cfg Config) (*Server, error) {
 // loadModelWithRetry loads the startup model, retrying transient
 // failures with exponential backoff plus jitter so a bootstrap daemon
 // can win its race against the trainer still writing the model file.
+// The step starts at 200ms and doubles up to 5s.
 func (s *Server) loadModelWithRetry() error {
+	const maxDelay = 5 * time.Second
 	attempts := s.cfg.ModelLoadAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	base := s.cfg.ModelRetryBase
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	maxDelay := s.cfg.ModelRetryMax
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
 	var err error
-	delay := base
+	delay := 200 * time.Millisecond
 	for attempt := 1; ; attempt++ {
 		if _, err = s.registry.Load(); err == nil {
 			return nil

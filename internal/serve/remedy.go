@@ -29,7 +29,7 @@ func (s *Server) initRemedy() error {
 	if err != nil {
 		return fmt.Errorf("serve: remedy spare pool: %w", err)
 	}
-	engine, err := remedy.NewEngine(*s.cfg.RemedyPolicy, pool, remedy.NewEventLog(nil, s.cfg.RemedyLogCap))
+	engine, err := remedy.NewEngine(*s.cfg.RemedyPolicy, pool, nil)
 	if err != nil {
 		return fmt.Errorf("serve: remedy engine: %w", err)
 	}

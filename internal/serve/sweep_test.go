@@ -287,7 +287,7 @@ func runSweepProperty(t *testing.T, seed uint64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEngine, err := remedy.NewEngine(*srv.cfg.RemedyPolicy, pool, remedy.NewEventLog(nil, 0))
+	refEngine, err := remedy.NewEngine(*srv.cfg.RemedyPolicy, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
