@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt vet remedy-scenarios cluster-chaos train-loop bench bench-compare experiments
+.PHONY: all build test race lint fmt vet decision-logs cluster-chaos train-loop bench bench-compare experiments
 
 all: build lint test
 
@@ -19,11 +19,16 @@ race:
 lint:
 	$(GO) run ./cmd/ssdlint ./...
 
-# Replay every committed remediation scenario at two GOMAXPROCS
-# settings and diff the event logs against each other and the committed
-# goldens. Regenerate goldens after an intentional engine change with:
-#   go test ./internal/remedy/ -run Golden -update
-remedy-scenarios:
+# Every decision-log golden (remediation scenarios, partition
+# scenarios, the retrainer's drift replay) at two GOMAXPROCS settings,
+# then every remediation scenario through the ssdremedy CLI, diffed
+# across GOMAXPROCS and against its golden. Regenerate goldens after an
+# intentional change with `go test ./internal/<pkg>/ -run Golden -update`.
+decision-logs:
+	@set -e; for p in 1 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Scenarios|DecisionLog' \
+			./internal/eventlog ./internal/remedy ./internal/cluster ./internal/learn; \
+	done
 	$(GO) build -o /tmp/ssdremedy ./cmd/ssdremedy
 	@set -e; for s in scenarios/*.json; do \
 		name=$$(basename $$s .json); \

@@ -130,7 +130,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := NewTracker(parts, cfg.DownAfter, cfg.UpAfter)
+	tracker, err := NewTracker(parts, cfg.DownAfter, cfg.UpAfter, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -921,12 +921,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	status := rt.tracker.Status()
-	events := rt.tracker.Events()
+	events := rt.tracker.Log().Recent(100)
 	round := rt.round
 	rt.mu.Unlock()
-	if len(events) > 100 {
-		events = events[len(events)-100:]
-	}
 	lines := make([]string, len(events))
 	for i, e := range events {
 		lines[i] = e.String()

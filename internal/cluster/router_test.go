@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"ssdfail/internal/eventlog"
 )
 
 func TestRouterRoutesIngestByOwner(t *testing.T) {
@@ -209,6 +213,61 @@ func TestRouterFailsOverToFollower(t *testing.T) {
 	}
 	if len(st.Endpoints) != 2 {
 		t.Fatalf("status endpoints: %+v", st.Endpoints)
+	}
+}
+
+// TestRouterStatusHistoryIsBounded: the router retains only the
+// tracker's ring of recent transitions, not every one it ever saw, and
+// /v1/cluster/status serves the last 100 lines oldest first — the same
+// lines a full history would give.
+func TestRouterStatusHistoryIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cycles int // down+up flaps of one endpoint, two events each
+	}{
+		{"beyond the ring", eventlog.DefaultRingCap},
+		{"under 100 events", 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := NewRouter(RouterConfig{
+				Nodes: []Node{{Name: "n", URL: "http://127.0.0.1:1"}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			round := 0
+			for c := 0; c < tc.cycles; c++ {
+				for _, ok := range []bool{false, false, false, true, true} {
+					round++
+					for _, e := range rt.tracker.Observe(round, "n", ok) {
+						lines = append(lines, e.String())
+					}
+				}
+			}
+			if len(lines) != 2*tc.cycles {
+				t.Fatalf("%d flaps emitted %d events, want %d", tc.cycles, len(lines), 2*tc.cycles)
+			}
+			log := rt.tracker.Log()
+			if kept := len(log.Recent(0)); kept > eventlog.DefaultRingCap {
+				t.Errorf("tracker retains %d events, cap %d", kept, eventlog.DefaultRingCap)
+			}
+			if log.Total() != uint64(len(lines)) {
+				t.Errorf("total %d, want %d", log.Total(), len(lines))
+			}
+
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster/status", nil))
+			var st struct {
+				Events []string `json:"events"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("status %d: %v", rec.Code, err)
+			}
+			if want := lines[max(0, len(lines)-100):]; !slices.Equal(st.Events, want) {
+				t.Fatalf("status events (%d):\n%v\nwant the last %d:\n%v", len(st.Events), st.Events, len(want), want)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"ssdfail/internal/eventlog"
 )
 
 // Partition scenarios replay a scripted probe history through the
@@ -198,7 +200,8 @@ func RunScenario(sc *ClusterScenario) (*ScenarioResult, error) {
 	for i, p := range sc.Partitions {
 		parts[i] = Partition{Primary: p.Primary, Follower: p.Follower}
 	}
-	tr, err := NewTracker(parts, sc.DownAfter, sc.UpAfter)
+	var logBuf bytes.Buffer
+	tr, err := NewTracker(parts, sc.DownAfter, sc.UpAfter, eventlog.New[Event](&logBuf))
 	if err != nil {
 		return nil, err
 	}
@@ -209,6 +212,7 @@ func RunScenario(sc *ClusterScenario) (*ScenarioResult, error) {
 		byRound[ev.At] = append(byRound[ev.At], ev)
 	}
 	cut := make(map[string]bool)
+	counts := map[string]int{}
 	for round := 1; round <= sc.Rounds; round++ {
 		for _, ev := range byRound[round] {
 			if ev.Partition != "" {
@@ -218,14 +222,12 @@ func RunScenario(sc *ClusterScenario) (*ScenarioResult, error) {
 			}
 		}
 		for _, name := range tr.Endpoints() {
-			tr.Observe(round, name, !cut[name])
+			for _, e := range tr.Observe(round, name, !cut[name]) {
+				counts[e.Kind]++
+			}
 		}
 	}
-	res := &ScenarioResult{EventLog: tr.EventLog()}
-	counts := map[string]int{}
-	for _, e := range tr.Events() {
-		counts[e.Kind]++
-	}
+	res := &ScenarioResult{EventLog: logBuf.Bytes()}
 	for i, a := range sc.Assertions {
 		switch a.Type {
 		case "state":

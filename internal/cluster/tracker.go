@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
+
+	"ssdfail/internal/eventlog"
 )
 
 // Tracker is the deterministic failover state machine: probe outcomes
@@ -30,8 +31,7 @@ type Tracker struct {
 	eps   map[string]*endpoint
 	parts []*partitionState
 
-	events []Event
-	log    bytes.Buffer
+	log *eventlog.Log[Event]
 }
 
 // Partition declares one ring partition: a primary endpoint and an
@@ -69,10 +69,11 @@ func (e Event) String() string {
 	return fmt.Sprintf("t=%d node=%s event=%s", e.Tick, e.Node, e.Kind)
 }
 
-// NewTracker builds a tracker over the given partitions. Every
-// endpoint starts up — a router boots optimistic and lets the first
-// probe round correct it. downAfter/upAfter <= 0 default to 3 and 2.
-func NewTracker(parts []Partition, downAfter, upAfter int) (*Tracker, error) {
+// NewTracker builds a tracker over the given partitions, logging
+// transitions to log (nil = in-memory ring only). Every endpoint
+// starts up — a router boots optimistic and lets the first probe round
+// correct it. downAfter/upAfter <= 0 default to 3 and 2.
+func NewTracker(parts []Partition, downAfter, upAfter int, log *eventlog.Log[Event]) (*Tracker, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("cluster: tracker needs at least one partition")
 	}
@@ -82,7 +83,10 @@ func NewTracker(parts []Partition, downAfter, upAfter int) (*Tracker, error) {
 	if upAfter <= 0 {
 		upAfter = 2
 	}
-	t := &Tracker{downAfter: downAfter, upAfter: upAfter, eps: make(map[string]*endpoint)}
+	if log == nil {
+		log = eventlog.New[Event](nil)
+	}
+	t := &Tracker{downAfter: downAfter, upAfter: upAfter, eps: make(map[string]*endpoint), log: log}
 	add := func(name string) error {
 		if name == "" {
 			return fmt.Errorf("cluster: empty endpoint name")
@@ -122,8 +126,7 @@ func (t *Tracker) Observe(tick int, name string, ok bool) []Event {
 	}
 	var out []Event
 	emit := func(e Event) {
-		t.events = append(t.events, e)
-		fmt.Fprintf(&t.log, "%s\n", e.String())
+		t.log.Append(e)
 		out = append(out, e)
 	}
 	if ok {
@@ -187,14 +190,8 @@ func (t *Tracker) Promoted(primary string) bool {
 	return false
 }
 
-// EventLog returns the canonical event log: one line per transition,
-// in the order they were observed.
-func (t *Tracker) EventLog() []byte {
-	return append([]byte(nil), t.log.Bytes()...)
-}
-
-// Events returns all transitions so far.
-func (t *Tracker) Events() []Event { return append([]Event(nil), t.events...) }
+// Log exposes the tracker's transition log.
+func (t *Tracker) Log() *eventlog.Log[Event] { return t.log }
 
 // EndpointStatus is one endpoint's health snapshot.
 type EndpointStatus struct {

@@ -1,16 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"ssdfail/internal/eventlog"
 )
 
-func twoPartTracker(t *testing.T) *Tracker {
+func twoPartTracker(t *testing.T, log *eventlog.Log[Event]) *Tracker {
 	t.Helper()
 	tr, err := NewTracker([]Partition{
 		{Primary: "n1", Follower: "f1"},
 		{Primary: "n2"},
-	}, 3, 2)
+	}, 3, 2, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +21,7 @@ func twoPartTracker(t *testing.T) *Tracker {
 }
 
 func TestTrackerHysteresis(t *testing.T) {
-	tr := twoPartTracker(t)
+	tr := twoPartTracker(t, nil)
 	// Two misses: still up (down_after = 3).
 	tr.Observe(1, "n2", false)
 	tr.Observe(2, "n2", false)
@@ -50,7 +53,7 @@ func TestTrackerHysteresis(t *testing.T) {
 }
 
 func TestTrackerPromotionIsSticky(t *testing.T) {
-	tr := twoPartTracker(t)
+	tr := twoPartTracker(t, nil)
 	for tick := 1; tick <= 3; tick++ {
 		tr.Observe(tick, "n1", false)
 		tr.Observe(tick, "f1", true)
@@ -75,7 +78,7 @@ func TestTrackerPromotesWhenFollowerReturnsLate(t *testing.T) {
 	// The follower is known-down before the primary crosses its own
 	// threshold; promotion must fire the moment the follower comes
 	// back, not only on the primary's down edge.
-	tr := twoPartTracker(t)
+	tr := twoPartTracker(t, nil)
 	for tick := 1; tick <= 3; tick++ {
 		tr.Observe(tick, "f1", false)
 	}
@@ -99,12 +102,13 @@ func TestTrackerPromotesWhenFollowerReturnsLate(t *testing.T) {
 }
 
 func TestTrackerEventLogIsCanonical(t *testing.T) {
-	tr := twoPartTracker(t)
+	var sink bytes.Buffer
+	tr := twoPartTracker(t, eventlog.New[Event](&sink))
 	for tick := 1; tick <= 3; tick++ {
 		tr.Observe(tick, "n1", false)
 		tr.Observe(tick, "f1", true)
 	}
-	log := string(tr.EventLog())
+	log := sink.String()
 	want := "t=3 node=n1 event=down\nt=3 node=n1 event=promote target=f1\n"
 	if log != want {
 		t.Fatalf("event log:\n%q\nwant:\n%q", log, want)
@@ -115,7 +119,7 @@ func TestTrackerEventLogIsCanonical(t *testing.T) {
 }
 
 func TestTrackerStatusRoles(t *testing.T) {
-	tr := twoPartTracker(t)
+	tr := twoPartTracker(t, nil)
 	st := tr.Status()
 	if len(st) != 3 {
 		t.Fatalf("status has %d endpoints, want 3", len(st))

@@ -16,10 +16,10 @@ package learn
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
-	"sync"
+
+	"ssdfail/internal/eventlog"
 )
 
 // EventKind is the kind of one trainer decision.
@@ -53,10 +53,6 @@ const (
 	EventReject EventKind = "reject"
 )
 
-// fmtFloat renders a float in the shortest round-trippable form, so
-// encoded events are canonical.
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // Event is one trainer decision, the unit of the replayable log. Time
 // is the count of stream records applied so far, not a wall clock: the
 // engine owns no clock, so two runs over the same WAL prefix produce
@@ -67,7 +63,7 @@ type Event struct {
 	LSN  uint64 // stream position (last applied record's LSN)
 
 	// Fields is the kind-specific payload, already in canonical order.
-	// Values are pre-rendered (fmtFloat for floats) so String is pure
+	// Values are pre-rendered (eventlog.Float for floats) so String is pure
 	// concatenation.
 	Fields []Field
 }
@@ -85,7 +81,7 @@ func Fint(k string, v int64) Field { return Field{k, strconv.FormatInt(v, 10)} }
 func Fuint(k string, v uint64) Field { return Field{k, strconv.FormatUint(v, 10)} }
 
 // Ffloat builds a float field in canonical shortest form.
-func Ffloat(k string, v float64) Field { return Field{k, fmtFloat(v)} }
+func Ffloat(k string, v float64) Field { return Field{k, eventlog.Float(v)} }
 
 // String renders the canonical single-line encoding:
 //
@@ -103,74 +99,4 @@ func (e Event) String() string {
 		b.WriteString(f.Value)
 	}
 	return b.String()
-}
-
-// EventLog collects the trainer's decisions: every event goes to the
-// optional sink as one canonical line, and the most recent
-// DefaultRingCap events stay queryable in memory. Safe for concurrent
-// use.
-type EventLog struct {
-	mu      sync.Mutex
-	sink    io.Writer
-	ring    []Event
-	start   int
-	total   uint64
-	sinkErr error
-}
-
-// DefaultRingCap bounds the in-memory tail.
-const DefaultRingCap = 256
-
-// NewEventLog builds a log writing lines to sink (nil = in-memory ring
-// only).
-func NewEventLog(sink io.Writer) *EventLog {
-	return &EventLog{sink: sink, ring: make([]Event, 0, DefaultRingCap)}
-}
-
-// Append records one event.
-func (l *EventLog) Append(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	if len(l.ring) < DefaultRingCap {
-		l.ring = append(l.ring, e)
-	} else {
-		l.ring[l.start] = e
-		l.start = (l.start + 1) % DefaultRingCap
-	}
-	if l.sink != nil && l.sinkErr == nil {
-		_, err := io.WriteString(l.sink, e.String()+"\n")
-		if err != nil {
-			// Latch the first sink error; the ring keeps working.
-			l.sinkErr = err
-		}
-	}
-}
-
-// Recent returns up to n most recent events, oldest first.
-func (l *EventLog) Recent(n int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 0 || n > len(l.ring) {
-		n = len(l.ring)
-	}
-	out := make([]Event, 0, n)
-	for i := len(l.ring) - n; i < len(l.ring); i++ {
-		out = append(out, l.ring[(l.start+i)%len(l.ring)])
-	}
-	return out
-}
-
-// Total returns the number of events appended over the log's lifetime.
-func (l *EventLog) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// SinkErr returns the latched sink write error, if any.
-func (l *EventLog) SinkErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sinkErr
 }

@@ -33,7 +33,7 @@ func runScenario(t *testing.T, workers int) (logBytes []byte, models [][]byte) {
 	}
 	feed(l, driftStream())
 	l.Retrain() // one forced final attempt, like cmd/ssdtrain -once
-	if err := l.Log().SinkErr(); err != nil {
+	if err := l.Log().Err(); err != nil {
 		t.Fatal(err)
 	}
 	return sink.Bytes(), models

@@ -11,6 +11,7 @@ import (
 	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/eval"
+	"ssdfail/internal/eventlog"
 	"ssdfail/internal/expgrid"
 	"ssdfail/internal/failure"
 	"ssdfail/internal/ml/forest"
@@ -188,7 +189,7 @@ type Loop struct {
 	cfg      Config
 	scope    trace.Model // parsed scope; valid when scoped
 	scoped   bool
-	log      *EventLog
+	log      *eventlog.Log[Event]
 	state    *fleetState
 	channels []channelState
 	cache    *expgrid.MatrixCache
@@ -206,7 +207,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 	cfg = cfg.withDefaults()
 	l := &Loop{
 		cfg:   cfg,
-		log:   NewEventLog(cfg.Sink),
+		log:   eventlog.New[Event](cfg.Sink),
 		state: newFleetState(),
 		cache: expgrid.NewMatrixCache(cfg.CacheBytes),
 	}
@@ -238,7 +239,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 }
 
 // Log returns the decision log.
-func (l *Loop) Log() *EventLog { return l.log }
+func (l *Loop) Log() *eventlog.Log[Event] { return l.log }
 
 // Champion returns the predictor currently holding the champion slot.
 func (l *Loop) Champion() *core.Predictor { return l.champion }

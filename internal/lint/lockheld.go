@@ -17,6 +17,7 @@ var lockheldPkgs = []string{
 	"internal/wal",
 	"internal/cluster",
 	"internal/learn",
+	"internal/eventlog",
 }
 
 // LockHeldAnalyzer flags blocking operations — file and network I/O,
@@ -33,7 +34,7 @@ func LockHeldAnalyzer() *Analyzer {
 		Name: "lockheld",
 		Doc: "flags blocking operations (file/network I/O, time.Sleep, channel ops " +
 			"without default) reachable while a sync.Mutex/RWMutex is held in " +
-			"internal/{serve,wal,cluster,learn}, CFG-tracked with defer-unlock recognized",
+			"internal/{serve,wal,cluster,learn,eventlog}, CFG-tracked with defer-unlock recognized",
 		InScope: scopePackages("lockheld", lockheldPkgs, nil),
 		Check:   checkLockHeld,
 	}

@@ -15,6 +15,9 @@ var deterministicPkgs = []string{
 	"internal/expgrid",
 	"internal/experiments",
 	"internal/remedy",
+	// The decision log behind remedy, learn, and the cluster tracker:
+	// its sink bytes are the committed .eventlog goldens.
+	"internal/eventlog",
 	// The continuous-learning loop: its decision log and retrained
 	// model bytes are pinned by committed goldens, so the whole engine
 	// — including the tailer glue — must be free of wall-clock reads

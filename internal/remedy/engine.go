@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"ssdfail/internal/eventlog"
 	"ssdfail/internal/sparepool"
 	"ssdfail/internal/trace"
 )
@@ -21,7 +22,7 @@ type Engine struct {
 	mu     sync.Mutex
 	policy Policy
 	pool   *sparepool.Pool
-	log    *EventLog
+	log    *eventlog.Log[Event]
 
 	tick       uint64
 	drives     map[uint32]*driveState
@@ -50,7 +51,7 @@ type driveState struct {
 
 // NewEngine builds an engine actuating against pool, logging to log
 // (nil = in-memory ring only).
-func NewEngine(policy Policy, pool *sparepool.Pool, log *EventLog) (*Engine, error) {
+func NewEngine(policy Policy, pool *sparepool.Pool, log *eventlog.Log[Event]) (*Engine, error) {
 	p, err := policy.withDefaults()
 	if err != nil {
 		return nil, err
@@ -59,7 +60,7 @@ func NewEngine(policy Policy, pool *sparepool.Pool, log *EventLog) (*Engine, err
 		return nil, errors.New("remedy: nil spare pool")
 	}
 	if log == nil {
-		log = NewEventLog(nil)
+		log = eventlog.New[Event](nil)
 	}
 	return &Engine{
 		policy: p,
@@ -312,7 +313,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Log exposes the engine's event log.
-func (e *Engine) Log() *EventLog { return e.log }
+func (e *Engine) Log() *eventlog.Log[Event] { return e.log }
 
 // StateCounts returns how many drives sit in each lifecycle state.
 func (e *Engine) StateCounts() [numStates]int {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssdfail/internal/eventlog"
 	"ssdfail/internal/sparepool"
 	"ssdfail/internal/trace"
 )
@@ -180,7 +181,7 @@ func TestPropertyEvaluateDeterministic(t *testing.T) {
 		fleet := propFleet(18)
 		pool, _ := sparepool.NewPool(6)
 		var sink strings.Builder
-		e, err := NewEngine(p, pool, NewEventLog(&sink))
+		e, err := NewEngine(p, pool, eventlog.New[Event](&sink))
 		if err != nil {
 			t.Fatal(err)
 		}

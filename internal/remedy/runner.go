@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ssdfail/internal/eventlog"
 	"ssdfail/internal/sparepool"
 	"ssdfail/internal/trace"
 )
@@ -35,7 +36,7 @@ func Run(sc *Scenario) (*RunResult, error) {
 		return nil, err
 	}
 	var logBuf bytes.Buffer
-	engine, err := NewEngine(sc.Policy.Resolve(), pool, NewEventLog(&logBuf))
+	engine, err := NewEngine(sc.Policy.Resolve(), pool, eventlog.New[Event](&logBuf))
 	if err != nil {
 		return nil, err
 	}
@@ -175,10 +176,10 @@ func checkEndAssertions(sc *Scenario, engine *Engine, res *RunResult, viol func(
 	var drives map[uint32]DriveInfo
 	bounds := func(a *Assertion, name string, got float64) {
 		if a.Min != nil && got < *a.Min {
-			viol("%s = %s, want >= %s", name, fmtFloat(got), fmtFloat(*a.Min))
+			viol("%s = %s, want >= %s", name, eventlog.Float(got), eventlog.Float(*a.Min))
 		}
 		if a.Max != nil && got > *a.Max {
-			viol("%s = %s, want <= %s", name, fmtFloat(got), fmtFloat(*a.Max))
+			viol("%s = %s, want <= %s", name, eventlog.Float(got), eventlog.Float(*a.Max))
 		}
 	}
 	for i := range sc.Assertions {
@@ -217,7 +218,7 @@ func FormatSummary(s Summary, pool sparepool.PoolStats) string {
 	fmt.Fprintf(&b, "rate_limited_ticks=%d pool_exhausted_ticks=%d pool_free=%d pool_in_use=%d\n",
 		s.Stats.RateLimitedTicks, s.Stats.PoolExhaustedTicks, pool.Free, pool.InUse)
 	fmt.Fprintf(&b, "cost=%s (swap=%s loss=%s) do_nothing=%s savings=%s\n",
-		fmtFloat(s.TotalCost), fmtFloat(s.Stats.SwapCost), fmtFloat(s.Stats.LossCost),
-		fmtFloat(s.DoNothingCost), fmtFloat(s.Savings))
+		eventlog.Float(s.TotalCost), eventlog.Float(s.Stats.SwapCost), eventlog.Float(s.Stats.LossCost),
+		eventlog.Float(s.DoNothingCost), eventlog.Float(s.Savings))
 	return b.String()
 }

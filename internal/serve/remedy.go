@@ -12,8 +12,8 @@ import (
 // remedyPlane is the serve-side face of the remediation control plane:
 // the policy engine, its spare pool, and the evaluation counter wired
 // into /metrics. The engine itself owns no clock — each POST
-// /v1/remedy/evaluate is one tick, so the cadence (a cron, an operator,
-// ssdremedy -live) lives outside the daemon and replays are exact.
+// /v1/remedy/evaluate is one tick, so the cadence (a cron, an operator)
+// lives outside the daemon and replays are exact.
 type remedyPlane struct {
 	engine *remedy.Engine
 	pool   *sparepool.Pool
