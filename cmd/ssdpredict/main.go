@@ -5,10 +5,15 @@
 // Usage:
 //
 //	ssdpredict [-trace fleet.bin] [-drives 300] [-what table6,fig12,...]
+//	ssdpredict [-trace fleet.bin] [-drives 300] [-trees 100] -save pred.bin
 //
 // The -what flag selects experiments (comma-separated); "all" (the
 // default) runs everything. Table 6 is the most expensive (six models x
 // four lookaheads x k folds).
+//
+// With -save, it runs no experiment and writes the serving predictor
+// that ssdserved -model loads instead; the same options write the same
+// bytes at any -workers.
 package main
 
 import (
@@ -18,7 +23,9 @@ import (
 	"strings"
 	"time"
 
+	"ssdfail/internal/core"
 	"ssdfail/internal/experiments"
+	"ssdfail/internal/ml/forest"
 	"ssdfail/internal/report"
 	"ssdfail/internal/trace"
 )
@@ -34,6 +41,7 @@ func main() {
 		what      = flag.String("what", "all", "comma-separated: table6,table7,table8,fig12,fig13,fig14,fig15,fig16,grid,ablations")
 		plots     = flag.Bool("plots", true, "render ASCII plots alongside tables")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
+		save      = flag.String("save", "", "train the serving predictor, write it to this path, and run no experiment")
 	)
 	flag.Parse()
 
@@ -51,6 +59,12 @@ func main() {
 	}
 	fmt.Printf("fleet: %d drives, %d drive-days, %d swap events\n\n",
 		len(ctx.Fleet.Drives), ctx.Fleet.DriveDays(), len(ctx.An.Events))
+	if *save != "" {
+		if err := saveModel(ctx, *save); err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	want := map[string]bool{}
 	for _, w := range strings.Split(*what, ",") {
@@ -174,6 +188,27 @@ func main() {
 			return nil
 		})
 	}
+}
+
+// saveModel trains the serving predictor on the context's fleet — a
+// random forest predicting failure within 3 days, with a quarter of the
+// drives held out for its validation AUC — and writes it to path.
+func saveModel(ctx *experiments.Context, path string) error {
+	fcfg := forest.DefaultConfig()
+	fcfg.Trees, fcfg.Seed, fcfg.Workers = ctx.Cfg.ForestTrees, ctx.Cfg.Seed, ctx.Cfg.Workers
+	study := &core.Study{Fleet: ctx.Fleet, Analysis: ctx.An}
+	pred, err := study.TrainPredictor(core.PredictorOptions{
+		Lookahead: 3, Factory: forest.NewFactory(fcfg), Seed: ctx.Cfg.Seed,
+		Workers: ctx.Cfg.Workers, HoldoutFraction: 0.25,
+	})
+	if err != nil {
+		return err
+	}
+	if err := pred.Save(path); err != nil {
+		return err
+	}
+	fmt.Printf("model saved to %s (validation AUC %.3f)\n", path, pred.ValidationAUC)
+	return nil
 }
 
 func buildContext(cfg experiments.Config, tracePath string) (*experiments.Context, error) {

@@ -6,13 +6,13 @@
 //
 // Usage:
 //
-//	ssdserved -model pred.bin [-addr :8377] [-bootstrap] [-wal-dir DIR]
+//	ssdserved -model pred.bin [-addr :8377] [-wal-dir DIR]
 //
-// With -bootstrap, a missing model file is trained on a simulated fleet
-// and saved to -model first, so the daemon can be tried end to end
-// without any prior artifacts:
+// The daemon only scores: models are trained offline, by ssdpredict
+// -save or ssdtrain. To try it end to end without prior artifacts:
 //
-//	ssdserved -model /tmp/pred.bin -bootstrap -wal-dir /tmp/ssdserved-wal
+//	ssdpredict -drives 40 -trees 10 -save /tmp/pred.bin
+//	ssdserved -model /tmp/pred.bin -wal-dir /tmp/ssdserved-wal
 //	curl -s localhost:8377/healthz
 //	curl -s -X POST localhost:8377/v1/ingest/batch -d @day.json
 //	curl -s 'localhost:8377/v1/watchlist?k=10&threshold=0.5'
@@ -29,9 +29,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -41,8 +39,6 @@ import (
 	"time"
 
 	"ssdfail/internal/cluster"
-	"ssdfail/internal/core"
-	"ssdfail/internal/ml/forest"
 	"ssdfail/internal/remedy"
 	"ssdfail/internal/serve"
 )
@@ -61,11 +57,6 @@ func run() error {
 	var (
 		addr      = flag.String("addr", ":8377", "listen address")
 		modelPath = flag.String("model", "ssdserved-model.bin", "predictor file (core.Predictor.Save format)")
-		bootstrap = flag.Bool("bootstrap", false, "train and save a model to -model if the file is missing")
-		seed      = flag.Uint64("seed", 42, "simulation seed for -bootstrap")
-		drives    = flag.Int("drives", 150, "drives per model simulated for -bootstrap")
-		lookahead = flag.Int("lookahead", 3, "prediction lookahead in days for -bootstrap")
-		trees     = flag.Int("trees", 50, "random-forest size for -bootstrap")
 		shards    = flag.Int("shards", serve.DefaultShards, "drive-store shard count")
 		history   = flag.Int("history", serve.DefaultHistory, "daily reports retained per drive")
 		workers   = flag.Int("workers", 0, "batch-scoring workers (0 = all CPUs)")
@@ -102,12 +93,6 @@ func run() error {
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "HTTP server keep-alive idle timeout")
 	)
 	flag.Parse()
-
-	if *bootstrap {
-		if err := bootstrapModel(*modelPath, *seed, *drives, *lookahead, *trees, *workers); err != nil {
-			return fmt.Errorf("bootstrap: %v", err)
-		}
-	}
 
 	var remedyPolicy *remedy.Policy
 	if *remedyOn {
@@ -224,41 +209,5 @@ func run() error {
 		httpSrv.Close()
 	}
 	log.Printf("ssdserved: bye")
-	return nil
-}
-
-// bootstrapModel trains a predictor on a simulated fleet and saves it,
-// unless the model file already exists.
-func bootstrapModel(path string, seed uint64, drives, lookahead, trees, workers int) error {
-	if _, err := os.Stat(path); err == nil {
-		log.Printf("ssdserved: model %s exists, skipping bootstrap", path)
-		return nil
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	log.Printf("ssdserved: training bootstrap model (%d drives/model, lookahead %d, %d trees)",
-		drives, lookahead, trees)
-	study, err := core.GenerateStudy(seed, drives)
-	if err != nil {
-		return err
-	}
-	fcfg := forest.DefaultConfig()
-	fcfg.Trees = trees
-	fcfg.Seed = seed
-	fcfg.Workers = workers
-	pred, err := study.TrainPredictor(core.PredictorOptions{
-		Lookahead:       lookahead,
-		Factory:         forest.NewFactory(fcfg),
-		Seed:            seed,
-		Workers:         workers,
-		HoldoutFraction: 0.25,
-	})
-	if err != nil {
-		return err
-	}
-	if err := pred.Save(path); err != nil {
-		return err
-	}
-	fmt.Printf("bootstrap model saved to %s (validation AUC %.3f)\n", path, pred.ValidationAUC)
 	return nil
 }

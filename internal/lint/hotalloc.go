@@ -15,7 +15,10 @@ import (
 // path joins by adding its entry here.
 var hotPathFuncs = map[string]map[string]bool{
 	"internal/serve": {
+		"Server.ingestBatch":      true,
 		"Server.processBinBatch":  true,
+		"binFrames.decode":        true,
+		"Server.commit":           true,
 		"binState.renderBinReply": true,
 		// The warm watchlist sweep: a slot answered from the score column
 		// allocates nothing (stale slots grow reused buffers in place).

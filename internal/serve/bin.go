@@ -1,9 +1,10 @@
 package serve
 
-// Binary batch ingest: POST /v1/ingest/bin.
+// Batch ingest: the one loop every ingest wire runs, and the binary
+// wire, POST /v1/ingest/bin, in front of it.
 //
-// The body is a 12-byte batch header followed by one trace frame per
-// record:
+// The binary body is a 12-byte batch header followed by one trace
+// frame per record:
 //
 //	"SSDB" | version u32 LE (=1) | count u32 LE
 //	count × ( len u32 LE | crc32c u32 LE | WAL record payload )
@@ -11,9 +12,10 @@ package serve
 // Each frame payload is exactly the record's canonical WAL encoding
 // (appendWALRecordBinary), and the frame header is exactly the WAL's
 // frame header, so an accepted payload is appended to the journal
-// verbatim — decode validates, nothing re-encodes. The steady-state
-// path allocates nothing: the body, the rejection list, and the
-// response are pooled, and errors on the hot path are sentinels.
+// verbatim — decode validates, nothing re-encodes. The JSON wires are
+// another decode step in front of the same loop. The binary steady-state
+// path allocates nothing: the body, the rejection list, and the response
+// are pooled, and errors on the hot path are sentinels.
 
 import (
 	"context"
@@ -73,19 +75,21 @@ func ParseBinHeader(b []byte) (count int, rest []byte, err error) {
 	return int(binary.LittleEndian.Uint32(b[8:])), b[BinHeaderSize:], nil
 }
 
-// binState is the pooled per-request scratch for the binary ingest
-// path: the body buffer, the capped rejection list, and the response
-// bytes. Ownership rule: a binState (and every slice it holds) belongs
-// to exactly one request between Get and Put; nothing that escapes the
-// handler — store records, WAL buffers, response writers — may retain a
-// reference into it.
+// binState is the pooled per-request scratch for batch ingest: the body
+// buffer, the capped rejection list, the response bytes, and each
+// wire's decode step. Ownership rule: a binState (and every slice it
+// holds) belongs to exactly one request between Get and Put; nothing
+// that escapes the handler — store records, WAL buffers, response
+// writers — may retain a reference into it.
 type binState struct {
 	body []byte
 	resp []byte
 	errs []batchError
+	bin  binFrames
+	json jsonRecords
 }
 
-// binResult is what processing one binary batch produced. topErr is the
+// binResult is what processing one batch produced. topErr is the
 // top-level "error" field for non-2xx shapes; empty on 202/422.
 type binResult struct {
 	accepted int
@@ -102,8 +106,11 @@ func (s *Server) acquireBinState() *binState {
 	return s.binStates.Get().(*binState)
 }
 
-// releaseBinState returns a scratch state to the pool.
+// releaseBinState empties a scratch state's per-request parts and
+// returns it to the pool.
 func (s *Server) releaseBinState(st *binState) {
+	st.errs = st.errs[:0]
+	st.json.recs = nil
 	s.binStates.Put(st)
 }
 
@@ -129,11 +136,16 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := s.runBinBatch(r.Context(), body, st)
+	writeBatchReply(w, res.code, st)
+}
+
+// writeBatchReply sends a batch reply rendered into st.resp.
+func writeBatchReply(w http.ResponseWriter, code int, st *binState) {
 	h := w.Header()
 	if _, ok := h["Content-Type"]; !ok {
 		h.Set("Content-Type", "application/json")
 	}
-	w.WriteHeader(res.code)
+	w.WriteHeader(code)
 	//ssdlint:allow droppederr response write failed means the client hung up; the records are already applied
 	w.Write(st.resp)
 }
@@ -169,14 +181,10 @@ func (s *Server) readBinBody(r *http.Request, st *binState) ([]byte, int, error)
 	return st.body, 0, nil
 }
 
-// processBinBatch decodes, validates, and applies one binary batch.
-// Accepted frame payloads are journaled verbatim. Mirrors the JSON
-// batch semantics: per-record rejections continue, a mid-batch deadline
-// or WAL failure stops with exact accounting, and records already
-// applied stay applied.
+// processBinBatch is the binary wire's front end: it checks the batch
+// header and stride, then hands the frames to the shared batch loop.
+// Accepted frame payloads are journaled verbatim.
 func (s *Server) processBinBatch(ctx context.Context, body []byte, st *binState) binResult {
-	st.errs = st.errs[:0]
-	res := binResult{code: http.StatusAccepted}
 	count, rest, err := ParseBinHeader(body)
 	if err != nil {
 		return binResult{code: http.StatusBadRequest, topErr: err.Error()}
@@ -188,95 +196,123 @@ func (s *Server) processBinBatch(ctx context.Context, body []byte, st *binState)
 		return binResult{code: http.StatusBadRequest,
 			topErr: "batch length does not match declared record count"}
 	}
+	st.bin.rest = rest
+	return s.ingestBatch(ctx, count, &st.bin, st)
+}
+
+// recordDecoder is one ingest wire's decode step: it turns record i of
+// a batch into the drive ID, model, record and canonical WAL payload
+// the batch loop applies. A non-nil error rejects the record as
+// invalid_record (id names its drive when the wire carries one); an
+// error wrapping errCorruptFrame stops the batch instead.
+type recordDecoder interface {
+	decode(i int) (id uint32, model trace.Model, rec trace.DayRecord, payload []byte, err error)
+}
+
+var (
+	// errCorruptFrame is a transport-level failure, not a bad record:
+	// the rest of the body cannot be trusted.
+	errCorruptFrame     = errors.New("corrupt frame")
+	errMalformedPayload = errors.New("serve: malformed record payload")
+)
+
+// maxBatchErrors caps the per-record errors a batch reply lists.
+const maxBatchErrors = 10
+
+// ingestBatch is the one batch loop behind every ingest wire: it walks
+// count records through dec into the store or journal. Per-record
+// rejections continue; a mid-batch deadline, a WAL failure or a corrupt
+// frame stops the batch with exact accounting (accepted + rejected +
+// dropped = count), and records already applied stay applied.
+func (s *Server) ingestBatch(ctx context.Context, count int, dec recordDecoder, st *binState) binResult {
+	res := binResult{code: http.StatusAccepted}
 	for i := 0; i < count; i++ {
 		// A large batch can outlive the request deadline; stop cleanly
 		// with an exact accepted count rather than churn for a client
 		// that already gave up.
 		if i&127 == 0 && ctx.Err() != nil {
-			res.code = http.StatusServiceUnavailable
-			res.topErr = "request deadline exceeded mid-batch"
-			res.dropped = count - i
-			return res
+			return res.stop(http.StatusServiceUnavailable, "request deadline exceeded mid-batch", count-i)
 		}
-		payload, next, ferr := trace.NextFrame(rest, BinRecordSize)
-		if ferr != nil {
-			// Frame corruption is a transport-level failure, not a bad
-			// record: everything before this frame is applied, the rest of
-			// the body cannot be trusted.
-			res.code = http.StatusBadRequest
-			//ssdlint:allow hotalloc terminal corrupt-frame reply: one allocation per aborted batch, never on the accept path
-			res.topErr = "corrupt frame: " + ferr.Error()
-			res.dropped = count - i
-			return res
-		}
-		rest = next
-		if len(payload) != BinRecordSize || payload[BinRecordSize-1]&^3 != 0 {
-			// A short-but-valid frame or non-canonical flag bits would
-			// journal bytes that differ from the canonical encoding of the
-			// record they decode to; reject so WAL contents stay identical
-			// across wire formats.
-			res.rejected++
-			s.ingestRejected.With("invalid_record").Inc()
-			if len(st.errs) < 10 {
-				st.errs = append(st.errs, batchError{
-					Index: i, Error: "serve: malformed record payload"})
+		id, model, rec, payload, err := dec.decode(i)
+		reason := "invalid_record"
+		if err == nil {
+			if err = s.commit(id, model, rec, payload); err == nil {
+				s.ingested.Inc()
+				res.accepted++
+				continue
 			}
-			continue
+			reason = "store_conflict"
 		}
-		id, model, rec, derr := decodeWALRecordBinary(payload)
-		if derr == nil {
-			derr = validateDayRecord(&rec)
+		if errors.Is(err, errCorruptFrame) {
+			return res.stop(http.StatusBadRequest, err.Error(), count-i)
 		}
-		if derr != nil {
-			res.rejected++
-			s.ingestRejected.With("invalid_record").Inc()
-			if len(st.errs) < 10 {
-				st.errs = append(st.errs, batchError{
-					Index: i, DriveID: binary.LittleEndian.Uint32(payload), Error: derr.Error()})
-			}
-			continue
+		if errors.Is(err, ErrJournal) {
+			// The WAL is failing; every further append would too.
+			s.ingestRejected.With("wal_error").Inc()
+			return res.stop(http.StatusServiceUnavailable, err.Error(), count-i)
 		}
-		var uerr error
-		if s.journal != nil {
-			uerr = s.journal.UpsertPayload(id, model, rec, payload)
-		} else {
-			uerr = s.store.Upsert(id, model, rec)
+		res.rejected++
+		s.ingestRejected.With(reason).Inc()
+		if len(st.errs) < maxBatchErrors {
+			st.errs = append(st.errs, batchError{Index: i, DriveID: id, Error: err.Error()})
 		}
-		if uerr != nil {
-			if errors.Is(uerr, ErrJournal) {
-				// The WAL is failing; every further append would too.
-				s.ingestRejected.With("wal_error").Inc()
-				res.code = http.StatusServiceUnavailable
-				res.topErr = uerr.Error()
-				res.dropped = count - i
-				return res
-			}
-			res.rejected++
-			s.ingestRejected.With("store_conflict").Inc()
-			if len(st.errs) < 10 {
-				st.errs = append(st.errs, batchError{Index: i, DriveID: id, Error: uerr.Error()})
-			}
-			continue
-		}
-		s.ingested.Inc()
-		res.accepted++
 	}
-	if len(rest) != 0 {
-		// Unreachable given the fixed-stride length check, but a format
-		// change that forgot it must not silently ignore bytes.
-		res.code = http.StatusBadRequest
-		res.topErr = "trailing bytes after last frame"
-		return res
-	}
-	if res.accepted == 0 && count > 0 && res.code == http.StatusAccepted {
+	if res.accepted == 0 && count > 0 {
 		res.code = http.StatusUnprocessableEntity
 	}
 	return res
 }
 
-// renderBinReply builds the JSON response into st.resp without an
-// encoder: the shapes mirror handleIngestBatch's writeJSON maps, but a
-// steady-state 202 must not allocate.
+// stop ends a batch early with a top-level error and the count of
+// records never looked at.
+func (r binResult) stop(code int, msg string, dropped int) binResult {
+	r.code, r.topErr, r.dropped = code, msg, dropped
+	return r
+}
+
+// commit applies one validated record: through the journal when the
+// server has a WAL, straight into the store otherwise. payload is the
+// record's canonical WAL encoding, journaled verbatim; nil has the
+// journal encode it.
+func (s *Server) commit(id uint32, model trace.Model, rec trace.DayRecord, payload []byte) error {
+	switch {
+	case s.journal == nil:
+		return s.store.Upsert(id, model, rec)
+	case payload == nil:
+		return s.journal.Upsert(id, model, rec)
+	default:
+		return s.journal.UpsertPayload(id, model, rec, payload)
+	}
+}
+
+// binFrames is the binary wire's decode step: it walks the fixed-stride
+// frames that follow the batch header.
+type binFrames struct{ rest []byte }
+
+func (f *binFrames) decode(int) (uint32, trace.Model, trace.DayRecord, []byte, error) {
+	payload, next, err := trace.NextFrame(f.rest, BinRecordSize)
+	if err != nil {
+		return 0, 0, trace.DayRecord{}, nil, fmt.Errorf("%w: %w", errCorruptFrame, err)
+	}
+	f.rest = next
+	if len(payload) != BinRecordSize || payload[BinRecordSize-1]&^3 != 0 {
+		// A short-but-valid frame or non-canonical flag bits would
+		// journal bytes that differ from the canonical encoding of the
+		// record they decode to; reject so WAL contents stay identical
+		// across wire formats.
+		return 0, 0, trace.DayRecord{}, nil, errMalformedPayload
+	}
+	_, model, rec, err := decodeWALRecordBinary(payload)
+	if err == nil {
+		err = validateDayRecord(&rec)
+	}
+	return binary.LittleEndian.Uint32(payload), model, rec, payload, err
+}
+
+// renderBinReply builds every batch reply, whatever the wire, into
+// st.resp without an encoder, so a steady-state 202 does not allocate.
+// Keys come in a fixed order; "dropped" appears only beside a top-level
+// "error".
 func (st *binState) renderBinReply(res binResult) {
 	buf := st.resp[:0]
 	buf = append(buf, '{')
@@ -340,6 +376,6 @@ func appendJSONString(buf []byte, s string) []byte {
 // binStatePool builds the server's binState pool.
 func binStatePool() sync.Pool {
 	return sync.Pool{New: func() any {
-		return &binState{errs: make([]batchError, 0, 10)}
+		return &binState{errs: make([]batchError, 0, maxBatchErrors)}
 	}}
 }

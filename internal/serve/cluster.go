@@ -101,13 +101,7 @@ func ParseStreamFrame(data []byte) (int, uint64, []byte) {
 // error wrapping ErrJournal means the record could not be made durable
 // and the puller must not advance past it.
 func (s *Server) ApplyReplicated(id uint32, model trace.Model, rec trace.DayRecord) (bool, error) {
-	var err error
-	if s.journal != nil {
-		err = s.journal.Upsert(id, model, rec)
-	} else {
-		err = s.store.Upsert(id, model, rec)
-	}
-	switch {
+	switch err := s.commit(id, model, rec, nil); {
 	case err == nil:
 		s.replicaApplied.Inc()
 		s.tail.wake() // a follower chained behind this one

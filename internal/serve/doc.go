@@ -25,9 +25,10 @@
 //     pacer (pace.go) with a fixed budget of slots swept per second.
 //   - Metrics (metrics.go): a minimal Prometheus text-format registry
 //     (counters, gauges, histograms) with no dependencies.
-//   - Server (handlers.go): the HTTP surface wiring the above together.
+//   - Server (handlers.go, bin.go): the HTTP surface wiring the above
+//     together. Every ingest wire decodes into the one batch loop.
 //
-// Endpoints: POST /v1/ingest, POST /v1/ingest/batch, GET /v1/watchlist,
-// GET /v1/drive/{id}, GET /v1/model, POST /v1/model/reload, GET /healthz,
-// GET /metrics.
+// Endpoints: POST /v1/ingest, POST /v1/ingest/batch, POST /v1/ingest/bin,
+// GET /v1/watchlist, GET /v1/drive/{id}, GET /v1/model,
+// POST /v1/model/reload, GET /healthz, GET /metrics.
 package serve

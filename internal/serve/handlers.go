@@ -518,119 +518,70 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int,
 	return http.StatusOK, nil
 }
 
-// ingestOne validates and stores a single wire record — journaled when
-// durability is enabled — tagging the rejection-reason counter on
-// failure. An error wrapping ErrJournal means the record passed
-// validation but could not be made durable; callers map it to 503.
-func (s *Server) ingestOne(ir *IngestRecord) error {
-	model, rec, err := ir.ToRecord()
-	if err != nil {
-		s.ingestRejected.With("invalid_record").Inc()
-		return err
-	}
-	if s.journal != nil {
-		err = s.journal.Upsert(ir.DriveID, model, rec)
-	} else {
-		err = s.store.Upsert(ir.DriveID, model, rec)
-	}
-	if err != nil {
-		if errors.Is(err, ErrJournal) {
-			s.ingestRejected.With("wal_error").Inc()
-		} else {
-			s.ingestRejected.With("store_conflict").Inc()
-		}
-		return err
-	}
-	s.ingested.Inc()
-	return nil
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.acquire(w, "ingest", s.ingestSem) {
-		return
-	}
-	defer s.releaseIngest()
-	var ir IngestRecord
-	if code, err := s.decodeJSON(w, r, &ir); err != nil {
-		writeError(w, code, err.Error())
-		return
-	}
-	if err := s.ingestOne(&ir); err != nil {
-		code := http.StatusUnprocessableEntity
-		if errors.Is(err, ErrJournal) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": 1})
-}
-
 // batchError reports one rejected record of a batch.
 type batchError struct {
-	Index   int    `json:"index"`
-	DriveID uint32 `json:"drive_id"`
-	Error   string `json:"error"`
+	Index   int
+	DriveID uint32
+	Error   string
+}
+
+// handleIngest takes one record and answers in the single-record
+// shapes; handleIngestBatch takes an array and answers like every batch
+// endpoint. Both put the JSON decode step in front of the batch loop.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	s.serveJSONIngest(w, r, "ingest", true)
 }
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.acquire(w, "ingest_batch", s.ingestSem) {
+	s.serveJSONIngest(w, r, "ingest_batch", false)
+}
+
+func (s *Server) serveJSONIngest(w http.ResponseWriter, r *http.Request, handler string, single bool) {
+	if !s.acquire(w, handler, s.ingestSem) {
 		return
 	}
 	defer s.releaseIngest()
-	var batch []IngestRecord
-	if code, err := s.decodeJSON(w, r, &batch); err != nil {
+	st := s.acquireBinState()
+	defer s.releaseBinState(st)
+	var dst any = &st.json.recs
+	if single {
+		st.json.recs = make([]IngestRecord, 1)
+		dst = &st.json.recs[0]
+	}
+	if code, err := s.decodeJSON(w, r, dst); err != nil {
 		writeError(w, code, err.Error())
 		return
 	}
-	ctx := r.Context()
-	accepted := 0
-	var rejected []batchError
-	for i := range batch {
-		// A large batch can outlive the request deadline; stop cleanly
-		// with an exact accepted count rather than churn for a client
-		// that already gave up. Records already applied stay applied.
-		if i&127 == 0 && ctx.Err() != nil {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error":    "request deadline exceeded mid-batch",
-				"accepted": accepted,
-				"rejected": len(rejected),
-				"dropped":  len(batch) - i,
-				"errors":   rejected,
-			})
-			return
-		}
-		if err := s.ingestOne(&batch[i]); err != nil {
-			if errors.Is(err, ErrJournal) {
-				// The WAL is failing; every further append would too.
-				// Report what was durably accepted and stop.
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-					"error":    err.Error(),
-					"accepted": accepted,
-					"rejected": len(rejected),
-					"dropped":  len(batch) - i,
-					"errors":   rejected,
-				})
-				return
-			}
-			if len(rejected) < 10 {
-				rejected = append(rejected, batchError{
-					Index: i, DriveID: batch[i].DriveID, Error: err.Error(),
-				})
-			}
-			continue
-		}
-		accepted++
+	res := s.ingestBatch(r.Context(), len(st.json.recs), &st.json, st)
+	switch {
+	case !single:
+		st.renderBinReply(res)
+		writeBatchReply(w, res.code, st)
+	case res.accepted == 1:
+		writeJSON(w, http.StatusAccepted, map[string]any{"accepted": 1})
+	case res.topErr != "":
+		writeError(w, res.code, res.topErr)
+	default:
+		writeError(w, res.code, st.errs[0].Error)
 	}
-	code := http.StatusAccepted
-	if accepted == 0 && len(batch) > 0 {
-		code = http.StatusUnprocessableEntity
+}
+
+// jsonRecords is the JSON wires' decode step: ToRecord validates each
+// record, and its canonical WAL encoding goes into a pooled buffer, so
+// both wires journal the same bytes for the same record.
+type jsonRecords struct {
+	recs    []IngestRecord
+	payload []byte
+}
+
+func (j *jsonRecords) decode(i int) (uint32, trace.Model, trace.DayRecord, []byte, error) {
+	ir := &j.recs[i]
+	model, rec, err := ir.ToRecord()
+	if err != nil {
+		return ir.DriveID, 0, rec, nil, err
 	}
-	writeJSON(w, code, map[string]any{
-		"accepted": accepted,
-		"rejected": len(batch) - accepted,
-		"errors":   rejected,
-	})
+	j.payload = appendWALRecordBinary(j.payload[:0], ir.DriveID, model, &rec)
+	return ir.DriveID, model, rec, j.payload, nil
 }
 
 // queryInt parses an optional integer query parameter.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -305,8 +306,13 @@ func runSweepProperty(t *testing.T, seed uint64, steps int) {
 	lastDay := map[uint32]int32{}
 
 	ingest := func(pd *propDrive, j int) error {
-		ir := WireRecord(pd.d.ID, pd.d.Model, &pd.d.Days[j])
-		return srv.ingestOne(&ir)
+		st := srv.acquireBinState()
+		defer srv.releaseBinState(st)
+		st.json.recs = []IngestRecord{WireRecord(pd.d.ID, pd.d.Model, &pd.d.Days[j])}
+		if res := srv.ingestBatch(context.Background(), 1, &st.json, st); res.accepted != 1 {
+			return fmt.Errorf("not accepted: %+v", st.errs)
+		}
+		return nil
 	}
 	accept := func(pd *propDrive) {
 		if pd.next == len(pd.d.Days) {
