@@ -150,22 +150,6 @@ type Predictor struct {
 	// holdout was requested.
 	ValidationAUC float64
 	model         ml.Classifier
-	// flat is the model's flattened-array form, cached at train/decode
-	// time when the model is a random forest. Scoring prefers it: same
-	// bits, contiguous traversal, no per-tree pointer chasing.
-	flat *forest.Flat
-}
-
-// initFlat caches the flattened form of forest models. Flatten errors
-// are impossible for a forest that passed training or deserialization
-// validation; if one surfaces anyway the predictor just keeps the
-// pointer-walking path.
-func (p *Predictor) initFlat() {
-	if f, ok := p.model.(*forest.Forest); ok {
-		if fl, err := f.Flatten(); err == nil {
-			p.flat = fl
-		}
-	}
 }
 
 // TrainPredictor trains a failure predictor on the study.
@@ -210,7 +194,6 @@ func (s *Study) TrainPredictor(opts PredictorOptions) (*Predictor, error) {
 		return nil, err
 	}
 	p := &Predictor{Lookahead: opts.Lookahead, model: clf}
-	p.initFlat()
 	p.ValidationAUC = math.NaN()
 	if opts.HoldoutFraction > 0 && opts.HoldoutFraction < 1 {
 		test := dataset.Extract(s.Fleet, s.Analysis, dataset.Options{
@@ -242,22 +225,13 @@ func (p *Predictor) ScoreRecord(r, prev *trace.DayRecord) float64 {
 func (p *Predictor) ScoreInto(scratch *dataset.Matrix, r, prev *trace.DayRecord) float64 {
 	scratch.Reset()
 	scratch.AppendFeatureRow(r, prev)
-	row := scratch.Row(0)
-	if p.flat != nil && p.flat.Width() <= len(row) {
-		return p.flat.Score(row)
-	}
-	return p.model.Score(row)
+	return p.model.Score(scratch.Row(0))
 }
 
 // ScoreMatrix scores every row of m into out, which must have length
-// m.Len(). Forest models take the flattened block path (bit-identical
-// to per-row Score, allocation-free); other models fall back to
-// row-by-row scoring.
+// m.Len(), bit-identical to per-row Score; it allocates nothing for the
+// forest models the daemon serves.
 func (p *Predictor) ScoreMatrix(m *dataset.Matrix, out []float64) {
-	if p.flat != nil && p.flat.Width() <= m.W() {
-		p.flat.ScoreRows(m.X, m.W(), out)
-		return
-	}
 	for i := range out {
 		out[i] = p.model.Score(m.Row(i))
 	}
@@ -336,7 +310,6 @@ func TrainPredictorOnMatrix(train *dataset.Matrix, opts PredictorOptions) (*Pred
 		return nil, err
 	}
 	p := &Predictor{Lookahead: opts.Lookahead, ValidationAUC: math.NaN(), model: clf}
-	p.initFlat()
 	return p, nil
 }
 
@@ -371,7 +344,6 @@ func DecodePredictor(data []byte) (*Predictor, error) {
 		return nil, err
 	}
 	p := &Predictor{Lookahead: lookahead, ValidationAUC: math.NaN(), model: f}
-	p.initFlat()
 	return p, nil
 }
 

@@ -31,6 +31,7 @@ var hotPathFuncs = map[string]map[string]bool{
 		"storeShard.appendSnapshotSection": true,
 	},
 	"internal/ml/forest": {
+		"Forest.Score":   true,
 		"Flat.Score":     true,
 		"Flat.ScoreRows": true,
 	},
@@ -41,8 +42,9 @@ var hotPathFuncs = map[string]map[string]bool{
 	"internal/ml/logreg":    {"Model.Score": true},
 	"internal/ml/svm":       {"Model.Score": true},
 	// The SIMD kernels' wrappers, called once per scan chunk and per
-	// layer under those Score methods.
-	"internal/ml/vec": {"SqDists": true, "Affine": true},
+	// layer under those Score methods, and per layer and sample (AddOuter)
+	// or per layer and mini-batch (Adam) under the net's Fit.
+	"internal/ml/vec": {"SqDists": true, "Affine": true, "AddOuter": true, "Adam": true},
 	"internal/trace": {
 		"AppendFrame": true,
 		"BeginFrame":  true,

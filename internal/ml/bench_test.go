@@ -61,3 +61,45 @@ func BenchmarkScore(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFit times Fit of each Table 6 classifier on a fold-sized
+// training set — 500 rows — so the per-layer training cost can be
+// re-read without ssdbench. One operation is one Fit of a fresh model.
+// BenchmarkFit/<classifier> runs the path the host picks; on AVX2 hosts
+// BenchmarkFit/scalar/ times k-NN and the net again on their scalar
+// loops.
+func BenchmarkFit(b *testing.B) {
+	train := mltest.TwoBlobs(250, 2, 1)
+	forestCfg := forest.DefaultConfig()
+	forestCfg.Trees = 50
+	forestCfg.Workers = 1
+	run := func(b *testing.B, fs ...ml.Factory) {
+		for _, f := range fs {
+			b.Run(f().Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := f().Fit(train); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	knnFactory := knn.NewFactory(knn.DefaultConfig())
+	netFactory := func() ml.Classifier { return neuralnet.New(neuralnet.DefaultConfig()) }
+	run(b,
+		logreg.NewFactory(logreg.DefaultConfig()),
+		knnFactory,
+		svm.NewFactory(svm.DefaultConfig()),
+		netFactory,
+		tree.NewFactory(tree.DefaultConfig()),
+		forest.NewFactory(forestCfg),
+	)
+	if vec.AVX2 {
+		b.Run("scalar", func(b *testing.B) {
+			vec.AVX2 = false
+			defer func() { vec.AVX2 = true }()
+			run(b, knnFactory, netFactory)
+		})
+	}
+}

@@ -3,6 +3,13 @@
 // Gini feature importances. The paper finds this model the most accurate
 // for swap prediction (Table 6) and uses its importances to explain
 // which symptoms matter for infant versus mature failures (Figure 16).
+//
+// A fitted or decoded forest scores through one flat node layout (Flat):
+// each tree numbered breadth-first in one array, leaves that a step
+// cannot leave, and eight trees walked in lockstep without a branch —
+// in assembly on amd64 hosts where vec.AVX2 is set, in Go elsewhere.
+// The leaf probabilities are added in tree index order and divided once,
+// so every score is bit-identical to averaging tree.Score.
 package forest
 
 import (
@@ -31,10 +38,13 @@ func DefaultConfig() Config {
 	return Config{Trees: 100, MaxDepth: 14, MinLeaf: 2}
 }
 
-// Forest is a trained random forest.
+// Forest is a trained random forest. The trees are kept for their
+// importances and for serialization; scoring walks flat, the layout
+// built from them when the forest is fitted or decoded.
 type Forest struct {
 	cfg   Config
 	trees []*tree.Tree
+	flat  *Flat
 }
 
 // New returns an untrained forest.
@@ -91,20 +101,18 @@ func (f *Forest) Fit(m *dataset.Matrix) error {
 			return err
 		}
 	}
-	return nil
+	fl, err := newFlat(f.trees)
+	f.flat = fl
+	return err
 }
 
 // Score implements ml.Classifier: the mean of the trees' leaf
-// probabilities.
+// probabilities, summed in tree index order (Flat.Score).
 func (f *Forest) Score(x []float64) float64 {
-	if len(f.trees) == 0 {
+	if f.flat == nil {
 		return 0.5
 	}
-	var s float64
-	for _, t := range f.trees {
-		s += t.Score(x)
-	}
-	return s / float64(len(f.trees))
+	return f.flat.Score(x)
 }
 
 // Importances returns the forest's feature importances: the per-tree

@@ -40,7 +40,8 @@ func (f *Forest) MarshalBinary() ([]byte, error) {
 // untrusted (the serving daemon loads it from disk at runtime): the
 // declared tree count is checked against the bytes actually present
 // before allocating, every tree must decode from exactly its declared
-// span, and trailing garbage after the last tree is rejected.
+// span, trailing garbage after the last tree is rejected, and the trees
+// must pass the flat layout's structural checks (newFlat).
 func (f *Forest) UnmarshalBinary(data []byte) error {
 	if len(data) < 12 || string(data[:4]) != forestMagic {
 		return fmt.Errorf("forest: bad magic")
@@ -71,6 +72,7 @@ func (f *Forest) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("forest: tree count %d exceeds payload size %d", count, len(data))
 	}
 	f.trees = make([]*tree.Tree, count)
+	f.flat = nil
 	for i := range f.trees {
 		n, err := r32()
 		if err != nil {
@@ -89,5 +91,10 @@ func (f *Forest) UnmarshalBinary(data []byte) error {
 	if off != len(data) {
 		return fmt.Errorf("forest: %d trailing bytes after last tree", len(data)-off)
 	}
+	fl, err := newFlat(f.trees)
+	if err != nil {
+		return err
+	}
+	f.flat = fl
 	return nil
 }

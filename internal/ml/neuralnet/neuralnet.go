@@ -3,15 +3,21 @@
 // logistic output, binary cross-entropy loss, and Adam optimization.
 //
 // On hosts with AVX2 the forward pass of every layer with four or more
-// units runs in internal/ml/vec's kernel, one unit per SIMD lane, over
-// a copy of the weights interleaved four units at a time; elsewhere it
-// is a scalar loop, four units per pass. Each unit's sum has the same
-// order on both paths, so scores and fitted weights are bit-identical.
+// units runs in internal/ml/vec's Affine kernel, one unit per SIMD lane,
+// over a copy of the weights interleaved four units at a time; elsewhere
+// it is a scalar loop, four units per pass. Training runs the backward
+// pass in kernels too, one call per layer: AddOuter for a sample's
+// gradient, Affine over an interleaved copy of the transposed weights
+// for the delta of the layer below, and Adam for the update at the end
+// of each mini-batch. Every sum has the same terms in the same order on
+// both paths, so scores, fitted weights and Adam moments are
+// bit-identical.
 package neuralnet
 
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 
 	"ssdfail/internal/dataset"
@@ -41,18 +47,26 @@ type layer struct {
 	in, out int
 	w       []float64 // out x in, row-major
 	b       []float64
+	// simd is vec.AVX2 when the layer was made: whether Fit runs the
+	// layer's gradient, backward and Adam kernels.
+	simd bool
 	// wi is w's first out/4*4 rows interleaved four at a time
 	// (vec.Interleave4) for the AVX2 forward kernel; nil on the scalar
 	// path. It is refreshed from w after every update.
 	wi []float64
+	// wti is the transpose of w's first in/4*4 columns, interleaved the
+	// same way, for the AVX2 backward kernel; nil on the scalar path and
+	// for the first layer, whose input needs no delta. It is refreshed
+	// with wi.
+	wti []float64
 	// Adam moments.
 	mw, vw []float64
 	mb, vb []float64
 }
 
-func newLayer(in, out int, rng *fleetsim.RNG) *layer {
+func newLayer(in, out int, rng *fleetsim.RNG, backprop bool) *layer {
 	l := &layer{
-		in: in, out: out,
+		in: in, out: out, simd: vec.AVX2,
 		w: make([]float64, in*out), b: make([]float64, out),
 		mw: make([]float64, in*out), vw: make([]float64, in*out),
 		mb: make([]float64, out), vb: make([]float64, out),
@@ -62,17 +76,30 @@ func newLayer(in, out int, rng *fleetsim.RNG) *layer {
 	for i := range l.w {
 		l.w[i] = rng.NormFloat64() * scale
 	}
-	if vec.AVX2 && out >= 4 {
+	if l.simd && out >= 4 {
 		l.wi = make([]float64, out/4*4*in)
-		l.interleave()
 	}
+	if l.simd && backprop && in >= 4 {
+		l.wti = make([]float64, in/4*4*out)
+	}
+	l.interleave()
 	return l
 }
 
-// interleave refreshes the kernel's copy of the weights.
+// interleave refreshes the kernels' copies of the weights. Block b of
+// wti holds, for each unit o in turn, w[o][4b:4b+4]: column i of w is
+// row i of the transpose, so the four rows of a block are four
+// neighbouring inputs.
 func (l *layer) interleave() {
 	if l.wi != nil {
 		vec.Interleave4(l.wi, l.w[:len(l.wi)], l.in)
+	}
+	for b := 0; b < len(l.wti); b += 4 * l.out {
+		blk := l.wti[b : b+4*l.out]
+		col := b / l.out
+		for o := range l.out {
+			copy(blk[o*4:o*4+4], l.w[o*l.in+col:])
+		}
 	}
 }
 
@@ -151,9 +178,7 @@ func (m *Model) forward(fb *forwardBuffers) float64 {
 		}
 		if li < len(m.layers)-1 {
 			for o, s := range out {
-				if s < 0 {
-					out[o] = 0 // ReLU on hidden layers
-				}
+				out[o] = zeroIf(s, s < 0) // ReLU on hidden layers
 			}
 		}
 	}
@@ -174,7 +199,7 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 	sizes = append(sizes, 1)
 	m.layers = nil
 	for i := 0; i+1 < len(sizes); i++ {
-		m.layers = append(m.layers, newLayer(sizes[i], sizes[i+1], rng))
+		m.layers = append(m.layers, newLayer(sizes[i], sizes[i+1], rng, i > 0))
 	}
 
 	m.bufs = &sync.Pool{New: func() any { return m.newBuffers() }}
@@ -185,6 +210,7 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 		gw[li] = make([]float64, len(l.w))
 		gb[li] = make([]float64, len(l.b))
 	}
+	zeros := make([]float64, slices.Max(sizes))
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -218,62 +244,114 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 				// Backpropagate.
 				for li := len(m.layers) - 1; li >= 0; li-- {
 					l := m.layers[li]
-					delta := fb.deltas[li]
-					in := fb.acts[li]
-					for o := 0; o < l.out; o++ {
-						d := delta[o]
-						if d == 0 {
-							continue
-						}
-						gb[li][o] += d
-						row := gw[li][o*l.in:][:len(in)]
-						for i2, v := range in {
-							row[i2] += d * v
-						}
-					}
+					l.accumulate(gw[li], gb[li], fb.deltas[li], fb.acts[li])
 					if li > 0 {
-						// prev[i] = sum over o of w[o][i]*delta[o], each
-						// sum in o order, walked along the weight rows.
-						prev := fb.deltas[li-1]
-						clear(prev)
-						for o, d := range delta {
-							row := l.w[o*l.in:][:len(prev)]
-							for i2, wv := range row {
-								prev[i2] += wv * d
-							}
-						}
-						for i2, a := range fb.acts[li] {
-							if a <= 0 { // ReLU derivative
-								prev[i2] = 0
-							}
-						}
+						l.backprop(fb.deltas[li-1], fb.deltas[li], fb.acts[li], zeros)
 					}
 				}
 			}
 			// Adam update.
 			step++
-			lr := m.cfg.LearnRate
-			bc1 := 1 - math.Pow(beta1, float64(step))
-			bc2 := 1 - math.Pow(beta2, float64(step))
-			inv := 1 / float64(end-start)
+			st := vec.AdamStep{
+				Inv:   1 / float64(end-start),
+				L2:    m.cfg.L2,
+				Beta1: beta1, Beta2: beta2,
+				OneMinusBeta1: 1 - beta1, OneMinusBeta2: 1 - beta2,
+				LR:  m.cfg.LearnRate,
+				BC1: 1 - math.Pow(beta1, float64(step)),
+				BC2: 1 - math.Pow(beta2, float64(step)),
+				Eps: eps,
+			}
 			for li, l := range m.layers {
-				for i2 := range l.w {
-					g := gw[li][i2]*inv + m.cfg.L2*l.w[i2]
-					l.mw[i2] = beta1*l.mw[i2] + (1-beta1)*g
-					l.vw[i2] = beta2*l.vw[i2] + (1-beta2)*g*g
-					l.w[i2] -= lr * (l.mw[i2] / bc1) / (math.Sqrt(l.vw[i2]/bc2) + eps)
-				}
-				for o := range l.b {
-					g := gb[li][o] * inv
-					l.mb[o] = beta1*l.mb[o] + (1-beta1)*g
-					l.vb[o] = beta2*l.vb[o] + (1-beta2)*g*g
-					l.b[o] -= lr * (l.mb[o] / bc1) / (math.Sqrt(l.vb[o]/bc2) + eps)
-				}
+				l.adam(gw[li], gb[li], &st)
 				l.interleave()
 			}
 		}
 	}
 	return nil
+}
+
+// accumulate adds one sample's gradient for the layer: for every unit o
+// whose delta is not zero, gb[o] += delta[o] and gw[o][i] +=
+// delta[o]*in[i]. The AVX2 path makes one kernel call for the layer.
+func (l *layer) accumulate(gw, gb, delta, in []float64) {
+	if l.simd {
+		vec.AddOuter(gw, gb, delta, in[:l.in])
+		return
+	}
+	for o := 0; o < l.out; o++ {
+		d := delta[o]
+		if d == 0 {
+			continue
+		}
+		gb[o] += d
+		row := gw[o*l.in:][:len(in)]
+		for i, v := range in {
+			row[i] += float64(d * v)
+		}
+	}
+}
+
+// backprop writes the delta of the layer below to prev: prev[i] is the
+// sum over units o, in o order from +0, of w[o][i]*delta[o], then zero
+// where the layer's input act[i] is not positive (the ReLU derivative).
+// On the AVX2 path the sums over wti are one vec.Affine call with a
+// zero bias, one input per lane; columns past the last whole block and
+// the scalar path walk the weight rows.
+func (l *layer) backprop(prev, delta, act, zeros []float64) {
+	i0 := 0
+	if l.wti != nil {
+		i0 = len(l.wti) / l.out
+		vec.Affine(prev[:i0], zeros, l.wti, delta)
+	}
+	if i0 < len(prev) {
+		rest := prev[i0:]
+		clear(rest)
+		for o, d := range delta {
+			row := l.w[o*l.in+i0:][:len(rest)]
+			for i, wv := range row {
+				rest[i] += float64(wv * d)
+			}
+		}
+	}
+	for i, a := range act {
+		prev[i] = zeroIf(prev[i], a <= 0)
+	}
+}
+
+// zeroIf returns +0 when zero holds and v otherwise, without a branch:
+// the ReLU's sign tests go either way at random, so a branch on them
+// is mispredicted about half the time.
+func zeroIf(v float64, zero bool) float64 {
+	var keep uint64
+	if !zero {
+		keep = 1
+	}
+	return math.Float64frombits(math.Float64bits(v) & -keep)
+}
+
+// adam applies one Adam step to the layer's weights (with weight decay)
+// and biases (without). The AVX2 path makes one kernel call for each.
+func (l *layer) adam(gw, gb []float64, st *vec.AdamStep) {
+	if l.simd {
+		st.Decay = true
+		vec.Adam(l.w, l.mw, l.vw, gw, st)
+		st.Decay = false
+		vec.Adam(l.b, l.mb, l.vb, gb, st)
+		return
+	}
+	for i := range l.w {
+		g := float64(gw[i]*st.Inv) + float64(st.L2*l.w[i])
+		l.mw[i] = float64(st.Beta1*l.mw[i]) + float64(st.OneMinusBeta1*g)
+		l.vw[i] = float64(st.Beta2*l.vw[i]) + float64(st.OneMinusBeta2*g*g)
+		l.w[i] -= st.LR * (l.mw[i] / st.BC1) / (math.Sqrt(l.vw[i]/st.BC2) + st.Eps)
+	}
+	for o := range l.b {
+		g := gb[o] * st.Inv
+		l.mb[o] = float64(st.Beta1*l.mb[o]) + float64(st.OneMinusBeta1*g)
+		l.vb[o] = float64(st.Beta2*l.vb[o]) + float64(st.OneMinusBeta2*g*g)
+		l.b[o] -= st.LR * (l.mb[o] / st.BC1) / (math.Sqrt(l.vb[o]/st.BC2) + st.Eps)
+	}
 }
 
 // Score implements ml.Classifier.

@@ -3,7 +3,7 @@
 // per-feature random candidate subsets (the building block the random
 // forest reuses).
 //
-// Features must be finite: split search sorts (value, label) pairs and
+// Features must be finite: split search sorts each feature's values and
 // counts labels only at value boundaries, which is independent of the
 // order within ties for finite values but not with NaNs. dataset.Extract
 // emits only finite features.
@@ -90,8 +90,9 @@ func (t *Tree) FitRows(m *dataset.Matrix, rows []int32) error {
 	b := &builder{
 		t: t, m: m, total: float64(len(rows)),
 		minLeaf: minLeaf, minSplit: minSplit,
-		pairs: make([]valLabel, len(rows)),
-		feats: make([]int, t.width),
+		posVals: make([]float64, 0, len(rows)),
+		negVals: make([]float64, 0, len(rows)),
+		feats:   make([]int, t.width),
 	}
 	b.grow(rows, 0)
 	// Normalize importances to sum to 1 when any split occurred.
@@ -112,24 +113,8 @@ type builder struct {
 	m                 *dataset.Matrix
 	total             float64
 	minLeaf, minSplit int
-	pairs             []valLabel // split-search scratch, one per row
-	feats             []int      // candidate-feature scratch, one per feature
-}
-
-// valLabel is one row's value of the feature under search and its label.
-type valLabel struct {
-	v   float64
-	pos bool
-}
-
-func cmpValue(a, b valLabel) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return 0
+	posVals, negVals  []float64 // split-search scratch, one per row each
+	feats             []int     // candidate-feature scratch, one per feature
 }
 
 // gini returns the Gini impurity for pos positives out of n.
@@ -194,7 +179,10 @@ func (b *builder) grow(rows []int32, depth int) int32 {
 }
 
 // bestSplit scans candidate features for the split with the largest Gini
-// decrease. Returns feature -1 when no valid split exists.
+// decrease. Returns feature -1 when no valid split exists. Per feature,
+// the positives' and the negatives' values are sorted apart and
+// merge-walked one distinct value at a time; a split is evaluated only
+// between two distinct values, so the order within ties never matters.
 func (b *builder) bestSplit(rows []int32, pos float64) (int, float64, float64) {
 	n := float64(len(rows))
 	parent := gini(pos, n)
@@ -202,26 +190,37 @@ func (b *builder) bestSplit(rows []int32, pos float64) (int, float64, float64) {
 	var bestThresh, bestGain float64
 
 	feats := b.candidateFeatures()
-	pairs := b.pairs[:len(rows)]
 	m := b.m
 	for _, f := range feats {
-		for i, r := range rows {
-			pairs[i] = valLabel{m.Row(int(r))[f], m.Y[r] == 1}
+		pv, nv := b.posVals[:0], b.negVals[:0]
+		for _, r := range rows {
+			if v := m.Row(int(r))[f]; m.Y[r] == 1 {
+				pv = append(pv, v)
+			} else {
+				nv = append(nv, v)
+			}
 		}
-		slices.SortFunc(pairs, cmpValue)
-		var leftPos, leftN float64
-		for i := 0; i < len(pairs)-1; i++ {
-			if pairs[i].pos {
-				leftPos++
+		slices.Sort(pv)
+		slices.Sort(nv)
+		i, j := 0, 0
+		for {
+			// v is the smallest value not yet walked; take all its copies.
+			v := smaller(pv, nv, i, j)
+			for i < len(pv) && pv[i] == v {
+				i++
 			}
-			leftN++
-			v, next := pairs[i].v, pairs[i+1].v
-			if v == next {
+			for j < len(nv) && nv[j] == v {
+				j++
+			}
+			if i == len(pv) && j == len(nv) {
+				break
+			}
+			next := smaller(pv, nv, i, j)
+			left := i + j
+			if left < b.minLeaf || len(rows)-left < b.minLeaf {
 				continue
 			}
-			if int(leftN) < b.minLeaf || len(pairs)-int(leftN) < b.minLeaf {
-				continue
-			}
+			leftPos, leftN := float64(i), float64(left)
 			rightPos := pos - leftPos
 			rightN := n - leftN
 			gain := parent - (leftN*gini(leftPos, leftN)+rightN*gini(rightPos, rightN))/n
@@ -236,6 +235,14 @@ func (b *builder) bestSplit(rows []int32, pos float64) (int, float64, float64) {
 		return -1, 0, 0
 	}
 	return bestFeat, bestThresh, bestGain
+}
+
+// smaller returns the smaller of pv[i] and nv[j], of those that exist.
+func smaller(pv, nv []float64, i, j int) float64 {
+	if j == len(nv) || (i < len(pv) && pv[i] <= nv[j]) {
+		return pv[i]
+	}
+	return nv[j]
 }
 
 // candidateFeatures returns the feature subset for this split, in the

@@ -37,3 +37,13 @@ func sqDistPairs(dst, q, blocks *float64, pairs, w, cut int, bound float64) uint
 //
 //go:noescape
 func affineBlocks(dst, bias, blocks, x *float64, n, in int)
+
+// addOuter is AddOuter over out units of in inputs, in vec_amd64.s.
+//
+//go:noescape
+func addOuter(gw, gb, delta, x *float64, out, in int)
+
+// adamStep is Adam over n parameters, in vec_amd64.s.
+//
+//go:noescape
+func adamStep(p, m, v, grad *float64, n int, s *AdamStep)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 )
 
 func needAVX2(tb testing.TB) {
@@ -136,7 +137,7 @@ func TestAffineMatchesLoop(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, in := range []int{1, 7, 33, 43} {
-		for _, nBlocks := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+		for _, nBlocks := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 17} {
 			for _, pSpecial := range []float64{0, 0.05, 0.5} {
 				units := nBlocks * 4
 				w := make([]float64, units*in)
@@ -163,6 +164,134 @@ func TestAffineMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestAddOuterMatchesLoop holds the gradient kernel to the per-unit
+// loop bit for bit — a zero delta (either sign) skips its unit, a NaN
+// one does not — at widths that exercise the sixteen- and four-wide
+// steps and the one-wide remainder, and at unit counts past one chunk
+// of 64.
+func TestAddOuterMatchesLoop(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewPCG(9, 10))
+	for _, in := range []int{1, 3, 4, 7, 16, 33} {
+		for _, out := range []int{1, 2, 5, 16, 32, 64, 65, 130} {
+			for _, pSpecial := range []float64{0, 0.05, 0.5} {
+				delta := make([]float64, out)
+				fill(rng, delta, pSpecial)
+				for o := range delta {
+					if rng.IntN(3) == 0 {
+						delta[o] = 0
+					}
+				}
+				x := make([]float64, in)
+				fill(rng, x, pSpecial)
+				gw := make([]float64, out*in)
+				fill(rng, gw, pSpecial)
+				gb := make([]float64, out)
+				fill(rng, gb, pSpecial)
+				wantW, wantB := append([]float64(nil), gw...), append([]float64(nil), gb...)
+				for o, d := range delta {
+					if d == 0 {
+						continue
+					}
+					wantB[o] += d
+					for i, v := range x {
+						wantW[o*in+i] += float64(d * v)
+					}
+				}
+				AddOuter(gw, gb, delta, x)
+				for i := range gw {
+					if !same(gw[i], wantW[i]) {
+						t.Fatalf("in=%d out=%d gw[%d]: %v, want %v", in, out, i, gw[i], wantW[i])
+					}
+				}
+				for o := range gb {
+					if !same(gb[o], wantB[o]) {
+						t.Fatalf("in=%d out=%d gb[%d]: %v, want %v", in, out, o, gb[o], wantB[o])
+					}
+				}
+			}
+		}
+	}
+}
+
+// adamLoop is the scalar Adam step Adam must reproduce.
+func adamLoop(p, m, v, g []float64, s *AdamStep) {
+	for i := range p {
+		gi := g[i] * s.Inv
+		if s.Decay {
+			gi = g[i]*s.Inv + s.L2*p[i]
+		}
+		m[i] = s.Beta1*m[i] + s.OneMinusBeta1*gi
+		v[i] = s.Beta2*v[i] + s.OneMinusBeta2*gi*gi
+		p[i] -= s.LR * (m[i] / s.BC1) / (math.Sqrt(v[i]/s.BC2) + s.Eps)
+	}
+}
+
+// TestAdamMatchesLoop holds the Adam kernel to the scalar step bit for
+// bit, with and without weight decay, on lengths that exercise the
+// four-wide step and the one-wide remainder, over several steps.
+func TestAdamMatchesLoop(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewPCG(11, 12))
+	const beta1, beta2 = 0.9, 0.999
+	for _, n := range []int{1, 3, 4, 7, 16, 33, 1056} {
+		for _, pSpecial := range []float64{0, 0.05, 0.5} {
+			for _, decay := range []bool{false, true} {
+				p, m, v := make([]float64, n), make([]float64, n), make([]float64, n)
+				fill(rng, p, pSpecial)
+				fill(rng, m, pSpecial)
+				for i := range v {
+					v[i] = math.Abs(rng.NormFloat64())
+				}
+				wp, wm, wv := append([]float64(nil), p...), append([]float64(nil), m...), append([]float64(nil), v...)
+				g := make([]float64, n)
+				for step := 1; step <= 3; step++ {
+					fill(rng, g, pSpecial)
+					s := &AdamStep{
+						Inv: 1 / float64(1+rng.IntN(40)), L2: 1e-4,
+						Beta1: beta1, Beta2: beta2, OneMinusBeta1: 1 - beta1, OneMinusBeta2: 1 - beta2,
+						LR: 3e-3, BC1: 1 - math.Pow(beta1, float64(step)), BC2: 1 - math.Pow(beta2, float64(step)),
+						Eps: 1e-8, Decay: decay,
+					}
+					adamLoop(wp, wm, wv, g, s)
+					Adam(p, m, v, g, s)
+					for i := range p {
+						if !same(p[i], wp[i]) || !same(m[i], wm[i]) || !same(v[i], wv[i]) {
+							t.Fatalf("n=%d decay=%v step %d [%d]: (p, m, v) = (%v, %v, %v), want (%v, %v, %v)",
+								n, decay, step, i, p[i], m[i], v[i], wp[i], wm[i], wv[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdamStepLayout pins the AdamStep field offsets the assembly reads.
+func TestAdamStepLayout(t *testing.T) {
+	var s AdamStep
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Inv", unsafe.Offsetof(s.Inv), 0},
+		{"L2", unsafe.Offsetof(s.L2), 8},
+		{"Beta1", unsafe.Offsetof(s.Beta1), 16},
+		{"Beta2", unsafe.Offsetof(s.Beta2), 24},
+		{"OneMinusBeta1", unsafe.Offsetof(s.OneMinusBeta1), 32},
+		{"OneMinusBeta2", unsafe.Offsetof(s.OneMinusBeta2), 40},
+		{"LR", unsafe.Offsetof(s.LR), 48},
+		{"BC1", unsafe.Offsetof(s.BC1), 56},
+		{"BC2", unsafe.Offsetof(s.BC2), 64},
+		{"Eps", unsafe.Offsetof(s.Eps), 72},
+		{"Decay", unsafe.Offsetof(s.Decay), 80},
+	} {
+		if f.got != f.want {
+			t.Errorf("AdamStep.%s at offset %d, the assembly reads %d", f.name, f.got, f.want)
+		}
+	}
+}
+
 func TestOperandChecks(t *testing.T) {
 	for name, f := range map[string]func(){
 		"SqDists rows not a multiple of 8": func() { SqDists(make([]float64, 4), make([]float64, 2), make([]float64, 8), 0, 1) },
@@ -170,6 +299,11 @@ func TestOperandChecks(t *testing.T) {
 		"SqDists cut past width":           func() { SqDists(make([]float64, 8), make([]float64, 2), make([]float64, 16), 3, 1) },
 		"Affine short bias":                func() { Affine(make([]float64, 4), make([]float64, 3), make([]float64, 8), make([]float64, 2)) },
 		"Interleave4 partial block":        func() { Interleave4(make([]float64, 6), make([]float64, 6), 2) },
+		"AddOuter short gradient":          func() { AddOuter(make([]float64, 5), make([]float64, 2), make([]float64, 2), make([]float64, 3)) },
+		"AddOuter short bias gradient":     func() { AddOuter(make([]float64, 6), make([]float64, 1), make([]float64, 2), make([]float64, 3)) },
+		"Adam short moment": func() {
+			Adam(make([]float64, 4), make([]float64, 3), make([]float64, 4), make([]float64, 4), &AdamStep{})
+		},
 	} {
 		func() {
 			defer func() {
@@ -225,4 +359,50 @@ func BenchmarkAffine(b *testing.B) {
 		Affine(dst, bias, blocks, x)
 		benchSink += dst[0]
 	}
+}
+
+// BenchmarkAddOuter is one sample's gradient for the Table 6 net's first
+// hidden layer: 32 units over 33 inputs, every delta nonzero.
+func BenchmarkAddOuter(b *testing.B) {
+	needAVX2(b)
+	const units, in = 32, 33
+	rng := rand.New(rand.NewPCG(13, 14))
+	delta := make([]float64, units)
+	fill(rng, delta, 0)
+	x := make([]float64, in)
+	fill(rng, x, 0)
+	gw, gb := make([]float64, units*in), make([]float64, units)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddOuter(gw, gb, delta, x)
+	}
+	benchSink += gw[0]
+}
+
+// BenchmarkAdam is one Adam step of the Table 6 net's first hidden
+// layer's weights: 32 × 33 parameters. The same gradient applied over
+// and over drifts the moments toward subnormals, where the divisions
+// slow down; every 64 steps the state is reset to the first step's.
+func BenchmarkAdam(b *testing.B) {
+	needAVX2(b)
+	const n = 32 * 33
+	rng := rand.New(rand.NewPCG(15, 16))
+	p0, g := make([]float64, n), make([]float64, n)
+	fill(rng, p0, 0)
+	fill(rng, g, 0)
+	p, m, v := append([]float64(nil), p0...), make([]float64, n), make([]float64, n)
+	s := &AdamStep{Inv: 1.0 / 32, L2: 1e-4, Beta1: 0.9, Beta2: 0.999, OneMinusBeta1: 0.1, OneMinusBeta2: 0.001,
+		LR: 3e-3, BC1: 0.1, BC2: 0.001, Eps: 1e-8, Decay: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			copy(p, p0)
+			clear(m)
+			clear(v)
+		}
+		Adam(p, m, v, g, s)
+	}
+	benchSink += p[0]
 }

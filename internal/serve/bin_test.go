@@ -316,8 +316,8 @@ func TestBinaryIngestSteadyStateAllocs(t *testing.T) {
 
 // TestPredictorFlatScoreGolden proves the serving predictor's three
 // scoring entry points — allocating single-record, scratch-reusing, and
-// the flattened matrix block path — bit-identical on the package's
-// fixture model, and pins the two hot entry points to zero allocations.
+// the whole-matrix path — bit-identical on the package's fixture model,
+// and pins the two hot entry points to zero allocations.
 func TestPredictorFlatScoreGolden(t *testing.T) {
 	pred, err := core.LoadPredictor(fixModelPath)
 	if err != nil {
