@@ -2,11 +2,43 @@ package forest
 
 import (
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
 	"ssdfail/internal/ml/mltest"
 )
+
+// sharedChildForest is a one-tree forest file whose tree the tree
+// decoder accepts — every child after its parent and inside the tree —
+// but whose node 2 is the child of both node 0 and node 1. The flat
+// layout puts each split's children side by side, which two parents
+// cannot share, so the forest decoder must reject it.
+func sharedChildForest() []byte {
+	var tb []byte
+	w32 := func(v uint32) { tb = binary.LittleEndian.AppendUint32(tb, v) }
+	node := func(feature int32, left, right uint32, prob float64) {
+		w32(uint32(feature))
+		tb = binary.LittleEndian.AppendUint64(tb, math.Float64bits(0.5))
+		w32(left)
+		w32(right)
+		tb = binary.LittleEndian.AppendUint64(tb, math.Float64bits(prob))
+	}
+	tb = append(tb, "TREE"...)
+	w32(1) // version
+	w32(1) // width
+	w32(4) // nodes
+	node(0, 1, 2, 0)
+	node(0, 2, 3, 0)
+	node(-1, 0, 0, 0.25)
+	node(-1, 0, 0, 0.75)
+	tb = binary.LittleEndian.AppendUint64(tb, math.Float64bits(1)) // importance
+	out := append([]byte(forestMagic), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(out[4:], forestVersion)
+	binary.LittleEndian.PutUint32(out[8:], 1)
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(tb)))
+	return append(out, tb...)
+}
 
 func TestForestSerializationRoundTrip(t *testing.T) {
 	train := mltest.TwoBlobs(200, 3, 1)
@@ -97,6 +129,7 @@ func TestForestUnmarshalCorruptInputs(t *testing.T) {
 		// Corrupting an inner tree's magic must fail with the tree's
 		// position in the message, not be skipped.
 		{"inner tree corrupt", put32(fresh(), 16, 0), "tree 0"},
+		{"shared child", sharedChildForest(), "shares a child"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
