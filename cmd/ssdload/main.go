@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"ssdfail/internal/loadgen"
-	"ssdfail/internal/serve"
 )
 
 func main() {
@@ -72,11 +71,9 @@ func run() int {
 		offset = flag.Uint("drive-offset", 0,
 			"shift replayed drive IDs; use a fresh offset per run against a long-lived daemon")
 
-		duration = flag.Duration("duration", 0, "abort the run after this long (0 = no limit)")
-		out      = flag.String("out", "BENCH_serve.json", "report output path (empty = don't write)")
-		conform  = flag.Bool("conformance", true, "verify daemon state and metrics accounting after the run")
-		history  = flag.Int("history", serve.DefaultHistory,
-			"daemon's per-drive history depth for exact retention checks (0 = skip)")
+		duration  = flag.Duration("duration", 0, "abort the run after this long (0 = no limit)")
+		out       = flag.String("out", "BENCH_serve.json", "report output path (empty = don't write)")
+		conform   = flag.Bool("conformance", true, "verify daemon state and metrics accounting after the run")
 		buildOnly = flag.Bool("build-only", false, "build the schedule, print its hash, and exit (no daemon needed)")
 	)
 	flag.Parse()
@@ -133,7 +130,7 @@ func run() int {
 
 	var violations []string
 	if *conform {
-		violations, err = runner.Verify(ctx, res, loadgen.VerifyOptions{History: *history})
+		violations, err = runner.Verify(ctx, res, loadgen.VerifyOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ssdload: conformance: %v\n", err)
 			return 1

@@ -58,7 +58,6 @@ func run() error {
 		addr      = flag.String("addr", ":8377", "listen address")
 		modelPath = flag.String("model", "ssdserved-model.bin", "predictor file (core.Predictor.Save format)")
 		shards    = flag.Int("shards", serve.DefaultShards, "drive-store shard count")
-		history   = flag.Int("history", serve.DefaultHistory, "daily reports retained per drive")
 		workers   = flag.Int("workers", 0, "batch-scoring workers (0 = all CPUs)")
 		threshold = flag.Float64("threshold", 0.9, "default watchlist score threshold (paper's low-FPR operating point)")
 		k         = flag.Int("k", 50, "default watchlist length")
@@ -131,7 +130,6 @@ func run() error {
 	srv, err := serve.New(serve.Config{
 		ModelPath:          *modelPath,
 		Shards:             *shards,
-		History:            *history,
 		Workers:            *workers,
 		MaxBodyBytes:       *maxBody,
 		WatchlistThreshold: *threshold,

@@ -207,7 +207,7 @@ func TestServeLoadConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	violations, err := runner.Verify(ctx, res, loadgen.VerifyOptions{History: serve.DefaultHistory})
+	violations, err := runner.Verify(ctx, res, loadgen.VerifyOptions{})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestServeLoadConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open run: %v", err)
 	}
-	violations2, err := runner.Verify(ctx, res2, loadgen.VerifyOptions{History: serve.DefaultHistory})
+	violations2, err := runner.Verify(ctx, res2, loadgen.VerifyOptions{})
 	if err != nil {
 		t.Fatalf("open verify: %v", err)
 	}

@@ -140,13 +140,13 @@ func TestClusterChaosZeroAcceptedRecordLoss(t *testing.T) {
 	})
 	waitFor(t, 5*time.Second, "initial probes to settle", rt.AllUp)
 
-	// --- Deterministic schedule. Days == DefaultHistory so the exact
-	// per-drive day-count check is the loss oracle: any accepted-then-
-	// lost record leaves a drive one day short.
+	// --- Deterministic schedule. The exact per-drive report count is the
+	// loss oracle: any accepted-then-lost record leaves a drive one
+	// report short.
 	lcfg := loadgen.DefaultConfig(31)
 	lcfg.DrivesPerModel = 24
 	lcfg.HorizonDays = 150
-	lcfg.Days = int32(serve.DefaultHistory)
+	lcfg.Days = 8
 	lcfg.BatchSize = 8
 	lcfg.ProbeEvery = 4
 	lcfg.ReloadMidRun = false // a broadcast reload during an outage is a different test
@@ -235,10 +235,7 @@ func TestClusterChaosZeroAcceptedRecordLoss(t *testing.T) {
 
 	// --- The zero-loss oracle: per-drive end state through the router,
 	// exact to the day, for every drive the schedule replayed.
-	violations, err := runner.Verify(ctx, res, loadgen.VerifyOptions{
-		History: serve.DefaultHistory,
-		Cluster: true,
-	})
+	violations, err := runner.Verify(ctx, res, loadgen.VerifyOptions{Cluster: true})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -308,7 +305,7 @@ func TestRouterBinaryWireIngest(t *testing.T) {
 	lcfg := loadgen.DefaultConfig(43)
 	lcfg.DrivesPerModel = 16
 	lcfg.HorizonDays = 150
-	lcfg.Days = int32(serve.DefaultHistory)
+	lcfg.Days = 8
 	lcfg.BatchSize = 8
 	lcfg.ProbeEvery = 4
 	lcfg.ReloadMidRun = false
@@ -360,10 +357,7 @@ func TestRouterBinaryWireIngest(t *testing.T) {
 		t.Fatalf("%d records dropped: the retry budget did not bridge the outage", res.DroppedRecords)
 	}
 
-	violations, err := runner.Verify(ctx, res, loadgen.VerifyOptions{
-		History: serve.DefaultHistory,
-		Cluster: true,
-	})
+	violations, err := runner.Verify(ctx, res, loadgen.VerifyOptions{Cluster: true})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}

@@ -24,9 +24,10 @@ var hotPathFuncs = map[string]map[string]bool{
 		// allocates nothing (stale slots grow reused buffers in place).
 		"sweep.scanShard":       true,
 		"storeShard.appendUnit": true,
-		// The history column: an upsert writes its report into the ring
-		// in place, and a snapshot encodes a section out of it into a
-		// reused buffer — a per-section cost, never a per-drive one.
+		// The report column: an upsert writes its report into the drive's
+		// pair in place, and a snapshot encodes a section out of the pairs
+		// into a reused buffer — a per-section cost, never a per-drive one.
+		"storeShard.pair":                  true,
 		"storeShard.push":                  true,
 		"storeShard.appendSnapshotSection": true,
 	},

@@ -12,11 +12,6 @@ import (
 
 // VerifyOptions tunes the conformance pass.
 type VerifyOptions struct {
-	// History is the daemon's per-drive retention depth, used to predict
-	// the exact day count each drive must report. 0 skips the exact
-	// count check (unknown remote configuration) and requires only that
-	// a feature window exists.
-	History int
 	// MaxViolations caps the returned list; 0 means 64. The count in
 	// the final summary line is always exact.
 	MaxViolations int
@@ -62,7 +57,7 @@ func (r *Runner) Verify(ctx context.Context, res *Result, opts VerifyOptions) ([
 	}
 
 	harness := newStreamState(r.Seed, ^uint64(0)-1)
-	r.verifyDrives(ctx, res, harness, opts, &v)
+	r.verifyDrives(ctx, res, harness, &v)
 
 	finalVersion, err := r.readVersion(ctx, harness)
 	if err != nil {
@@ -117,9 +112,9 @@ type driveReply struct {
 }
 
 // verifyDrives checks that every drive the schedule replayed is present,
-// carries the expected newest record, retains the expected feature
-// window, and is scoreable by the serving model.
-func (r *Runner) verifyDrives(ctx context.Context, res *Result, st *streamState, opts VerifyOptions, v *violations) {
+// carries the expected newest record, counts exactly the reports the
+// schedule sent it, and is scoreable by the serving model.
+func (r *Runner) verifyDrives(ctx context.Context, res *Result, st *streamState, v *violations) {
 	ids := make([]uint32, 0, len(res.Sched.Drives))
 	for id := range res.Sched.Drives {
 		ids = append(ids, id)
@@ -153,17 +148,8 @@ func (r *Runner) verifyDrives(ctx context.Context, res *Result, st *streamState,
 			v.addf("drive %d: last (day %d, age %d), want (day %d, age %d)",
 				id, rep.Last.Day, rep.Last.Age, want.LastDay, want.LastAge)
 		}
-		if opts.History > 0 {
-			wantDays := want.Records
-			if wantDays > opts.History {
-				wantDays = opts.History
-			}
-			if rep.Days != wantDays {
-				v.addf("drive %d: retains %d days, want %d (%d sent, history %d)",
-					id, rep.Days, wantDays, want.Records, opts.History)
-			}
-		} else if rep.Days < 1 {
-			v.addf("drive %d: retains no records", id)
+		if rep.Days != want.Records {
+			v.addf("drive %d: accepted %d reports, want the %d sent", id, rep.Days, want.Records)
 		}
 		if rep.Score == nil {
 			v.addf("drive %d: not scoreable (no score in response)", id)

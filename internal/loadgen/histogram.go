@@ -3,10 +3,11 @@
 // in closed-loop (fixed concurrency) or open-loop (fixed arrival rate)
 // mode, records per-endpoint latency histograms and error accounting,
 // and — optionally — runs an end-to-end conformance pass that turns "it
-// survived the load" into checked invariants: every accepted ingest is
-// scoreable with the expected feature window, /metrics counters exactly
-// account for the driven load (accepted + shed + rejected), and a
-// mid-run hot model swap is only ever observed monotonically.
+// survived the load" into checked invariants: every drive reads back its
+// last record, a score, and exactly as many accepted reports as were sent
+// to it, /metrics counters exactly account for the driven load (accepted
+// + shed + rejected), and a mid-run hot model swap is only ever observed
+// monotonically.
 //
 // Schedules are built entirely up front from a seed; two builds with the
 // same configuration are byte-identical (verified by a SHA-256 over the

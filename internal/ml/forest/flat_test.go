@@ -335,3 +335,49 @@ func FuzzFlatForestLoad(f *testing.F) {
 		}
 	})
 }
+
+// TestShortRowFailsLikeTheGoWalk: the walk kernel reads x unchecked, so a
+// row shorter than Width must never reach it. A row one feature short,
+// cut from a full row so that the kernel would find a plausible value
+// past its end, must fail through Forest.Score and Flat.Score, with the
+// kernel enabled and without, exactly as the Go walk fails.
+func TestShortRowFailsLikeTheGoWalk(t *testing.T) {
+	f, test := trainedForest(t)
+	fl, err := f.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failure := func(score func([]float64) float64, x []float64) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		score(x)
+		return ""
+	}
+	saved := vec.AVX2
+	defer func() { vec.AVX2 = saved }()
+
+	// The Go walk fails on a short row once some tree reaches a split on
+	// the missing feature; find a test row whose walk does.
+	vec.AVX2 = false
+	var short []float64
+	var want string
+	for i := 0; i < test.Len() && want == ""; i++ {
+		short = test.Row(i)[:fl.Width()-1]
+		want = failure(fl.sumLeaves, short)
+	}
+	if want == "" {
+		t.Fatal("no test row's walk reaches a split on the last feature")
+	}
+	for _, kernel := range []bool{saved, false} {
+		vec.AVX2 = kernel
+		if got := failure(fl.Score, short); got != want {
+			t.Errorf("kernel %v: Flat.Score of a short row failed with %q, the Go walk with %q", kernel, got, want)
+		}
+		if got := failure(f.Score, short); got != want {
+			t.Errorf("kernel %v: Forest.Score of a short row failed with %q, the Go walk with %q", kernel, got, want)
+		}
+	}
+}

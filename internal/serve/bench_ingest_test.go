@@ -267,10 +267,13 @@ func BenchmarkBinBatchProcess(b *testing.B) {
 	}
 }
 
-// benchJournalFleet is the durability benchmarks' fixture: 20k drives at
-// full history behind a journal on the real filesystem that snapshots
-// only when asked.
-const benchJournalDrives = 20000
+// benchJournalFleet is the durability benchmarks' fixture: 20k drives,
+// eight days each, behind a journal on the real filesystem that
+// snapshots only when asked.
+const (
+	benchJournalDrives = 20000
+	benchJournalDays   = 8
+)
 
 func benchJournalFleet(b *testing.B, dir string) *Journal {
 	b.Helper()
@@ -278,7 +281,7 @@ func benchJournalFleet(b *testing.B, dir string) *Journal {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < benchJournalDrives*DefaultHistory; i++ {
+	for i := 0; i < benchJournalDrives*benchJournalDays; i++ {
 		drive, day := i%benchJournalDrives, i/benchJournalDrives
 		if err := j.Upsert(uint32(drive), trace.Model(drive%trace.NumModels), crashRec(drive, day)); err != nil {
 			b.Fatal(err)
@@ -288,7 +291,7 @@ func benchJournalFleet(b *testing.B, dir string) *Journal {
 }
 
 // BenchmarkJournalSnapshot writes one snapshot of the fixture per
-// iteration: encode out of the history column, write, fsync, rename.
+// iteration: encode out of the report column, write, fsync, rename.
 // allocs/op is the constant the allocation test pins; B/snapshot is the
 // file.
 func BenchmarkJournalSnapshot(b *testing.B) {
@@ -318,8 +321,8 @@ func BenchmarkRecover(b *testing.B) {
 	if err := j.Snapshot(); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < benchJournalDrives*DefaultHistory; i++ {
-		drive, day := i%benchJournalDrives, DefaultHistory+i/benchJournalDrives
+	for i := 0; i < benchJournalDrives*2; i++ { // two reports a drive: what the store retains
+		drive, day := i%benchJournalDrives, benchJournalDays+i/benchJournalDrives
 		if err := j.Upsert(uint32(drive), trace.Model(drive%trace.NumModels), crashRec(drive, day)); err != nil {
 			b.Fatal(err)
 		}
@@ -335,8 +338,8 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if rec := j.Recovery(); rec.SnapshotDrives != benchJournalDrives || rec.Replayed != benchJournalDrives*DefaultHistory {
-			b.Fatalf("recovery %+v, want %d drives loaded and %d records replayed", rec, benchJournalDrives, benchJournalDrives*DefaultHistory)
+		if rec := j.Recovery(); rec.SnapshotDrives != benchJournalDrives || rec.Replayed != benchJournalDrives*2 {
+			b.Fatalf("recovery %+v, want %d drives loaded and %d records replayed", rec, benchJournalDrives, benchJournalDrives*2)
 		}
 		if err := j.Close(); err != nil {
 			b.Fatal(err)

@@ -17,9 +17,8 @@ import (
 // no rejected record resurrected, no corruption panic.
 
 const (
-	crashDrives  = 50
-	crashDays    = 20
-	crashHistory = 4
+	crashDrives = 50
+	crashDays   = 20
 )
 
 // crashStep is one ingest attempt of the workload, in order.
@@ -113,7 +112,8 @@ func runUntilCrash(t *testing.T, j *Journal, steps []crashStep, accepted map[uin
 }
 
 // checkRecovered asserts the recovered store holds exactly the accepted
-// records (trimmed to the history cap) and nothing else.
+// records — each drive's last two and its exact count — and nothing
+// else.
 func checkRecovered(t *testing.T, store *Store, steps []crashStep, accepted map[uint32][]trace.DayRecord) {
 	t.Helper()
 	if got, want := store.Len(), len(accepted); got != want {
@@ -136,11 +136,10 @@ func checkRecovered(t *testing.T, store *Store, steps []crashStep, accepted map[
 		if snap.Model != models[id] {
 			t.Fatalf("drive %d recovered model %v, want %v", id, snap.Model, models[id])
 		}
-		want := recs
-		if len(want) > crashHistory {
-			want = want[len(want)-crashHistory:]
+		if snap.Reports != uint32(len(recs)) {
+			t.Fatalf("drive %d recovered a count of %d reports, %d were accepted", id, snap.Reports, len(recs))
 		}
-		if !reflect.DeepEqual(snap.Recent, want) {
+		if want := recs[max(0, len(recs)-2):]; !reflect.DeepEqual(snap.Recent, want) {
 			t.Fatalf("drive %d recovered records diverge:\n got %+v\nwant %+v", id, snap.Recent, want)
 		}
 	}
@@ -151,7 +150,7 @@ func checkRecovered(t *testing.T, store *Store, steps []crashStep, accepted map[
 func countWriteOps(t *testing.T, steps []crashStep, options func(faultfs.FS) JournalOptions) int {
 	t.Helper()
 	inj := faultfs.New(faultfs.Mem())
-	j, err := OpenJournal(NewStore(4, crashHistory), options(inj))
+	j, err := OpenJournal(NewStore(4, 0), options(inj))
 	if err != nil {
 		t.Fatalf("dry run open: %v", err)
 	}
@@ -188,7 +187,7 @@ func TestCrashRecoveryEveryKillPoint(t *testing.T) {
 		inj := faultfs.New(base)
 		inj.Crash(k, partial)
 
-		j, err := OpenJournal(NewStore(4, crashHistory), crashJournalOptions(inj))
+		j, err := OpenJournal(NewStore(4, 0), crashJournalOptions(inj))
 		if err != nil {
 			t.Fatalf("kill %d: open: %v", k, err)
 		}
@@ -198,7 +197,7 @@ func TestCrashRecoveryEveryKillPoint(t *testing.T) {
 
 		// Recover on the surviving bytes (the raw FS, not the dead
 		// injector) into a fresh store.
-		store2 := NewStore(4, crashHistory)
+		store2 := NewStore(4, 0)
 		j2, err := OpenJournal(store2, crashJournalOptions(base))
 		if err != nil {
 			t.Fatalf("kill %d (write op, partial %d): recovery failed: %v", k, partial, err)
@@ -221,7 +220,7 @@ func TestCrashRecoveryEveryKillPoint(t *testing.T) {
 			if err := j2.Close(); err != nil {
 				t.Fatalf("kill %d: closing resumed journal: %v", k, err)
 			}
-			store3 := NewStore(4, crashHistory)
+			store3 := NewStore(4, 0)
 			if _, err := OpenJournal(store3, crashJournalOptions(base)); err != nil {
 				t.Fatalf("kill %d: reopening after resume: %v", k, err)
 			}
@@ -299,14 +298,14 @@ func TestCrashRecoveryGroupCommitKillPoints(t *testing.T) {
 		inj := faultfs.New(base)
 		inj.Crash(k, partial)
 
-		j, err := OpenJournal(NewStore(4, crashHistory), crashGroupCommitOptions(inj))
+		j, err := OpenJournal(NewStore(4, 0), crashGroupCommitOptions(inj))
 		if err != nil {
 			t.Fatalf("kill %d: open: %v", k, err)
 		}
 		acceptedIdx, stop := runUntilCrashOrdered(t, j, steps)
 		j.Close() //nolint:errcheck // the filesystem is dead
 
-		store2 := NewStore(4, crashHistory)
+		store2 := NewStore(4, 0)
 		j2, err := OpenJournal(store2, crashGroupCommitOptions(base))
 		if err != nil {
 			t.Fatalf("kill %d (partial %d): recovery failed: %v", k, partial, err)
@@ -349,7 +348,7 @@ func TestCrashRecoveryGroupCommitKillPoints(t *testing.T) {
 		if err := j2.Close(); err != nil {
 			t.Fatalf("kill %d: closing recovered journal: %v", k, err)
 		}
-		store3 := NewStore(4, crashHistory)
+		store3 := NewStore(4, 0)
 		j3, err := OpenJournal(store3, crashGroupCommitOptions(base))
 		if err != nil {
 			t.Fatalf("kill %d: reopening after resumed ingest: %v", k, err)
@@ -366,7 +365,7 @@ func TestCrashRecoveryGroupCommitKillPoints(t *testing.T) {
 func TestCrashRecoveryAfterCleanShutdown(t *testing.T) {
 	steps := crashWorkload()
 	base := faultfs.Mem()
-	j, err := OpenJournal(NewStore(4, crashHistory), crashJournalOptions(base))
+	j, err := OpenJournal(NewStore(4, 0), crashJournalOptions(base))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -377,7 +376,7 @@ func TestCrashRecoveryAfterCleanShutdown(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	store2 := NewStore(4, crashHistory)
+	store2 := NewStore(4, 0)
 	j2, err := OpenJournal(store2, crashJournalOptions(base))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -400,7 +399,7 @@ func TestCrashRecoveryAfterCleanShutdown(t *testing.T) {
 func TestCrashRecoveredStoreStartsFullyStale(t *testing.T) {
 	pred := loadPredictor(t, fixModelPath)
 	base := faultfs.Mem()
-	store := NewStore(4, crashHistory)
+	store := NewStore(4, 0)
 	j, err := OpenJournal(store, crashJournalOptions(base))
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +419,7 @@ func TestCrashRecoveredStoreStartsFullyStale(t *testing.T) {
 	// Crash: the journal is never closed. SyncEvery 1 made every accepted
 	// record durable, and SnapshotEvery put most of them in a snapshot,
 	// so recovery takes both the Restore and the replay path.
-	store2 := NewStore(4, crashHistory)
+	store2 := NewStore(4, 0)
 	j2, err := OpenJournal(store2, crashJournalOptions(base))
 	if err != nil {
 		t.Fatal(err)
@@ -443,20 +442,6 @@ func TestCrashRecoveredStoreStartsFullyStale(t *testing.T) {
 	}
 }
 
-// TestOpenJournalRejectsOversizedHistory: the snapshot format stores a
-// u16 per-drive record count, so a history the format cannot represent
-// must be refused at open instead of silently truncated at snapshot
-// time.
-func TestOpenJournalRejectsOversizedHistory(t *testing.T) {
-	_, err := OpenJournal(NewStore(4, 1<<16), crashJournalOptions(faultfs.Mem()))
-	if err == nil {
-		t.Fatal("history beyond the snapshot format's u16 limit was accepted")
-	}
-	if _, err := OpenJournal(NewStore(4, 1<<16-1), crashJournalOptions(faultfs.Mem())); err != nil {
-		t.Fatalf("history at the limit rejected: %v", err)
-	}
-}
-
 // TestCrashJournalErrorLeavesStoreConsistent pins the ordering
 // guarantee the handlers rely on: when the WAL append fails, the store
 // is unchanged and the same record can be retried after recovery
@@ -465,7 +450,7 @@ func TestCrashJournalErrorLeavesStoreConsistent(t *testing.T) {
 	base := faultfs.Mem()
 	inj := faultfs.New(base)
 	opt := crashJournalOptions(inj)
-	store := NewStore(4, crashHistory)
+	store := NewStore(4, 0)
 	j, err := OpenJournal(store, opt)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -484,7 +469,7 @@ func TestCrashJournalErrorLeavesStoreConsistent(t *testing.T) {
 	j.Close() //nolint:errcheck // poisoned log
 
 	// Reopen and retry the same record: it must be accepted.
-	store2 := NewStore(4, crashHistory)
+	store2 := NewStore(4, 0)
 	j2, err := OpenJournal(store2, crashJournalOptions(base))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)

@@ -12,9 +12,11 @@
 //
 //   - Store (store.go): sharded drive-state table with per-shard RW
 //     locks. A shard maps drive ID to a slot and keeps slot-indexed
-//     columns: a bounded window of each drive's most recent daily reports
-//     (enough for the feature pipeline's day+previous-day inputs) and a
-//     dense score column memoising each drive's last score.
+//     columns: each drive's two latest daily reports (the feature
+//     pipeline's day and previous-day inputs) with the exact count of
+//     reports it has sent, and a dense score column memoising each
+//     drive's last score. Journal (durable.go) makes the store survive
+//     crashes with a write-ahead log and sectioned snapshots.
 //   - Registry (registry.go): holds the current predictor behind an
 //     atomic pointer; Load reads and validates a serialized forest from
 //     disk and swaps it in while scorers keep using the old one.

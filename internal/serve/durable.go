@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,13 +114,6 @@ type Journal struct {
 func OpenJournal(store *Store, opt JournalOptions) (*Journal, error) {
 	if opt.SnapshotEvery == 0 {
 		opt.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if store.history > math.MaxUint16 {
-		// The snapshot format stores a per-drive record count as u16;
-		// refusing here is better than silently truncating a recovered
-		// drive's history to less than the live store retains.
-		return nil, fmt.Errorf("serve: history %d exceeds the snapshot format's per-drive limit %d",
-			store.history, math.MaxUint16)
 	}
 	j := &Journal{store: store, opt: opt}
 	j.bufs.New = func() any { b := make([]byte, 0, walRecordBinarySize); return &b }
@@ -346,17 +338,20 @@ func (j *Journal) Close() error {
 }
 
 // A snapshot section's payload: version u32, drive count u32, then per
-// drive the ID, model, retained-record count (u16), and fixed-width
-// records, oldest first. OpenJournal rejects histories above the u16
-// limit, so the count never silently truncates a drive's retained
-// window. A section holds a run of one shard's slots, cut off at
+// drive a head and fixed-width records, oldest first. Version 2, which
+// the store writes, has the head ID u32, model u8, reports accepted u32
+// and records retained u16 (at most 2). Version 1 had ID, model and
+// record count u16, and held up to the writer's history depth of records;
+// the loader keeps its newest two and counts the records present. A
+// section holds a run of one shard's slots, cut off at
 // snapshotSectionBytes; a file written before snapshots had sections is
-// one such payload holding the whole fleet.
+// one version-1 payload holding the whole fleet.
 const (
-	storeSnapshotVersion = 1
+	storeSnapshotVersion = 2
 	snapshotSectionHead  = 8
-	snapshotDriveHead    = 7
 	snapshotSectionBytes = 256 << 10
+	snapshotV1DriveHead  = 7
+	snapshotV2DriveHead  = 11
 )
 
 // appendSnapshotSections encodes the store section by section into buf
@@ -384,9 +379,9 @@ func (s *Store) appendSnapshotSections(buf []byte, emit func([]byte) error) ([]b
 	return buf, nil
 }
 
-// appendSnapshotSection appends one section holding the shard's drives
-// from slot on, until the section reaches snapshotSectionBytes or the
-// shard ends, and returns the slot the next section starts at. The
+// appendSnapshotSection appends one version-2 section holding the shard's
+// drives from slot on, until the section reaches snapshotSectionBytes or
+// the shard ends, and returns the slot the next section starts at. The
 // caller holds sh.mu; the function is in ssdlint's hotalloc scope table
 // (a snapshot allocates per section buffer growth, never per drive).
 func (sh *storeShard) appendSnapshotSection(buf []byte, slot int) ([]byte, int) {
@@ -395,16 +390,16 @@ func (sh *storeShard) appendSnapshotSection(buf []byte, slot int) ([]byte, int) 
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // the drive count, patched below
 	drives := uint32(0)
 	for ; slot < len(sh.slots) && len(buf)-head < snapshotSectionBytes; slot++ {
-		sl := &sh.slots[slot]
-		first, second := sh.runs(slot)
+		sl, p := &sh.slots[slot], sh.pair(slot)
 		buf = binary.LittleEndian.AppendUint32(buf, sl.id)
 		buf = append(buf, byte(sl.model))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(first)+len(second)))
-		for r := range first {
-			buf = appendDayRecordBinary(buf, &first[r])
+		buf = binary.LittleEndian.AppendUint32(buf, p.reports)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.n))
+		if p.n == 2 {
+			buf = appendDayRecordBinary(buf, &p.prev)
 		}
-		for r := range second {
-			buf = appendDayRecordBinary(buf, &second[r])
+		if p.n > 0 {
+			buf = appendDayRecordBinary(buf, &p.last)
 		}
 		drives++
 	}
@@ -412,40 +407,60 @@ func (sh *storeShard) appendSnapshotSection(buf []byte, slot int) ([]byte, int) 
 	return buf, slot
 }
 
-// scanSnapshotSection checks one section payload front to back — version,
-// drive count against the bytes present, models — and, when drive is not
-// nil, hands it every drive's ID, model and encoded records (a multiple of
-// dayRecordBinarySize bytes, oldest first) as it goes. It returns the
+// scanSnapshotSection checks one section payload of either version front
+// to back — version, drive count against the bytes present, models,
+// record counts, record flags — and, when drive is not nil, hands it
+// every drive's ID, model, accepted-report count and encoded records (a
+// multiple of dayRecordBinarySize bytes, oldest first) as it goes. A
+// version-1 drive's count is the number of its records. It returns the
 // number of drives. Nothing is allocated, so a hostile count costs
 // nothing: the walk ends where the bytes do. An error wraps
 // wal.ErrSnapshotCorrupt.
-func scanSnapshotSection(b []byte, drive func(id uint32, model trace.Model, recs []byte)) (int, error) {
+func scanSnapshotSection(b []byte, drive func(id uint32, model trace.Model, reports uint32, recs []byte)) (int, error) {
 	corrupt := func(format string, args ...any) (int, error) {
 		return 0, fmt.Errorf("%w: serve: %s", wal.ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
 	if len(b) < snapshotSectionHead {
 		return corrupt("snapshot header truncated")
 	}
-	if v := binary.LittleEndian.Uint32(b); v != storeSnapshotVersion {
-		return corrupt("unsupported snapshot version %d", v)
+	version := binary.LittleEndian.Uint32(b)
+	if version != 1 && version != storeSnapshotVersion {
+		return corrupt("unsupported snapshot version %d", version)
+	}
+	headLen := snapshotV1DriveHead
+	if version == storeSnapshotVersion {
+		headLen = snapshotV2DriveHead
 	}
 	n := binary.LittleEndian.Uint32(b[4:])
 	b = b[snapshotSectionHead:]
 	for i := uint32(0); i < n; i++ {
-		if len(b) < snapshotDriveHead {
+		if len(b) < headLen {
 			return corrupt("snapshot drive %d header truncated", i)
 		}
 		id, model := binary.LittleEndian.Uint32(b), trace.Model(b[4])
 		if int(model) >= trace.NumModels {
 			return corrupt("snapshot drive %d has unknown model %d", i, b[4])
 		}
-		size := int(binary.LittleEndian.Uint16(b[5:])) * dayRecordBinarySize
-		b = b[snapshotDriveHead:]
+		count := int(binary.LittleEndian.Uint16(b[5:]))
+		reports := uint32(count)
+		if version == storeSnapshotVersion {
+			reports, count = binary.LittleEndian.Uint32(b[5:]), int(binary.LittleEndian.Uint16(b[9:]))
+			if count > 2 || uint32(count) > reports {
+				return corrupt("snapshot drive %d retains %d records of %d reports", i, count, reports)
+			}
+		}
+		size := count * dayRecordBinarySize
+		b = b[headLen:]
 		if len(b) < size {
 			return corrupt("snapshot drive %d records truncated: %d of %d bytes", i, len(b), size)
 		}
+		for r := dayRecordBinarySize - 1; r < size; r += dayRecordBinarySize {
+			if b[r]&^3 != 0 {
+				return corrupt("snapshot drive %d has unknown record flags %#x", i, b[r])
+			}
+		}
 		if drive != nil {
-			drive(id, model, b[:size])
+			drive(id, model, reports, b[:size])
 		}
 		b = b[size:]
 	}
@@ -455,20 +470,19 @@ func scanSnapshotSection(b []byte, drive func(id uint32, model trace.Model, recs
 	return int(n), nil
 }
 
-// loadDrive installs one drive from its snapshot encoding, decoding the
-// records straight into the drive's stride of the history column. Like
-// Restore it replaces any existing state, keeps the newest reports when
-// the snapshot holds more than the store retains, and validates nothing:
-// the records were validated when they were first ingested.
-func (s *Store) loadDrive(id uint32, model trace.Model, recs []byte) {
-	if over := len(recs)/dayRecordBinarySize - s.history; over > 0 {
-		recs = recs[over*dayRecordBinarySize:]
+// loadDrive installs one drive from its snapshot encoding, decoding its
+// newest two records straight into the drive's pair. Like Restore it
+// replaces any existing state and validates nothing: the records were
+// validated when they were first ingested.
+func (s *Store) loadDrive(id uint32, model trace.Model, reports uint32, recs []byte) {
+	var recent [2]trace.DayRecord
+	n := min(len(recs)/dayRecordBinarySize, 2)
+	recs = recs[len(recs)-n*dayRecordBinarySize:]
+	for i := 0; i < n; i++ {
+		decodeDayRecordBinary(recs[i*dayRecordBinarySize:], &recent[i])
 	}
 	sh := s.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	dst := s.install(sh, id, model, len(recs)/dayRecordBinarySize)
-	for i := range dst {
-		decodeDayRecordBinary(recs[i*dayRecordBinarySize:], &dst[i])
-	}
+	s.install(sh, id, model, reports, recent[:n])
 }

@@ -24,10 +24,9 @@ type Config struct {
 	// ModelPath is the predictor file (core.Predictor.Save format) the
 	// registry loads at startup and on POST /v1/model/reload.
 	ModelPath string
-	// Shards and History size the drive-state store; zero values use
-	// the store defaults.
-	Shards  int
-	History int
+	// Shards is the drive-state store's shard count; 0 uses
+	// DefaultShards.
+	Shards int
 	// Workers is the batch-scoring worker count (0 = all CPUs).
 	Workers int
 	// MaxBodyBytes caps ingest request bodies; 0 means 8 MiB.
@@ -175,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		store:     NewStore(cfg.Shards, cfg.History),
+		store:     NewStore(cfg.Shards, 0),
 		registry:  NewRegistry(cfg.ModelPath, clock),
 		scorer:    NewScorer(cfg.Workers),
 		metrics:   NewMetrics(),
@@ -690,7 +689,7 @@ func (s *Server) handleDrive(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"drive_id": snap.ID,
 		"model":    snap.Model.String(),
-		"days":     len(snap.Recent),
+		"days":     snap.Reports,
 	}
 	n := len(snap.Recent)
 	if n > 0 {

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -56,9 +58,9 @@ func (f *snapFeed) expect(what string, snapshots, snapLSN, last uint64) {
 // zeroed when the snapshot finished forgot them.)
 func TestSnapshotTriggerCountsRecordsAcceptedDuringSnapshot(t *testing.T) {
 	inj := faultfs.New(faultfs.Mem())
-	// 10 drives × 4 retained reports stay below the floor of 100, so the
+	// 10 drives × 2 retained reports stay below the floor of 100, so the
 	// floor is the trigger.
-	j, err := OpenJournal(NewStore(4, crashHistory), JournalOptions{Dir: "/wal", FS: inj, SyncEvery: 1, SnapshotEvery: 100})
+	j, err := OpenJournal(NewStore(4, 0), JournalOptions{Dir: "/wal", FS: inj, SyncEvery: 1, SnapshotEvery: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestSnapshotTriggerCountsRecordsAcceptedDuringSnapshot(t *testing.T) {
 func TestSnapshotTriggerCountsReplayedTail(t *testing.T) {
 	mem := faultfs.Mem()
 	open := func() *Journal {
-		j, err := OpenJournal(NewStore(4, crashHistory), JournalOptions{Dir: "/wal", FS: mem, SyncEvery: 1, SnapshotEvery: 100})
+		j, err := OpenJournal(NewStore(4, 0), JournalOptions{Dir: "/wal", FS: mem, SyncEvery: 1, SnapshotEvery: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +156,9 @@ func (f *byteCountFile) Write(p []byte) (int, error) {
 // TestSnapshotWriteAmplificationBounded is the trigger's cost property:
 // whatever the fleet's shape, snapshots write no more than about what
 // the log does (each record goes once to the log and, amortised, at most
-// once to a snapshot), and their number grows with records ingested over
-// records retained — not with records ingested over the floor.
+// once to a snapshot), and their number follows the trigger's rule: it
+// grows with records ingested over records retained and only with the
+// logarithm of records ingested over the floor.
 func TestSnapshotWriteAmplificationBounded(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x5a9))
@@ -192,8 +195,34 @@ func TestSnapshotWriteAmplificationBounded(t *testing.T) {
 				t.Errorf("snapshots wrote %d bytes; the log wrote %d, one full snapshot is %d: want <= %d",
 					got, fs.log.Load(), full, limit)
 			}
+			// The trigger's rule replayed over the schedule: a snapshot at
+			// the record where the tail first reaches max(every, records
+			// retained), two per drive that has sent two.
+			want, last, retainedNow := 0, 0, 0
+			sent := make([]int, drives)
+			for i := 0; i < total; i++ {
+				drive := i % drives
+				if !dayMajor {
+					drive = i / days
+				}
+				if sent[drive]++; sent[drive] <= 2 {
+					retainedNow++
+				}
+				if i+1-last >= max(every, retainedNow) {
+					want, last = want+1, i+1
+				}
+			}
+			if snaps != want {
+				t.Errorf("%d snapshots, the trigger's rule gives %d", snaps, want)
+			}
+			// Whatever the order, a drive's retained reports grow at least in
+			// proportion ρ = retained/total to the records sent, so each gap
+			// t_{k+1} − t_k ≥ ρ·t_{k+1}: the snapshot positions grow
+			// geometrically from the floor, and their number is logarithmic
+			// in records over the floor, scaled by records over retained.
 			retained := store.Records()
-			limit := bits.Len(uint(retained/every)) + total/retained + 2
+			rho := float64(retained) / float64(total)
+			limit := 1 + int(max(0, math.Log(float64(total)/float64(every))/-math.Log1p(-rho)))
 			if snaps > limit {
 				t.Errorf("%d snapshots for %d records with %d retained and a floor of %d, want <= %d (the old cadence: %d)",
 					snaps, total, retained, every, limit, total/every)
@@ -208,10 +237,10 @@ func TestSnapshotWriteAmplificationBounded(t *testing.T) {
 // snapFleet fills a store with drives × days reports (day-major) behind a
 // journal on fs that never snapshots by itself and keeps the whole log
 // in one segment, so the log alone can rebuild the store.
-func snapFleet(t testing.TB, fs faultfs.FS, shards, history, drives, days int) (*Journal, JournalOptions) {
+func snapFleet(t testing.TB, fs faultfs.FS, shards, drives, days int) (*Journal, JournalOptions) {
 	t.Helper()
 	opt := JournalOptions{Dir: "/wal", FS: fs, SyncEvery: wal.SyncNever, SnapshotEvery: -1, SegmentBytes: 1 << 30}
-	j, err := OpenJournal(NewStore(shards, history), opt)
+	j, err := OpenJournal(NewStore(shards, 0), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +254,10 @@ func snapFleet(t testing.TB, fs faultfs.FS, shards, history, drives, days int) (
 }
 
 // TestSnapshotAllocationsIndependentOfFleet: a snapshot streams out of
-// the history column through one reused section buffer, so what it
-// allocates does not grow with the number of drives, and an upsert into
-// a full ring allocates nothing.
+// the report column through one reused section buffer, so what it
+// allocates does not grow with the number of drives, encoding a section
+// into a buffer of its size allocates nothing, and neither does an
+// upsert into a drive that already holds two reports.
 func TestSnapshotAllocationsIndependentOfFleet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -235,7 +265,7 @@ func TestSnapshotAllocationsIndependentOfFleet(t *testing.T) {
 	allocs := func(drives int) float64 {
 		// Writes are discarded: the in-memory filesystem would otherwise
 		// count its own file growth.
-		j, _ := snapFleet(t, discardSnapshotFS{faultfs.Mem()}, 0, 0, drives, DefaultHistory+1)
+		j, _ := snapFleet(t, discardSnapshotFS{faultfs.Mem()}, 0, drives, 9)
 		defer j.Close()
 		if err := j.Snapshot(); err != nil { // sizes the section buffer
 			t.Fatal(err)
@@ -252,20 +282,28 @@ func TestSnapshotAllocationsIndependentOfFleet(t *testing.T) {
 		t.Fatalf("a snapshot of 20000 drives allocates %.0f objects, of 200 drives %.0f: want a constant", large, small)
 	}
 
+	j, _ := snapFleet(t, faultfs.Mem(), 1, 500, 3)
+	defer j.Close()
+	sh := &j.Store().shards[0]
+	buf, _ := sh.appendSnapshotSection(nil, 0)
+	if n := testing.AllocsPerRun(10, func() { buf, _ = sh.appendSnapshotSection(buf[:0], 0) }); n != 0 {
+		t.Fatalf("encoding a section into a buffer of its size allocates %.0f objects, want 0", n)
+	}
+
 	store := NewStore(0, 0)
-	for day := 0; day < DefaultHistory; day++ {
+	for day := 0; day < 8; day++ {
 		if err := store.Upsert(7, trace.MLCA, crashRec(7, day)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	day := DefaultHistory
+	day := 8
 	if n := testing.AllocsPerRun(100, func() {
 		if err := store.Upsert(7, trace.MLCA, crashRec(7, day)); err != nil {
 			t.Fatal(err)
 		}
 		day++
 	}); n != 0 {
-		t.Fatalf("an upsert into a full history ring allocates %.0f objects, want 0", n)
+		t.Fatalf("an upsert into a full slot allocates %.0f objects, want 0", n)
 	}
 }
 
@@ -364,7 +402,7 @@ func writeFile(t *testing.T, fs faultfs.FS, path string, b []byte) {
 func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 	mem := faultfs.Mem()
 	const drives, days = 3000, 3
-	j, opt := snapFleet(t, mem, 4, crashHistory, drives, days)
+	j, opt := snapFleet(t, mem, 4, drives, days)
 	if err := j.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +453,14 @@ func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 			binary.LittleEndian.PutUint32(s[4:], binary.LittleEndian.Uint32(s[4:])-1)
 			return s
 		})},
-		{"hostile record count", resealed(0, func(s []byte) []byte { binary.LittleEndian.PutUint16(s[8+5:], 0xffff); return s })},
+		{"hostile record count", resealed(0, func(s []byte) []byte { binary.LittleEndian.PutUint16(s[8+9:], 0xffff); return s })},
+		{"three records retained", resealed(0, func(s []byte) []byte {
+			binary.LittleEndian.PutUint32(s[8+5:], 3)
+			binary.LittleEndian.PutUint16(s[8+9:], 3)
+			return s
+		})},
+		{"more records retained than reports", resealed(0, func(s []byte) []byte { binary.LittleEndian.PutUint32(s[8+5:], 1); return s })},
+		{"unknown record flags", resealed(1, func(s []byte) []byte { s[8+snapshotV2DriveHead+dayRecordBinarySize-1] |= 4; return s })},
 		{"unknown model", resealed(2, func(s []byte) []byte { s[8+4] = byte(trace.NumModels); return s })},
 		{"unknown section version", resealed(0, func(s []byte) []byte { binary.LittleEndian.PutUint32(s, 9); return s })},
 		{"section cut mid-record", resealed(3, func(s []byte) []byte { return s[:len(s)-5] })},
@@ -424,7 +469,7 @@ func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			writeFile(t, mem, path, tc.file())
-			store := NewStore(4, crashHistory)
+			store := NewStore(4, 0)
 			j, err := OpenJournal(store, opt)
 			if err != nil {
 				t.Fatalf("recovery failed outright: %v", err)
@@ -446,7 +491,7 @@ func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 	// The control: the undamaged file loads, and the log's tail is all
 	// that is replayed.
 	writeFile(t, mem, path, good)
-	store := NewStore(4, crashHistory)
+	store := NewStore(4, 0)
 	j2, err := OpenJournal(store, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -475,8 +520,11 @@ func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 
 // TestSnapshotV1GoldenStillLoads: testdata/snapshot_v1.snap was written
 // by the last release of the single-payload format (12 drives, 1–7 days
-// each — 43 records, so LSN 43 — at history 4). It must keep loading to exactly that store, into any
-// shard count, and the next snapshot replaces it with the current format.
+// each — 43 records, so LSN 43 — at history 4, so a drive holds its last
+// min(days, 4) reports). It must keep loading, into any shard count, to
+// every drive's last two reports with a count of the reports it holds —
+// the same scoring input, so the same scores — and the next snapshot
+// replaces it with the current format.
 func TestSnapshotV1GoldenStillLoads(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.snap"))
 	if err != nil {
@@ -485,21 +533,30 @@ func TestSnapshotV1GoldenStillLoads(t *testing.T) {
 	if string(golden[:8]) != "SSDWSNP1" {
 		t.Fatalf("golden starts %q: it must stay in the old format", golden[:8])
 	}
-	want := NewStore(4, crashHistory)
+	const goldenHistory = 4
+	want := NewStore(4, 0)
 	for drive := 0; drive < 12; drive++ {
-		for day := 0; day <= drive%7; day++ {
+		days := drive%7 + 1
+		for day := 0; day < days; day++ {
 			if err := want.Upsert(uint32(1000+drive), trace.Model(drive%trace.NumModels), crashRec(drive, day)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		d, _ := want.Get(uint32(1000 + drive))
+		d.Reports = uint32(min(days, goldenHistory))
+		want.Restore(d)
 	}
+	wantUnits := want.ScoreUnits(0)
+	sort.Slice(wantUnits, func(i, j int) bool { return wantUnits[i].ID < wantUnits[j].ID })
+	pred := loadPredictor(t, fixModelPath)
+	wantScores, _ := fromScratch(want, pred, 0, 0, 0)
 	for _, shards := range []int{1, 4, 64} {
 		mem := faultfs.Mem()
 		if err := mem.MkdirAll("/wal", 0o755); err != nil {
 			t.Fatal(err)
 		}
 		writeFile(t, mem, filepath.Join("/wal", wal.SnapshotName), golden)
-		store := NewStore(shards, crashHistory)
+		store := NewStore(shards, 0)
 		j, err := OpenJournal(store, JournalOptions{Dir: "/wal", FS: mem, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -511,6 +568,13 @@ func TestSnapshotV1GoldenStillLoads(t *testing.T) {
 		if got := store.Drives(); !reflect.DeepEqual(got, want.Drives()) {
 			t.Fatalf("shards=%d: loaded store differs from the one the golden was written from:\n got %+v\nwant %+v", shards, got, want.Drives())
 		}
+		units := store.ScoreUnits(0)
+		sort.Slice(units, func(i, j int) bool { return units[i].ID < units[j].ID })
+		if !reflect.DeepEqual(units, wantUnits) {
+			t.Fatalf("shards=%d: scoring input differs:\n got %+v\nwant %+v", shards, units, wantUnits)
+		}
+		got, _ := fromScratch(store, pred, 0, 0, 0)
+		requireSameRanking(t, fmt.Sprintf("shards=%d", shards), got, wantScores)
 		if store.Records() != want.Records() || staleSlots(store) != store.Len() {
 			t.Fatalf("shards=%d: %d records (want %d), %d stale slots of %d", shards, store.Records(), want.Records(), staleSlots(store), store.Len())
 		}
@@ -526,47 +590,54 @@ func TestSnapshotV1GoldenStillLoads(t *testing.T) {
 	}
 }
 
-// refStore is the slice-per-drive store the ring column replaced: the
-// reference its observable behaviour is compared with.
+// refStore is a slice-per-drive store that keeps every report: the
+// reference the pair column's observable behaviour is compared with.
+// A drive's view is its last two reports and its count.
 type refStore struct {
-	history int
-	drives  map[uint32]*DriveSnapshot
+	drives map[uint32]*refDrive
+}
+
+type refDrive struct {
+	model   trace.Model
+	reports uint32
+	all     []trace.DayRecord // every report since the drive was last restored or loaded
 }
 
 func (r *refStore) upsert(id uint32, model trace.Model, rec trace.DayRecord) bool {
 	d, ok := r.drives[id]
 	if ok {
-		if d.Model != model {
+		if d.model != model {
 			return false
 		}
-		if n := len(d.Recent); n > 0 && (rec.Day <= d.Recent[n-1].Day || rec.Day-d.Recent[n-1].Day != rec.Age-d.Recent[n-1].Age) {
+		if n := len(d.all); n > 0 && (rec.Day <= d.all[n-1].Day || rec.Day-d.all[n-1].Day != rec.Age-d.all[n-1].Age) {
 			return false
 		}
 	} else {
-		d = &DriveSnapshot{ID: id, Model: model}
+		d = &refDrive{model: model}
 		r.drives[id] = d
 	}
-	if len(d.Recent) == r.history {
-		copy(d.Recent, d.Recent[1:])
-		d.Recent[len(d.Recent)-1] = rec
-	} else {
-		d.Recent = append(d.Recent, rec)
-	}
+	d.all = append(d.all, rec)
+	d.reports++
 	return true
 }
 
-func (r *refStore) restore(d DriveSnapshot) {
-	recent := d.Recent
-	if len(recent) > r.history {
-		recent = recent[len(recent)-r.history:]
+// restore installs recent with the count Restore documents.
+func (r *refStore) restore(id uint32, model trace.Model, reports uint32, recent []trace.DayRecord) {
+	r.drives[id] = &refDrive{model: model, reports: max(reports, uint32(len(recent))), all: append([]trace.DayRecord(nil), recent...)}
+}
+
+func (r *refStore) view(id uint32, d *refDrive) DriveSnapshot {
+	snap := DriveSnapshot{ID: id, Model: d.model, Reports: d.reports}
+	if n := len(d.all); n > 0 {
+		snap.Recent = append([]trace.DayRecord(nil), d.all[max(0, n-2):]...)
 	}
-	r.drives[d.ID] = &DriveSnapshot{ID: d.ID, Model: d.Model, Recent: append([]trace.DayRecord(nil), recent...)}
+	return snap
 }
 
 func (r *refStore) all() []DriveSnapshot {
 	out := make([]DriveSnapshot, 0, len(r.drives))
-	for _, d := range r.drives {
-		out = append(out, DriveSnapshot{ID: d.ID, Model: d.Model, Recent: append([]trace.DayRecord(nil), d.Recent...)})
+	for id, d := range r.drives {
+		out = append(out, r.view(id, d))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -588,17 +659,43 @@ func (r *refStore) units(since int32) []ScoreUnit {
 	return out
 }
 
-// TestStoreRingMatchesSlicePerDrive drives the ring-column store and the
-// slice-per-drive reference with the same random upserts (valid, stale
-// and wrong-model), restores (longer than the cap, shorter, empty) and
-// snapshot → reload round trips, and compares everything the store
-// exposes: Get, Drives, ScoreUnits, Len, Records.
-func TestStoreRingMatchesSlicePerDrive(t *testing.T) {
+// v1Sections encodes the reference as version-1 sections written by a
+// store of the given history depth: each drive's last history reports,
+// at most perSection drives a section.
+func (r *refStore) v1Sections(history, perSection int) [][]byte {
+	var sections [][]byte
+	all := r.all()
+	for lo := 0; lo < len(all); lo += perSection {
+		chunk := all[lo:min(len(all), lo+perSection)]
+		b := binary.LittleEndian.AppendUint32(nil, 1)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(chunk)))
+		for _, d := range chunk {
+			recs := r.drives[d.ID].all
+			recs = recs[max(0, len(recs)-history):]
+			b = binary.LittleEndian.AppendUint32(b, d.ID)
+			b = append(b, byte(d.Model))
+			b = binary.LittleEndian.AppendUint16(b, uint16(len(recs)))
+			for i := range recs {
+				b = appendDayRecordBinary(b, &recs[i])
+			}
+		}
+		sections = append(sections, b)
+	}
+	return sections
+}
+
+// TestStorePairMatchesSlicePerDrive drives the pair-column store and the
+// keep-everything reference with the same random upserts (valid, stale
+// and wrong-model), restores (longer than two reports, shorter, empty,
+// with counts above and below what they hold), snapshot → reload round
+// trips, and loads of version-1 snapshots written at depths up to 8, and
+// compares everything the store exposes: Get, Drives, ScoreUnits, Len,
+// Records.
+func TestStorePairMatchesSlicePerDrive(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x4129))
-		history := 2 + rng.IntN(6)
-		store := NewStore(1<<rng.IntN(4), history)
-		ref := &refStore{history: history, drives: map[uint32]*DriveSnapshot{}}
+		store := NewStore(1<<rng.IntN(4), 0)
+		ref := &refStore{drives: map[uint32]*refDrive{}}
 		nextDay := map[uint32]int{}
 		const ids = 40
 		check := func(step int) {
@@ -611,18 +708,7 @@ func TestStoreRingMatchesSlicePerDrive(t *testing.T) {
 			if store.Len() != len(want) || store.Records() != records {
 				t.Fatalf("seed %d step %d: %d drives %d records, want %d and %d", seed, step, store.Len(), store.Records(), len(want), records)
 			}
-			got := store.Drives()
-			for i := range got { // nil and empty histories are the same history
-				if len(got[i].Recent) == 0 {
-					got[i].Recent = nil
-				}
-			}
-			for i := range want {
-				if len(want[i].Recent) == 0 {
-					want[i].Recent = nil
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := store.Drives(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: Drives diverge:\n got %+v\nwant %+v", seed, step, got, want)
 			}
 			since := int32(rng.IntN(12))
@@ -634,7 +720,7 @@ func TestStoreRingMatchesSlicePerDrive(t *testing.T) {
 			id := uint32(1000 + rng.IntN(ids+2))
 			g, ok := store.Get(id)
 			w, wok := ref.drives[id]
-			if ok != wok || (ok && (g.Model != w.Model || !(len(g.Recent) == 0 && len(w.Recent) == 0 || reflect.DeepEqual(g.Recent, w.Recent)))) {
+			if ok != wok || (ok && !reflect.DeepEqual(g, ref.view(id, w))) {
 				t.Fatalf("seed %d step %d: Get(%d) = %+v, %v; want %+v, %v", seed, step, id, g, ok, w, wok)
 			}
 		}
@@ -657,17 +743,17 @@ func TestStoreRingMatchesSlicePerDrive(t *testing.T) {
 				if want {
 					nextDay[id] = day + 1
 				}
-			case op < 92: // restore: a window of the drive's days, maybe longer than the cap, maybe empty
-				n := rng.IntN(history + 3)
+			case op < 90: // restore: a window of the drive's days, maybe longer than two, maybe empty
+				n := rng.IntN(5)
 				first := rng.IntN(4)
-				d := DriveSnapshot{ID: id, Model: model}
+				d := DriveSnapshot{ID: id, Model: model, Reports: uint32(rng.IntN(12))}
 				for day := first; day < first+n; day++ {
 					d.Recent = append(d.Recent, crashRec(drive, day))
 				}
 				store.Restore(d)
-				ref.restore(d)
+				ref.restore(id, model, d.Reports, d.Recent)
 				nextDay[id] = first + n
-			default: // snapshot the columns, load them into a fresh store with another shard count
+			case op < 96: // snapshot the columns, load them into a fresh store with another shard count
 				var sections [][]byte
 				if _, err := store.appendSnapshotSections(nil, func(s []byte) error {
 					sections = append(sections, append([]byte(nil), s...))
@@ -675,11 +761,24 @@ func TestStoreRingMatchesSlicePerDrive(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				store = NewStore(1<<rng.IntN(4), history)
+				store = NewStore(1<<rng.IntN(4), 0)
 				for _, s := range sections {
 					if _, err := scanSnapshotSection(s, store.loadDrive); err != nil {
 						t.Fatalf("seed %d step %d: reloading a section: %v", seed, step, err)
 					}
+				}
+			default: // a version-1 snapshot of the reference written at depth 2..8
+				history := 2 + rng.IntN(7)
+				sections := ref.v1Sections(history, 1+rng.IntN(ids))
+				store = NewStore(1<<rng.IntN(4), 0)
+				for _, s := range sections {
+					if _, err := scanSnapshotSection(s, store.loadDrive); err != nil {
+						t.Fatalf("seed %d step %d: loading a version-1 section: %v", seed, step, err)
+					}
+				}
+				for id, d := range ref.drives {
+					recs := d.all[max(0, len(d.all)-history):]
+					ref.restore(id, d.model, uint32(len(recs)), recs)
 				}
 			}
 			if step%25 == 0 {
@@ -688,4 +787,75 @@ func TestStoreRingMatchesSlicePerDrive(t *testing.T) {
 		}
 		check(1500)
 	}
+}
+
+// FuzzSnapshotSection feeds arbitrary bytes to the section decoder the
+// way recovery does: a checking scan, then a load into a store. Every
+// input is either rejected with wal.ErrSnapshotCorrupt or decodes, and a
+// decoded version-2 section re-encodes to the same bytes — unless it
+// names one drive twice or runs past the size a writer cuts a section
+// at, which no writer does. The seed corpus is a section of each version
+// and the payload of testdata/snapshot_v1.snap.
+func FuzzSnapshotSection(f *testing.F) {
+	store := NewStore(1, 0)
+	for drive := 0; drive < 4; drive++ {
+		for day := 0; day < drive; day++ {
+			if err := store.Upsert(uint32(1000+drive), trace.Model(drive%trace.NumModels), crashRec(drive, day)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	store.Restore(DriveSnapshot{ID: 7, Model: trace.MLCB, Reports: 9, Recent: []trace.DayRecord{crashRec(7, 3)}})
+	v2, _ := store.shards[0].appendSnapshotSection(nil, 0)
+	f.Add(v2)
+	ref := &refStore{drives: map[uint32]*refDrive{}}
+	for drive := 0; drive < 3; drive++ {
+		for day := 0; day < 2+drive; day++ {
+			ref.upsert(uint32(1000+drive), trace.Model(drive%trace.NumModels), crashRec(drive, day))
+		}
+	}
+	f.Add(ref.v1Sections(8, 3)[0])
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// SSDWSNP1 | lsn u64 | payload length u32 | crc32c u32 | payload
+	f.Add(golden[24 : 24+binary.LittleEndian.Uint32(golden[16:])])
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		n, err := scanSnapshotSection(b, nil)
+		if err != nil {
+			if !errors.Is(err, wal.ErrSnapshotCorrupt) {
+				t.Fatalf("rejected with %v, which does not wrap wal.ErrSnapshotCorrupt", err)
+			}
+			return
+		}
+		store := NewStore(1, 0)
+		seen := map[uint32]bool{}
+		records := 0
+		m, err := scanSnapshotSection(b, func(id uint32, model trace.Model, reports uint32, recs []byte) {
+			seen[id] = true
+			store.loadDrive(id, model, reports, recs)
+			d, _ := store.Get(id)
+			if held := len(recs) / dayRecordBinarySize; d.Model != model || d.Reports < reports || len(d.Recent) != min(held, 2) {
+				t.Fatalf("drive %d loaded as %+v from model %v, %d reports, %d records", id, d, model, reports, held)
+			}
+			records += len(d.Recent)
+		})
+		if err != nil || m != n {
+			t.Fatalf("the loading scan returned %d, %v after the checking scan accepted %d drives", m, err, n)
+		}
+		if store.Len() != len(seen) {
+			t.Fatalf("%d distinct drives loaded into %d", len(seen), store.Len())
+		}
+		if binary.LittleEndian.Uint32(b) != storeSnapshotVersion || len(seen) != n || len(b) > snapshotSectionBytes {
+			return
+		}
+		if store.Records() != records {
+			t.Fatalf("store retains %d records, the section held %d", store.Records(), records)
+		}
+		if got, next := store.shards[0].appendSnapshotSection(nil, 0); next != n || !bytes.Equal(got, b) {
+			t.Fatalf("re-encoded %d of %d drives as\n%x\nfrom\n%x", next, n, got, b)
+		}
+	})
 }

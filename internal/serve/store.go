@@ -9,30 +9,17 @@ import (
 	"ssdfail/internal/trace"
 )
 
-// Store defaults.
-const (
-	// DefaultShards spreads drive state over this many independently
-	// locked shards so concurrent ingest and fleet snapshots contend
-	// only per shard.
-	DefaultShards = 64
-	// DefaultHistory is how many recent daily reports each drive keeps.
-	// The standard feature pipeline needs the report being scored plus
-	// the previous one (for the bad-block delta); the extra slack keeps
-	// a rolling window available for trailing-window features and the
-	// drive-inspection endpoint. The retained reports are what is
-	// resident (a stride of the shard's history column per drive, which
-	// deepens to this as the drives of a block fill it) and what a
-	// snapshot writes, so this is also the unit of the journal's snapshot
-	// trigger.
-	DefaultHistory = 8
-)
+// DefaultShards spreads drive state over this many independently locked
+// shards so concurrent ingest and fleet snapshots contend only per shard.
+const DefaultShards = 64
 
-// Store is a sharded in-memory table of per-drive rolling state. All
-// methods are safe for concurrent use.
+// Store is a sharded in-memory table of per-drive rolling state: the
+// two latest reports of every drive — the one scored and the one before
+// it, which the bad-block delta reads — and how many reports it has
+// sent. All methods are safe for concurrent use.
 type Store struct {
 	shards  []storeShard
 	mask    uint32
-	history int
 	drives  atomic.Int64
 	records atomic.Int64
 }
@@ -42,41 +29,33 @@ type Store struct {
 // drive is first seen and never freed, so a fleet pass walks slots[0:n]
 // front to back without touching the map or chasing a pointer per drive.
 //
-// The history column is laid out in blocks of 1<<blockShift slots. Within
-// a block every slot owns a stride of consecutive records (stride(i)),
-// used as a ring: ring[i].n reports ascending by Day starting at
-// ring[i].head. A block starts histStartStride records deep and doubles,
-// up to history, when one of its slots needs more, so what is resident
-// follows what the drives have reported and a block is copied at most
-// log2(history) times in its life; the column as a whole grows by a
-// block, never by reallocating what it holds. A report that arrives at a
-// full ring overwrites the oldest in place, and a snapshot or recovery
-// reads or fills the column directly; no drive has an allocation of its
-// own.
+// The report column holds one reportPair per slot, in blocks of
+// pairBlock pairs: it grows by a block, never by copying what it holds,
+// and no drive has an allocation of its own. A report is written into
+// its drive's pair in place, and a snapshot or recovery reads or fills
+// the column directly.
 type storeShard struct {
-	mu         sync.RWMutex
-	m          map[uint32]int32
-	slots      []scoreSlot
-	hist       [][]trace.DayRecord // hist[b] holds the strides of slots b<<blockShift...
-	ring       []ringPos
-	history    int
-	blockShift uint
+	mu    sync.RWMutex
+	m     map[uint32]int32
+	slots []scoreSlot
+	pairs []*[pairBlock]reportPair // pairs[b] holds slots b*pairBlock...
 }
 
-const (
-	// histBlockRecords bounds one block of the history column: it holds
-	// the largest power-of-two number of slots whose full-depth strides
-	// fit in this many records (at least one), 64 slots or 100 KiB at
-	// the default history.
-	histBlockRecords = 512
-	// histStartStride is the depth a block starts at: the two reports
-	// scoring reads.
-	histStartStride = 2
-)
+// pairBlock is how many slots one block of the report column holds:
+// 16 pairs of 408 bytes are 6528, an allocation size class of its own,
+// so a block wastes nothing.
+const pairBlock = 16
 
-// ringPos locates one slot's reports inside its stride of the history
-// column. head is 0 until the ring has wrapped.
-type ringPos struct{ head, n uint32 }
+// reportPair is one drive's entry in a shard's report column. last is
+// its latest report and prev the one before; n says how many of the two
+// hold a report (they fill last first), and reports counts every report
+// accepted for the drive since it was first seen. The struct is
+// pointer-free, so the column is never scanned by the collector.
+type reportPair struct {
+	prev, last trace.DayRecord
+	reports    uint32
+	n          uint8
+}
 
 // scoreSlot is one drive's entry in a shard's score column: who it is,
 // plus the memo of its last score. A score is a pure function of the
@@ -85,7 +64,7 @@ type ringPos struct{ head, n uint32 }
 //
 // stamp is the registry ModelInfo.Version whose model produced
 // score/day/age; 0 means stale, and a pass trusts only slots stamped
-// with its own version. rev counts writes to the slot's history, so a
+// with its own version. rev counts writes to the slot's reports, so a
 // pass that scored the slot outside the lock can tell whether what it
 // read is still current before writing the result back. The struct is
 // pointer-free (the column is never scanned by the collector) and two
@@ -99,121 +78,77 @@ type scoreSlot struct {
 	model    trace.Model
 }
 
-// invalidate marks the slot's memo stale after its history changed. This
+// invalidate marks the slot's memo stale after its reports changed. This
 // is all the ingest path pays for the memo: no feature row, no score.
 func (sl *scoreSlot) invalidate() {
 	sl.stamp = 0
 	sl.rev++
 }
 
-// add assigns the next slot, with an empty history, to a new drive. The
-// caller holds sh.mu.
+// add assigns the next slot, with no reports, to a new drive. The caller
+// holds sh.mu.
 func (sh *storeShard) add(id uint32, model trace.Model) int32 {
 	slot := int32(len(sh.slots))
 	sh.m[id] = slot
 	sh.slots = append(sh.slots, scoreSlot{id: id, model: model})
-	sh.ring = append(sh.ring, ringPos{})
-	if slot&(1<<sh.blockShift-1) == 0 {
-		sh.hist = append(sh.hist, make([]trace.DayRecord, histStartStride<<sh.blockShift))
+	if slot%pairBlock == 0 {
+		sh.pairs = append(sh.pairs, new([pairBlock]reportPair))
 	}
 	return slot
 }
 
-// stride returns the slot's window of the history column, as deep as its
-// block is now. The caller holds sh.mu.
-func (sh *storeShard) stride(slot int) []trace.DayRecord {
-	block := sh.hist[slot>>sh.blockShift]
-	n := len(block) >> sh.blockShift
-	at := slot & (1<<sh.blockShift - 1) * n
-	return block[at : at+n]
+// pair returns the slot's entry in the report column. The caller holds
+// sh.mu.
+func (sh *storeShard) pair(slot int) *reportPair {
+	return &sh.pairs[slot/pairBlock][slot%pairBlock]
 }
 
-// deepen doubles the strides of slot's block until they hold n <= history
-// records, keeping what every slot of the block has. Rings only wrap at
-// full depth, so below it a stride's reports sit at its front and move as
-// they are. The caller holds sh.mu.
-func (sh *storeShard) deepen(slot, n int) {
-	old := sh.hist[slot>>sh.blockShift]
-	from := len(old) >> sh.blockShift
-	to := from
-	for to < n {
-		to = min(2*to, sh.history)
-	}
-	block := make([]trace.DayRecord, to<<sh.blockShift)
-	for i := 0; i < 1<<sh.blockShift; i++ {
-		copy(block[i*to:], old[i*from:(i+1)*from])
-	}
-	sh.hist[slot>>sh.blockShift] = block
-}
-
-// at returns the slot's i-th retained report, oldest first; i must be
-// below ring[slot].n. The caller holds sh.mu.
-func (sh *storeShard) at(slot, i int) *trace.DayRecord {
-	k := int(sh.ring[slot].head) + i
-	if k >= sh.history {
-		k -= sh.history
-	}
-	return &sh.stride(slot)[k]
-}
-
-// runs returns the slot's retained reports, oldest first, as the two
-// contiguous pieces the ring holds them in (the second is empty until
-// the ring has wrapped). The caller holds sh.mu.
-func (sh *storeShard) runs(slot int) (first, second []trace.DayRecord) {
-	p := sh.ring[slot]
-	stride := sh.stride(slot)
-	if end := p.head + p.n; int(end) > sh.history {
-		return stride[p.head:], stride[:int(end)-sh.history]
-	}
-	return stride[p.head : p.head+p.n], nil
-}
-
-// push appends rec to the slot's history, over the oldest report when
-// the ring is full, and reports whether the slot now retains one more.
-// The caller holds sh.mu; the function is in ssdlint's hotalloc scope
-// table.
+// push makes rec the slot's latest report and the one it replaces the
+// previous, counts it, and reports whether the slot now retains one
+// more. The caller holds sh.mu; the function is in ssdlint's hotalloc
+// scope table.
 func (sh *storeShard) push(slot int, rec *trace.DayRecord) bool {
-	p := &sh.ring[slot]
-	if n := int(p.n); n < sh.history {
-		if n == len(sh.stride(slot)) {
-			sh.deepen(slot, n+1)
-		}
-		sh.stride(slot)[n] = *rec // not wrapped yet: the reports sit at the front
+	p := sh.pair(slot)
+	p.prev = p.last
+	p.last = *rec
+	p.reports++
+	if p.n < 2 {
 		p.n++
 		return true
-	}
-	*sh.at(slot, 0) = *rec // the oldest report's place becomes the newest's
-	if p.head++; int(p.head) == sh.history {
-		p.head = 0
 	}
 	return false
 }
 
-// install resets a drive's slot (assigning one to a new drive) to a
-// history of n <= history reports, which the caller fills in through the
-// returned window, oldest first. The caller holds sh.mu.
-func (s *Store) install(sh *storeShard, id uint32, model trace.Model, n int) []trace.DayRecord {
+// install resets a drive's slot (assigning one to a new drive) to the
+// newest two reports of recent and a report count of reports, or
+// len(recent) if that is larger. The caller holds sh.mu.
+func (s *Store) install(sh *storeShard, id uint32, model trace.Model, reports uint32, recent []trace.DayRecord) {
 	slot, ok := sh.m[id]
 	if !ok {
 		slot = sh.add(id, model)
 		s.drives.Add(1)
 	} else {
-		s.records.Add(-int64(sh.ring[slot].n))
+		s.records.Add(-int64(sh.pair(int(slot)).n))
 		sh.slots[slot].model = model
 	}
-	sh.ring[slot] = ringPos{n: uint32(n)}
-	sh.slots[slot].invalidate()
-	s.records.Add(int64(n))
-	if n > len(sh.stride(int(slot))) {
-		sh.deepen(int(slot), n)
+	reports = max(reports, uint32(len(recent)))
+	recent = recent[max(0, len(recent)-2):]
+	p := sh.pair(int(slot))
+	*p = reportPair{reports: reports, n: uint8(len(recent))}
+	switch len(recent) {
+	case 2:
+		p.prev, p.last = recent[0], recent[1]
+	case 1:
+		p.last = recent[0]
 	}
-	return sh.stride(int(slot))[:n]
+	sh.slots[slot].invalidate()
+	s.records.Add(int64(len(recent)))
 }
 
 // NewStore builds a store with the given shard count (rounded up to a
-// power of two; <= 0 means DefaultShards) and per-drive history depth
-// (<= 1 means DefaultHistory).
-func NewStore(shards, history int) *Store {
+// power of two; <= 0 means DefaultShards). The second argument is
+// ignored: every drive retains exactly its two latest reports.
+func NewStore(shards, _ int) *Store {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
@@ -221,18 +156,9 @@ func NewStore(shards, history int) *Store {
 	for n < shards {
 		n <<= 1
 	}
-	if history <= 1 {
-		history = DefaultHistory
-	}
-	s := &Store{shards: make([]storeShard, n), mask: uint32(n - 1), history: history}
-	shift := uint(0)
-	for history<<(shift+1) <= histBlockRecords {
-		shift++
-	}
+	s := &Store{shards: make([]storeShard, n), mask: uint32(n - 1)}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint32]int32)
-		s.shards[i].history = history
-		s.shards[i].blockShift = shift
 	}
 	return s
 }
@@ -245,10 +171,10 @@ func (s *Store) shard(id uint32) *storeShard {
 
 // Upsert appends one daily report to a drive's rolling state, creating
 // the drive on first sight. It enforces the per-drive invariants of
-// trace.Drive.Validate incrementally against the drive's latest
-// retained report: strictly increasing day, matching day/age deltas,
-// constant model and factory bad blocks, and monotone cumulative
-// counters. A violating report is rejected and the state unchanged.
+// trace.Drive.Validate incrementally against the drive's latest report:
+// strictly increasing day, matching day/age deltas, constant model and
+// factory bad blocks, and monotone cumulative counters. A violating
+// report is rejected and the state unchanged.
 func (s *Store) Upsert(id uint32, model trace.Model, rec trace.DayRecord) error {
 	return s.UpsertCommit(id, model, rec, nil)
 }
@@ -269,8 +195,8 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 		if have := sh.slots[slot].model; have != model {
 			return fmt.Errorf("serve: drive %d model changed from %s to %s", id, have, model)
 		}
-		if n := int(sh.ring[slot].n); n > 0 {
-			last := sh.at(int(slot), n-1)
+		if p := sh.pair(int(slot)); p.n > 0 {
+			last := &p.last
 			if rec.Day <= last.Day {
 				return fmt.Errorf("serve: drive %d day %d not after last ingested day %d", id, rec.Day, last.Day)
 			}
@@ -313,11 +239,14 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 	return nil
 }
 
-// DriveSnapshot is a copy of one drive's rolling state.
+// DriveSnapshot is a copy of one drive's rolling state: its latest
+// reports, oldest first (at most two), and how many reports were accepted
+// for it since it was first seen.
 type DriveSnapshot struct {
-	ID     uint32
-	Model  trace.Model
-	Recent []trace.DayRecord
+	ID      uint32
+	Model   trace.Model
+	Reports uint32
+	Recent  []trace.DayRecord
 }
 
 // Get returns a copy of the drive's state.
@@ -334,12 +263,15 @@ func (s *Store) Get(id uint32) (DriveSnapshot, bool) {
 
 // snapshot copies one slot's rolling state. The caller holds sh.mu.
 func (sh *storeShard) snapshot(slot int) DriveSnapshot {
-	first, second := sh.runs(slot)
-	return DriveSnapshot{
-		ID:     sh.slots[slot].id,
-		Model:  sh.slots[slot].model,
-		Recent: append(append([]trace.DayRecord(nil), first...), second...),
+	p := sh.pair(slot)
+	d := DriveSnapshot{ID: sh.slots[slot].id, Model: sh.slots[slot].model, Reports: p.reports}
+	switch p.n {
+	case 2:
+		d.Recent = []trace.DayRecord{p.prev, p.last}
+	case 1:
+		d.Recent = []trace.DayRecord{p.last}
 	}
+	return d
 }
 
 // Drives copies the full rolling state of every tracked drive, sorted
@@ -362,23 +294,22 @@ func (s *Store) Drives() []DriveSnapshot {
 }
 
 // Restore installs one drive's rolling state wholesale, replacing any
-// existing state for that drive and trimming to the history cap. It is
-// the inverse of Get and performs no invariant validation.
+// existing state for that drive and keeping the newest two reports of
+// d.Recent. The drive's report count becomes d.Reports, or len(d.Recent)
+// if that is larger. It is the inverse of Get and performs no invariant
+// validation.
 func (s *Store) Restore(d DriveSnapshot) {
-	recent := d.Recent
-	if len(recent) > s.history {
-		recent = recent[len(recent)-s.history:]
-	}
 	sh := s.shard(d.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	copy(s.install(sh, d.ID, d.Model, len(recent)), recent)
+	s.install(sh, d.ID, d.Model, d.Reports, d.Recent)
 }
 
 // Len returns the number of drives currently tracked.
 func (s *Store) Len() int { return int(s.drives.Load()) }
 
-// Records returns the number of daily reports currently retained.
+// Records returns the number of daily reports currently retained, at
+// most two per drive.
 func (s *Store) Records() int { return int(s.records.Load()) }
 
 // ScoreUnit is the scoring input for one drive: its latest report plus
@@ -416,19 +347,15 @@ func (s *Store) ScoreUnits(sinceDay int32) []ScoreUnit {
 // unchanged when the drive has no report yet or its latest one is older
 // than sinceDay. The caller holds sh.mu.
 func (sh *storeShard) appendUnit(units []ScoreUnit, slot int, sinceDay int32) []ScoreUnit {
-	n := int(sh.ring[slot].n)
-	if n == 0 {
-		return units
-	}
-	last := sh.at(slot, n-1)
-	if last.Day < sinceDay {
+	p := sh.pair(slot)
+	if p.n == 0 || p.last.Day < sinceDay {
 		return units
 	}
 	sl := &sh.slots[slot]
-	units = append(units, ScoreUnit{ID: sl.id, Model: sl.model, Last: *last})
-	if n > 1 {
+	units = append(units, ScoreUnit{ID: sl.id, Model: sl.model, Last: p.last})
+	if p.n > 1 {
 		u := &units[len(units)-1]
-		u.Prev = *sh.at(slot, n-2)
+		u.Prev = p.prev
 		u.HasPrev = true
 	}
 	return units

@@ -25,7 +25,7 @@ func (st SweepStats) Fleet() int { return st.Hits + st.Scored }
 const sweepFlushUnits = 16 * scoreBlockRows
 
 // staleRef remembers where a gathered ScoreUnit came from and the
-// revision its history was read at.
+// revision its reports were read at.
 type staleRef struct {
 	shard, slot int32
 	rev         uint32
@@ -138,7 +138,7 @@ func (sw *sweep) flush() {
 		hi := lo
 		sh.mu.Lock()
 		for ; hi < len(sw.refs) && sw.refs[hi].shard == si; hi++ {
-			// A report or restore that landed after the history was read
+			// A report or restore that landed after the reports were read
 			// moved rev: the score is right for this pass's snapshot but
 			// not for the slot any more, which stays stale.
 			if sl := &sh.slots[sw.refs[hi].slot]; sl.rev == sw.refs[hi].rev {

@@ -80,6 +80,68 @@ func TestAppendReplayRoundTripAcrossSegments(t *testing.T) {
 	}
 }
 
+// TestOpenIgnoresForeignFileWithSegmentPrefix: a file that starts like a
+// segment name but ends in another suffix of the same length — here a
+// backup of the first segment's name — is not a segment. Open must not
+// list it, recover the same records with it present, and leave it as it
+// was.
+func TestOpenIgnoresForeignFileWithSegmentPrefix(t *testing.T) {
+	fs := faultfs.Mem()
+	opt := testOpts(fs)
+	l, _, _ := collect(t, opt)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("record-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, want, wantStats := collect(t, opt)
+
+	foreign := filepath.Join(opt.Dir, segPrefix+fmt.Sprintf("%020d", 1)+".bak")
+	if len(filepath.Base(foreign)) != len(segName(1)) {
+		t.Fatalf("%s is not as long as a segment name", foreign)
+	}
+	content := []byte("not a segment: a backup an operator left behind")
+	f, err := fs.OpenFile(foreign, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, got, stats := collect(t, opt)
+	if strings.Join(got, ",") != strings.Join(want, ",") || stats != wantStats {
+		t.Fatalf("with %s present Open recovered %d records (%+v), without it %d (%+v)",
+			filepath.Base(foreign), len(got), stats, len(want), wantStats)
+	}
+	if _, err := l2.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat(foreign)
+	if err != nil {
+		t.Fatalf("the foreign file is gone: %v", err)
+	}
+	r, err := fs.OpenFile(foreign, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b := make([]byte, info.Size())
+	if _, err := r.ReadAt(b, 0); err != nil || !bytes.Equal(b, content) {
+		t.Fatalf("the foreign file now holds %q (%v), want %q", b, err, content)
+	}
+}
+
 func TestRecoveryTruncatesTornTail(t *testing.T) {
 	fs := faultfs.Mem()
 	opt := testOpts(fs)
