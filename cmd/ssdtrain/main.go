@@ -40,7 +40,7 @@ import (
 	"time"
 
 	"ssdfail/internal/learn"
-	"ssdfail/internal/serve"
+	"ssdfail/internal/metrics"
 )
 
 func main() {
@@ -71,7 +71,7 @@ func run() error {
 		ratio     = flag.Float64("downsample", 5, "training negatives per positive")
 		poll      = flag.Duration("poll", 250*time.Millisecond, "idle stream re-poll cadence")
 		logPath   = flag.String("log", "", "append canonical decision-log lines to this file (empty = stdout)")
-		metrics   = flag.String("metrics-addr", "", "serve /metrics and /v1/train/log on this address (empty = disabled)")
+		scrape    = flag.String("metrics-addr", "", "serve /metrics and /v1/train/log on this address (empty = disabled)")
 		once      = flag.Bool("once", false, "catch up on the stream, run one final retrain attempt, and exit")
 	)
 	flag.Parse()
@@ -119,12 +119,12 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if *metrics != "" {
-		reg := serve.NewMetrics()
+	if *scrape != "" {
+		reg := metrics.NewMetrics()
 		tr.RegisterMetrics(reg)
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", serve.MetricsContentType)
+			w.Header().Set("Content-Type", metrics.MetricsContentType)
 			reg.WriteTo(w) //ssdlint:allow droppederr a failed scrape write only hurts the scraper
 		})
 		mux.HandleFunc("/v1/train/log", func(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +144,7 @@ func run() error {
 				fmt.Fprintln(w, e.String())
 			}
 		})
-		ln, err := net.Listen("tcp", *metrics)
+		ln, err := net.Listen("tcp", *scrape)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssdfail/internal/serve"
 	"ssdfail/internal/trace"
 )
 
@@ -91,7 +90,7 @@ func (f *Follower) setErr(err error) {
 
 // pullWait is the wait_ms Run sends: as long as a primary will park a
 // request, and a tenth of the default client's timeout.
-const pullWait = serve.MaxStreamWait
+const pullWait = trace.MaxStreamWait
 
 func defaultClient() *http.Client { return &http.Client{Timeout: 10 * time.Second} }
 
@@ -133,7 +132,7 @@ func (f *Follower) Run(ctx context.Context) error {
 // Run, for callers that interleave tailing with their own work between
 // pulls — the continuous-learning trainer pulls a batch, runs drift
 // checks over the applied records, and only then pulls again — while
-// reusing the same frame verification (CRC via ParseStreamFrame, LSN
+// reusing the same frame verification (CRC via trace.NextStreamFrame, LSN
 // continuity) as the run loop. Unlike Run's pulls it never asks the
 // primary to wait: an empty reply means the stream is drained as of now,
 // which is what a caller looping "until nothing came" relies on. A nil
@@ -172,8 +171,8 @@ func (f *Follower) pull(ctx context.Context, client *http.Client, wait time.Dura
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return false, false, fmt.Errorf("cluster: pull from %s: status %d: %s", f.Upstream, resp.StatusCode, body)
 	}
-	parked = resp.Header.Get(serve.HeaderWALParked) != ""
-	if lsn, perr := strconv.ParseUint(resp.Header.Get(serve.HeaderWALLastLSN), 10, 64); perr == nil {
+	parked = resp.Header.Get(trace.HeaderWALParked) != ""
+	if lsn, perr := strconv.ParseUint(resp.Header.Get(trace.HeaderWALLastLSN), 10, 64); perr == nil {
 		f.primaryLSN.Store(lsn)
 	}
 	data, err := io.ReadAll(resp.Body)
@@ -182,8 +181,8 @@ func (f *Follower) pull(ctx context.Context, client *http.Client, wait time.Dura
 	}
 	expect := from
 	for len(data) > 0 {
-		n, lsn, payload := serve.ParseStreamFrame(data)
-		if n == 0 {
+		lsn, payload, rest, err := trace.NextStreamFrame(data, len(data))
+		if err != nil {
 			// Torn or checksum-failed frame: stop here, keep what was
 			// applied, re-poll from the cursor.
 			return progressed, parked, errors.New("cluster: damaged frame on catch-up wire")
@@ -191,7 +190,7 @@ func (f *Follower) pull(ctx context.Context, client *http.Client, wait time.Dura
 		if lsn != expect {
 			return progressed, parked, fmt.Errorf("cluster: catch-up wire skipped from %d to %d", expect, lsn)
 		}
-		id, model, rec, err := serve.DecodeWALRecord(payload)
+		id, model, rec, err := trace.DecodeWALRecord(payload)
 		if err != nil {
 			// Version skew: the primary logged a record this build cannot
 			// decode. Skipping would silently lose it on the replica, so
@@ -210,7 +209,7 @@ func (f *Follower) pull(ctx context.Context, client *http.Client, wait time.Dura
 		f.next.Store(lsn)
 		progressed = true
 		expect = lsn + 1
-		data = data[n:]
+		data = rest
 	}
 	return progressed, parked, nil
 }

@@ -15,7 +15,7 @@ import (
 	"sync"
 	"time"
 
-	"ssdfail/internal/serve"
+	"ssdfail/internal/metrics"
 	"ssdfail/internal/trace"
 )
 
@@ -74,18 +74,18 @@ type Router struct {
 	cfg     RouterConfig
 	ring    *Ring
 	client  *http.Client
-	metrics *serve.Metrics
+	metrics *metrics.Metrics
 	urls    map[string]string // endpoint name -> base URL
 
 	mu      sync.Mutex
 	tracker *Tracker
 	round   int
 
-	reqs       *serve.CounterVec
-	hedges     *serve.Counter
-	degraded   *serve.CounterVec
-	probes     *serve.CounterVec
-	promotions *serve.Counter
+	reqs       *metrics.CounterVec
+	hedges     *metrics.Counter
+	degraded   *metrics.CounterVec
+	probes     *metrics.CounterVec
+	promotions *metrics.Counter
 }
 
 // NewRouter validates the topology and builds a router. Start must be
@@ -140,7 +140,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		cfg: cfg, ring: ring, tracker: tracker, client: client,
-		metrics: serve.NewMetrics(), urls: urls,
+		metrics: metrics.NewMetrics(), urls: urls,
 	}
 	m := rt.metrics
 	rt.reqs = m.NewCounterVec("ssdrouter_http_requests_total",
@@ -655,13 +655,9 @@ func (rt *Router) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	count, rest, err := serve.ParseBinHeader(body)
+	count, rest, err := trace.ParseBinHeader(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if int64(count)*int64(serve.BinFrameSize) != int64(len(rest)) {
-		writeError(w, http.StatusBadRequest, "batch length does not match declared record count")
 		return
 	}
 	type binGroup struct {
@@ -670,12 +666,12 @@ func (rt *Router) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := make(map[string]*binGroup)
 	for i := 0; i < count; i++ {
-		payload, next, err := trace.NextFrame(rest, serve.BinRecordSize)
+		payload, next, err := trace.NextFrame(rest, trace.BinRecordSize)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("corrupt frame: record %d: %v", i, err))
 			return
 		}
-		if len(payload) != serve.BinRecordSize {
+		if len(payload) != trace.BinRecordSize {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("corrupt frame: record %d: short payload", i))
 			return
 		}
@@ -697,7 +693,7 @@ func (rt *Router) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 		if g == nil {
 			continue
 		}
-		sub := serve.AppendBinHeader(make([]byte, 0, serve.BinHeaderSize+len(g.frames)), g.n)
+		sub := trace.AppendBinHeader(make([]byte, 0, trace.BinHeaderSize+len(g.frames)), g.n)
 		sub = append(sub, g.frames...)
 		legs = append(legs, batchLeg{leg: leg{part: part}, sub: sub, records: g.n})
 	}
@@ -905,7 +901,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.Header().Set("Content-Type", serve.MetricsContentType)
+	w.Header().Set("Content-Type", metrics.MetricsContentType)
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Fleet rollup: %d/%d partitions\n", covered, len(legs))
 	fmt.Fprintf(&b, "ssdrouter_rollup_partitions_covered %d\n", covered)
@@ -945,7 +941,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // Metrics exposes the router's metrics registry.
-func (rt *Router) Metrics() *serve.Metrics { return rt.metrics }
+func (rt *Router) Metrics() *metrics.Metrics { return rt.metrics }
 
 // Tracker returns the failover state machine guarded by the router's
 // lock; use TrackerStatus for a safe snapshot.

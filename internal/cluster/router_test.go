@@ -120,6 +120,9 @@ func TestRouterWatchlistDegradesOnSlowLeg(t *testing.T) {
 			fmt.Fprint(w, `{"status":"ready"}`)
 			return
 		}
+		// The server only notices the router hanging up once the body
+		// is read; unread, Close would wait out the timer below.
+		io.Copy(io.Discard, r.Body)
 		select {
 		case <-r.Context().Done():
 		case <-time.After(10 * time.Second):

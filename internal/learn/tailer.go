@@ -12,6 +12,7 @@ import (
 
 	"ssdfail/internal/cluster"
 	"ssdfail/internal/core"
+	"ssdfail/internal/metrics"
 	"ssdfail/internal/serve"
 	"ssdfail/internal/trace"
 )
@@ -190,7 +191,7 @@ func (tr *Trainer) Run(ctx context.Context) error {
 
 // RegisterMetrics exposes the loop's state as ssdtrain_* families on a
 // serve metrics registry. Values are read at scrape time.
-func (tr *Trainer) RegisterMetrics(m *serve.Metrics) {
+func (tr *Trainer) RegisterMetrics(m *metrics.Metrics) {
 	stat := tr.Loop.Stats
 	m.NewCounterFunc("ssdtrain_records_applied_total",
 		"Stream records fed to the learning loop.",

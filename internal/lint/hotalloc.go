@@ -46,11 +46,18 @@ var hotPathFuncs = map[string]map[string]bool{
 	// layer under those Score methods, and per layer and sample (AddOuter)
 	// or per layer and mini-batch (Adam) under the net's Fit.
 	"internal/ml/vec": {"SqDists": true, "Affine": true, "AddOuter": true, "Adam": true},
+	// The frame and record codecs under the binary ingest loop, the
+	// journal's append and the snapshot section encoder.
 	"internal/trace": {
-		"AppendFrame": true,
-		"BeginFrame":  true,
-		"EndFrame":    true,
-		"NextFrame":   true,
+		"AppendFrame":     true,
+		"BeginFrame":      true,
+		"EndFrame":        true,
+		"NextFrame":       true,
+		"ParseBinHeader":  true,
+		"AppendDayRecord": true,
+		"DecodeDayRecord": true,
+		"AppendWALRecord": true,
+		"DecodeWALRecord": true,
 	},
 	"internal/wal": {
 		"Log.Append": true,

@@ -5,10 +5,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -298,5 +300,44 @@ func TestMainModuleIsClean(t *testing.T) {
 	if code != ExitClean {
 		t.Fatalf("ssdlint ./... = exit %d, want clean\nstdout:\n%s\nstderr:\n%s",
 			code, stdout.String(), stderr.String())
+	}
+}
+
+// TestLoadersShareStdlibConcurrently loads one module package through two
+// loaders at once. Every loader resolves the standard library through the
+// one process-wide importer, which must serialize them and hand both the
+// same type-checked packages.
+func TestLoadersShareStdlibConcurrently(t *testing.T) {
+	root, module, err := FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	pkgs := make([]*Package, 2)
+	errs := make([]error, 2)
+	for i := range pkgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkgs[i], errs[i] = NewLoader(root, module).Load(module + "/internal/eventlog")
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stdlib := func(p *Package, path string) *types.Package {
+		for _, imp := range p.Pkg.Imports() {
+			if imp.Path() == path {
+				return imp
+			}
+		}
+		t.Fatalf("%s does not import %s", p.Pkg.Path(), path)
+		return nil
+	}
+	if stdlib(pkgs[0], "fmt") != stdlib(pkgs[1], "fmt") {
+		t.Fatal("two loaders type-checked fmt separately")
 	}
 }

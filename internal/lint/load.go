@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // FindModule walks up from dir to the enclosing go.mod and returns the
@@ -45,7 +46,7 @@ func FindModule(dir string) (root, module string, err error) {
 // Loader parses and type-checks packages of one module. Imports inside
 // the module are resolved against the module root and analyzed from
 // source; everything else (the standard library) is delegated to the
-// stdlib source importer, keeping go.mod at zero requires.
+// process-wide stdlib source importer, keeping go.mod at zero requires.
 type Loader struct {
 	Fset   *token.FileSet
 	Root   string
@@ -61,7 +62,6 @@ type Loader struct {
 	// up here, which is what the loader accounting tests assert on.
 	Loads, CacheHits int
 
-	std   types.ImporterFrom
 	cache map[string]*loadEntry
 }
 
@@ -70,14 +70,22 @@ type loadEntry struct {
 	err error
 }
 
+// Type-checking the standard library from source dominates a load, and
+// its result never changes within a process, so every Loader shares one
+// FileSet and one stdlib importer. The importer is not safe for
+// concurrent use; stdMu serializes it.
+var (
+	sharedFset = token.NewFileSet()
+	stdMu      sync.Mutex
+	stdImp     = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
+)
+
 // NewLoader returns a loader for the module rooted at root.
 func NewLoader(root, module string) *Loader {
-	fset := token.NewFileSet()
 	l := &Loader{
-		Fset:   fset,
+		Fset:   sharedFset,
 		Root:   root,
 		Module: module,
-		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:  map[string]*loadEntry{},
 	}
 	l.Summaries = newSummaryCache(l)
@@ -103,7 +111,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // described on Loader.
 func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if !l.inModule(path) {
-		return l.std.ImportFrom(path, srcDir, mode)
+		stdMu.Lock()
+		defer stdMu.Unlock()
+		return stdImp.ImportFrom(path, srcDir, mode)
 	}
 	p, err := l.Load(path)
 	if err != nil {

@@ -382,9 +382,9 @@ func Build(cfg Config) (*Schedule, error) {
 			var body []byte
 			if cfg.Wire == WireBinary {
 				kind, path = OpIngestBin, "/v1/ingest/bin"
-				body = serve.AppendBinHeader(nil, end-off)
+				body = trace.AppendBinHeader(nil, end-off)
 				for _, r := range recs[off:end] {
-					body = serve.AppendBinRecord(body, r.id, r.model, r.r)
+					body = trace.AppendBinRecord(body, r.id, r.model, r.r)
 				}
 			} else {
 				batch := make([]serve.IngestRecord, 0, end-off)

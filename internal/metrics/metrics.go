@@ -1,4 +1,14 @@
-package serve
+// Package metrics is a minimal Prometheus text-format (version 0.0.4)
+// registry on the standard library, shared by the daemons: counters,
+// gauges (incl. callback gauges), histograms, and a labeled counter
+// family. Instrument updates are lock-free atomics; registration and
+// scraping take the registry lock.
+//
+// Every family registers a collector that emits (series, value) samples;
+// the text exposition and the Snapshot accessor are two renderings of
+// the same sample stream, so a scrape and a programmatic snapshot can
+// never disagree about what a counter reads.
+package metrics
 
 import (
 	"bufio"
@@ -11,16 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// A minimal Prometheus text-format (version 0.0.4) metrics registry on
-// the standard library: counters, gauges (incl. callback gauges),
-// histograms, and a labeled counter family. Instrument updates are
-// lock-free atomics; registration and scraping take the registry lock.
-//
-// Every family registers a collector that emits (series, value) samples;
-// the text exposition and the Snapshot accessor are two renderings of
-// the same sample stream, so a scrape and a programmatic snapshot can
-// never disagree about what a counter reads.
 
 // MetricsContentType is the Content-Type of the exposition format.
 const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -124,6 +124,13 @@ func (ms *Metrics) NewCounter(name, help string) *Counter {
 func (ms *Metrics) NewCounterFunc(name, help string, fn func() uint64) {
 	ms.register(&metric{name: name, help: help, typ: "counter",
 		collect: func(emit emitFunc) { emit(name, float64(fn())) }})
+}
+
+// NewFloatCounterFunc registers a counter whose non-integral value is
+// read at scrape time, such as a total of seconds.
+func (ms *Metrics) NewFloatCounterFunc(name, help string, fn func() float64) {
+	ms.register(&metric{name: name, help: help, typ: "counter",
+		collect: func(emit emitFunc) { emit(name, fn()) }})
 }
 
 // NewGauge registers and returns a settable gauge.

@@ -133,14 +133,14 @@ func newBinaryLane(w int) *benchLane {
 			CumReads: 500, CumWrites: 300, CumErases: 100,
 			PECycles: 12.5, FactoryBadBlocks: 4, GrownBadBlocks: 2,
 		}
-		frames = AppendBinRecord(frames, uint32(3<<20+w*1024+i), trace.MLCA, &rec)
+		frames = trace.AppendBinRecord(frames, uint32(3<<20+w*1024+i), trace.MLCA, &rec)
 	}
-	body := append(AppendBinHeader(make([]byte, 0, BinHeaderSize+len(frames)), benchBatchRecords), frames...)
+	body := append(trace.AppendBinHeader(make([]byte, 0, trace.BinHeaderSize+len(frames)), benchBatchRecords), frames...)
 	l := laneRequest(body, "/v1/ingest/bin", "application/octet-stream")
 	l.step = func() {
 		for i := 0; i < benchBatchRecords; i++ {
-			off := BinHeaderSize + i*BinFrameSize
-			p := l.body[off+trace.FrameOverhead : off+BinFrameSize]
+			off := trace.BinHeaderSize + i*trace.BinFrameSize
+			p := l.body[off+trace.FrameOverhead : off+trace.BinFrameSize]
 			binary.LittleEndian.PutUint32(p[5:], binary.LittleEndian.Uint32(p[5:])+1)
 			binary.LittleEndian.PutUint32(p[9:], binary.LittleEndian.Uint32(p[9:])+1)
 			binary.LittleEndian.PutUint32(l.body[off+4:], trace.FrameCRC(p))

@@ -3,15 +3,10 @@ package serve
 // Batch ingest: the one loop every ingest wire runs, and the binary
 // wire, POST /v1/ingest/bin, in front of it.
 //
-// The binary body is a 12-byte batch header followed by one trace
-// frame per record:
-//
-//	"SSDB" | version u32 LE (=1) | count u32 LE
-//	count × ( len u32 LE | crc32c u32 LE | WAL record payload )
-//
-// Each frame payload is exactly the record's canonical WAL encoding
-// (appendWALRecordBinary), and the frame header is exactly the WAL's
-// frame header, so an accepted payload is appended to the journal
+// The binary body is an SSDB batch (internal/trace/record.go): a
+// 12-byte header, then one frame per record whose payload is exactly
+// the record's canonical WAL encoding and whose header is exactly the
+// WAL's frame header, so an accepted payload is appended to the journal
 // verbatim — decode validates, nothing re-encodes. The JSON wires are
 // another decode step in front of the same loop. The binary steady-state
 // path allocates nothing: the body, the rejection list, and the response
@@ -30,50 +25,20 @@ import (
 	"ssdfail/internal/trace"
 )
 
+// The SSDB batch and WAL record codecs live in internal/trace. These
+// forwards keep the names bench/ calls; bench/ is their only caller.
 const (
-	binIngestMagic   = "SSDB"
-	binIngestVersion = 1
-
-	// BinHeaderSize is the byte length of the batch header.
-	BinHeaderSize = 12
-	// BinRecordSize is the payload length of one record frame — exactly
-	// the WAL record the daemon appends on accept.
-	BinRecordSize = walRecordBinarySize
-	// BinFrameSize is the on-wire cost of one record including its frame
-	// header. Every frame in a batch has exactly this size.
-	BinFrameSize = trace.FrameOverhead + BinRecordSize
+	BinHeaderSize = trace.BinHeaderSize
+	BinRecordSize = trace.BinRecordSize
+	BinFrameSize  = trace.BinFrameSize
 )
 
-// AppendBinHeader appends the /v1/ingest/bin batch header for count
-// records.
-func AppendBinHeader(dst []byte, count int) []byte {
-	dst = append(dst, binIngestMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, binIngestVersion)
-	return binary.LittleEndian.AppendUint32(dst, uint32(count))
-}
-
-// AppendBinRecord appends one framed record to a /v1/ingest/bin body.
-func AppendBinRecord(dst []byte, id uint32, model trace.Model, rec *trace.DayRecord) []byte {
-	start := len(dst)
-	dst = trace.BeginFrame(dst)
-	dst = appendWALRecordBinary(dst, id, model, rec)
-	return trace.EndFrame(dst, start)
-}
-
-// ParseBinHeader validates a batch header and returns the declared
-// record count and the frame bytes that follow.
-func ParseBinHeader(b []byte) (count int, rest []byte, err error) {
-	if len(b) < BinHeaderSize {
-		return 0, nil, fmt.Errorf("serve: binary batch header truncated: %d of %d bytes", len(b), BinHeaderSize)
-	}
-	if string(b[:4]) != binIngestMagic {
-		return 0, nil, errors.New("serve: not a binary ingest batch (bad magic)")
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != binIngestVersion {
-		return 0, nil, fmt.Errorf("serve: unsupported binary ingest version %d", v)
-	}
-	return int(binary.LittleEndian.Uint32(b[8:])), b[BinHeaderSize:], nil
-}
+var (
+	AppendBinHeader = trace.AppendBinHeader
+	AppendBinRecord = trace.AppendBinRecord
+	ParseBinHeader  = trace.ParseBinHeader
+	DecodeWALRecord = trace.DecodeWALRecord
+)
 
 // binState is the pooled per-request scratch for batch ingest: the body
 // buffer, the capped rejection list, the response bytes, and each
@@ -185,16 +150,9 @@ func (s *Server) readBinBody(r *http.Request, st *binState) ([]byte, int, error)
 // header and stride, then hands the frames to the shared batch loop.
 // Accepted frame payloads are journaled verbatim.
 func (s *Server) processBinBatch(ctx context.Context, body []byte, st *binState) binResult {
-	count, rest, err := ParseBinHeader(body)
+	count, rest, err := trace.ParseBinHeader(body)
 	if err != nil {
 		return binResult{code: http.StatusBadRequest, topErr: err.Error()}
-	}
-	// Every frame has a fixed stride, so the declared count must match
-	// the body length exactly; this rejects length-prefix overflow and
-	// truncation up front, before any record is applied.
-	if int64(count)*int64(BinFrameSize) != int64(len(rest)) {
-		return binResult{code: http.StatusBadRequest,
-			topErr: "batch length does not match declared record count"}
 	}
 	st.bin.rest = rest
 	return s.ingestBatch(ctx, count, &st.bin, st)
@@ -290,19 +248,19 @@ func (s *Server) commit(id uint32, model trace.Model, rec trace.DayRecord, paylo
 type binFrames struct{ rest []byte }
 
 func (f *binFrames) decode(int) (uint32, trace.Model, trace.DayRecord, []byte, error) {
-	payload, next, err := trace.NextFrame(f.rest, BinRecordSize)
+	payload, next, err := trace.NextFrame(f.rest, trace.BinRecordSize)
 	if err != nil {
 		return 0, 0, trace.DayRecord{}, nil, fmt.Errorf("%w: %w", errCorruptFrame, err)
 	}
 	f.rest = next
-	if len(payload) != BinRecordSize || payload[BinRecordSize-1]&^3 != 0 {
+	if len(payload) != trace.BinRecordSize || payload[trace.BinRecordSize-1]&^3 != 0 {
 		// A short-but-valid frame or non-canonical flag bits would
 		// journal bytes that differ from the canonical encoding of the
 		// record they decode to; reject so WAL contents stay identical
 		// across wire formats.
 		return 0, 0, trace.DayRecord{}, nil, errMalformedPayload
 	}
-	_, model, rec, err := decodeWALRecordBinary(payload)
+	_, model, rec, err := trace.DecodeWALRecord(payload)
 	if err == nil {
 		err = validateDayRecord(&rec)
 	}

@@ -28,10 +28,10 @@ func binFleetBatch(offset int) (body []byte, count int) {
 		if j < 0 {
 			continue
 		}
-		frames = AppendBinRecord(frames, d.ID, d.Model, &d.Days[j])
+		frames = trace.AppendBinRecord(frames, d.ID, d.Model, &d.Days[j])
 		count++
 	}
-	body = AppendBinHeader(make([]byte, 0, BinHeaderSize+len(frames)), count)
+	body = trace.AppendBinHeader(make([]byte, 0, trace.BinHeaderSize+len(frames)), count)
 	return append(body, frames...), count
 }
 
@@ -137,7 +137,7 @@ func TestBinaryIngestRejectsBadBatches(t *testing.T) {
 			want int
 		}{
 			{"empty-body", nil, http.StatusBadRequest},
-			{"short-header", valid[:BinHeaderSize-4], http.StatusBadRequest},
+			{"short-header", valid[:trace.BinHeaderSize-4], http.StatusBadRequest},
 			{"bad-magic", mutate(func(b []byte) { b[0] = 'X' }), http.StatusBadRequest},
 			{"bad-version", mutate(func(b []byte) {
 				binary.LittleEndian.PutUint32(b[4:], 9)
@@ -152,7 +152,7 @@ func TestBinaryIngestRejectsBadBatches(t *testing.T) {
 			// The frame's length prefix claims far more than one record;
 			// NextFrame must refuse before trusting it.
 			{"huge-length-prefix", mutate(func(b []byte) {
-				binary.LittleEndian.PutUint32(b[BinHeaderSize:], 0xFFFFFF00)
+				binary.LittleEndian.PutUint32(b[trace.BinHeaderSize:], 0xFFFFFF00)
 			}), http.StatusBadRequest},
 		}
 		for _, tc := range cases {
@@ -172,7 +172,7 @@ func TestBinaryIngestRejectsBadBatches(t *testing.T) {
 		// Corrupt the second frame's payload without fixing its CRC:
 		// frame 0 lands, the rest of the body is untrusted.
 		body := mutate(func(b []byte) {
-			b[BinHeaderSize+BinFrameSize+trace.FrameOverhead+20] ^= 0xFF
+			b[trace.BinHeaderSize+trace.BinFrameSize+trace.FrameOverhead+20] ^= 0xFF
 		})
 		code, m := postBin(t, ts.URL, body)
 		if code != http.StatusBadRequest {
@@ -192,11 +192,11 @@ func TestBinaryIngestRejectsBadBatches(t *testing.T) {
 		// sound: the record must be rejected per-record (the journaled
 		// bytes would otherwise differ from the canonical re-encoding).
 		d := &fixFleet.Drives[0]
-		frame := AppendBinRecord(nil, d.ID, d.Model, &d.Days[len(d.Days)-1])
+		frame := trace.AppendBinRecord(nil, d.ID, d.Model, &d.Days[len(d.Days)-1])
 		payload := frame[trace.FrameOverhead:]
-		payload[BinRecordSize-1] |= 4
+		payload[trace.BinRecordSize-1] |= 4
 		binary.LittleEndian.PutUint32(frame[4:], trace.FrameCRC(payload))
-		body := append(AppendBinHeader(nil, 1), frame...)
+		body := append(trace.AppendBinHeader(nil, 1), frame...)
 		code, m := postBin(t, ts.URL, body)
 		if code != http.StatusUnprocessableEntity {
 			t.Fatalf("status %d, want 422: %v", code, m)
@@ -212,7 +212,7 @@ func TestBinaryIngestRejectsBadBatches(t *testing.T) {
 
 	t.Run("empty-batch", func(t *testing.T) {
 		_, ts := newTestServer(t, nil)
-		code, m := postBin(t, ts.URL, AppendBinHeader(nil, 0))
+		code, m := postBin(t, ts.URL, trace.AppendBinHeader(nil, 0))
 		if code != http.StatusAccepted {
 			t.Fatalf("status %d, want 202: %v", code, m)
 		}
@@ -271,16 +271,16 @@ func TestBinaryIngestSteadyStateAllocs(t *testing.T) {
 				}
 				rec.Errors[0] = 1
 				rec.CumErrors[0] = 9
-				frames = AppendBinRecord(frames, uint32(1<<20+i), model, &rec)
+				frames = trace.AppendBinRecord(frames, uint32(1<<20+i), model, &rec)
 			}
-			body := append(AppendBinHeader(make([]byte, 0, BinHeaderSize+len(frames)), n), frames...)
+			body := append(trace.AppendBinHeader(make([]byte, 0, trace.BinHeaderSize+len(frames)), n), frames...)
 
 			ctx := context.Background()
 			var fail string
 			run := func() {
 				for i := 0; i < n; i++ {
-					off := BinHeaderSize + i*BinFrameSize
-					p := body[off+trace.FrameOverhead : off+BinFrameSize]
+					off := trace.BinHeaderSize + i*trace.BinFrameSize
+					p := body[off+trace.FrameOverhead : off+trace.BinFrameSize]
 					// The store requires matching day/age deltas; bump both.
 					binary.LittleEndian.PutUint32(p[5:], binary.LittleEndian.Uint32(p[5:])+1)
 					binary.LittleEndian.PutUint32(p[9:], binary.LittleEndian.Uint32(p[9:])+1)
@@ -380,28 +380,28 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 	f.Cleanup(func() { s.Close() })
 
 	valid, _ := binFleetBatch(1)
-	two := valid[:BinHeaderSize+2*BinFrameSize]
+	two := valid[:trace.BinHeaderSize+2*trace.BinFrameSize]
 	two = append([]byte(nil), two...)
 	binary.LittleEndian.PutUint32(two[8:], 2)
 	f.Add(append([]byte(nil), two...))
 	f.Add([]byte{})
-	f.Add(two[:BinHeaderSize])
+	f.Add(two[:trace.BinHeaderSize])
 	f.Add(two[:len(two)-3])
-	for _, i := range []int{0, 5, 9, BinHeaderSize, BinHeaderSize + 6, len(two) - 1} {
+	for _, i := range []int{0, 5, 9, trace.BinHeaderSize, trace.BinHeaderSize + 6, len(two) - 1} {
 		mut := append([]byte(nil), two...)
 		mut[i] ^= 0x40
 		f.Add(mut)
 	}
 	huge := append([]byte(nil), two...)
-	binary.LittleEndian.PutUint32(huge[BinHeaderSize:], 0xFFFFFFF0)
+	binary.LittleEndian.PutUint32(huge[trace.BinHeaderSize:], 0xFFFFFFF0)
 	f.Add(huge)
 	over := append([]byte(nil), two...)
 	binary.LittleEndian.PutUint32(over[8:], math.MaxUint32)
 	f.Add(over)
 	flags := append([]byte(nil), two...)
-	flags[BinHeaderSize+BinFrameSize-1] |= 0x80
-	binary.LittleEndian.PutUint32(flags[BinHeaderSize+4:],
-		trace.FrameCRC(flags[BinHeaderSize+trace.FrameOverhead:BinHeaderSize+BinFrameSize]))
+	flags[trace.BinHeaderSize+trace.BinFrameSize-1] |= 0x80
+	binary.LittleEndian.PutUint32(flags[trace.BinHeaderSize+4:],
+		trace.FrameCRC(flags[trace.BinHeaderSize+trace.FrameOverhead:trace.BinHeaderSize+trace.BinFrameSize]))
 	f.Add(flags)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -414,7 +414,7 @@ func FuzzDecodeIngestFrame(f *testing.F) {
 		if res.accepted < 0 || res.rejected < 0 || res.dropped < 0 {
 			t.Fatalf("negative accounting: %+v", res)
 		}
-		if count, _, err := ParseBinHeader(data); err == nil {
+		if count, _, err := trace.ParseBinHeader(data); err == nil {
 			if res.accepted+res.rejected+res.dropped > count {
 				t.Fatalf("accounting %d+%d+%d exceeds declared count %d",
 					res.accepted, res.rejected, res.dropped, count)

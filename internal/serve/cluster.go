@@ -9,9 +9,7 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"net/http"
 	"strconv"
 	"sync"
@@ -21,76 +19,14 @@ import (
 	"ssdfail/internal/wal"
 )
 
-// Stream frames are the WAL wire format prefixed with the explicit
-// LSN: lsn u64 | len u32 | crc32c u32 | payload, little-endian, so a
-// puller can verify every frame checksum and LSN continuity itself
-// before trusting a byte of it.
 const (
-	// StreamFrameHeader is the per-frame header size on the catch-up wire.
-	StreamFrameHeader = 16
 	// DefaultStreamBytes caps one catch-up response body.
 	DefaultStreamBytes = 1 << 20
 	maxStreamBytes     = 8 << 20
-
-	// MaxStreamWait caps wait_ms: how long one catch-up request may stay
-	// parked when the log has nothing past its position. It sets an idle
-	// follower's request rate (one per cap) and must stay well inside any
-	// client's timeout.
-	MaxStreamWait = time.Second
-
-	// HeaderWALLastLSN carries the log's last LSN on every 200 from the
-	// catch-up endpoint, so a follower knows its lag without a second
-	// request. HeaderWALParked is set when the request was parked: the
-	// server honoured wait_ms, so an empty reply may be re-polled at once
-	// without spinning.
-	HeaderWALLastLSN = "X-Wal-Last-Lsn"
-	HeaderWALParked  = "X-Wal-Parked"
 )
-
-var streamCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // errStreamFull ends a stream pass once the response budget is spent.
 var errStreamFull = errors.New("serve: stream response budget reached")
-
-// DecodeWALRecord decodes one WAL frame payload into the record it
-// carries — the follower side of the replication wire, matching what
-// Journal.Upsert appends.
-func DecodeWALRecord(payload []byte) (uint32, trace.Model, trace.DayRecord, error) {
-	return decodeWALRecordBinary(payload)
-}
-
-// AppendStreamFrame appends one catch-up wire frame to buf.
-func AppendStreamFrame(buf []byte, lsn uint64, payload []byte) []byte {
-	var hdr [StreamFrameHeader]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], lsn)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, streamCRC))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
-// ParseStreamFrame parses the frame at the start of data, returning
-// the total frame size, its LSN, and its payload. A short, zero-length,
-// or checksum-mismatching frame returns (0, 0, nil) — the puller stops
-// and re-polls rather than applying a damaged record.
-func ParseStreamFrame(data []byte) (int, uint64, []byte) {
-	if len(data) < StreamFrameHeader {
-		return 0, 0, nil
-	}
-	lsn := binary.LittleEndian.Uint64(data[0:8])
-	length := binary.LittleEndian.Uint32(data[8:12])
-	if length == 0 {
-		return 0, 0, nil
-	}
-	end := StreamFrameHeader + int(length)
-	if end > len(data) {
-		return 0, 0, nil
-	}
-	payload := data[StreamFrameHeader:end]
-	if crc32.Checksum(payload, streamCRC) != binary.LittleEndian.Uint32(data[12:16]) {
-		return 0, 0, nil
-	}
-	return end, lsn, payload
-}
 
 // ApplyReplicated applies one record pulled from a primary's WAL
 // stream. It takes the node's normal durable path (journaled when a
@@ -188,7 +124,7 @@ func (t *tailSignal) drain() {
 // alone.
 //
 // With wait_ms, a request that finds nothing at from parks — for at most
-// that long, MaxStreamWait, and the request deadline — until an ingest
+// that long, trace.MaxStreamWait, and the request deadline — until an ingest
 // request finishes (or a replicated record is applied, or the server
 // drains), then looks once more and answers with what it finds. Without
 // wait_ms it never blocks.
@@ -221,7 +157,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Clamped as a count first: a huge wait_ms must not overflow into a
 	// negative duration.
-	wait := time.Duration(min(max(waitMS, 0), int(MaxStreamWait/time.Millisecond))) * time.Millisecond
+	wait := time.Duration(min(max(waitMS, 0), int(trace.MaxStreamWait/time.Millisecond))) * time.Millisecond
 
 	var woken <-chan struct{}
 	if wait > 0 {
@@ -242,7 +178,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	}
 	s.walStreamed.Add(uint64(len(frames)))
 	// Read after the frames, so it is never behind what they carry.
-	w.Header().Set(HeaderWALLastLSN, strconv.FormatUint(s.journal.LastLSN(), 10))
+	w.Header().Set(trace.HeaderWALLastLSN, strconv.FormatUint(s.journal.LastLSN(), 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	//ssdlint:allow droppederr catch-up response write failed means the follower hung up; it re-polls from its own cursor
@@ -254,7 +190,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamFrames(from uint64, maxBytes int) ([]byte, error) {
 	var out []byte
 	_, err := s.journal.StreamFrom(from, func(lsn uint64, payload []byte) error {
-		out = AppendStreamFrame(out, lsn, payload)
+		out = trace.AppendStreamFrame(out, lsn, payload)
 		if len(out) >= maxBytes {
 			return errStreamFull
 		}
@@ -283,5 +219,5 @@ func (s *Server) park(ctx context.Context, w http.ResponseWriter, woken <-chan s
 	if sw, ok := w.(*statusWriter); ok {
 		sw.parked = s.now().Sub(begin)
 	}
-	w.Header().Set(HeaderWALParked, "1")
+	w.Header().Set(trace.HeaderWALParked, "1")
 }

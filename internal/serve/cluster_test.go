@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"ssdfail/internal/trace"
 )
 
 func TestHealthEndpointReportsReadiness(t *testing.T) {
@@ -66,19 +68,19 @@ func TestWALStreamServesAcceptedRecords(t *testing.T) {
 	frames := 0
 	expect := uint64(1)
 	for len(data) > 0 {
-		n, lsn, payload := ParseStreamFrame(data)
-		if n == 0 {
-			t.Fatalf("damaged frame at offset %d of stream", frames)
+		lsn, payload, rest, err := trace.NextStreamFrame(data, len(data))
+		if err != nil {
+			t.Fatalf("damaged frame at offset %d of stream: %v", frames, err)
 		}
 		if lsn != expect {
 			t.Fatalf("frame %d has lsn %d, want %d", frames, lsn, expect)
 		}
-		if _, _, _, err := DecodeWALRecord(payload); err != nil {
+		if _, _, _, err := trace.DecodeWALRecord(payload); err != nil {
 			t.Fatalf("frame %d undecodable: %v", frames, err)
 		}
 		frames++
 		expect++
-		data = data[n:]
+		data = rest
 	}
 	if frames != rep.Accepted {
 		t.Fatalf("streamed %d frames, accepted %d records", frames, rep.Accepted)
@@ -95,9 +97,8 @@ func TestWALStreamServesAcceptedRecords(t *testing.T) {
 	if code != http.StatusOK || len(data) == 0 {
 		t.Fatalf("budgeted stream: status %d, %d bytes", code, len(data))
 	}
-	n, lsn, _ := ParseStreamFrame(data)
-	if n == 0 || lsn != 1 {
-		t.Fatalf("budgeted stream first frame: n=%d lsn=%d", n, lsn)
+	if lsn, _, _, err := trace.NextStreamFrame(data, len(data)); err != nil || lsn != 1 {
+		t.Fatalf("budgeted stream first frame: lsn=%d err=%v", lsn, err)
 	}
 
 	if code, _ := get(ts.URL + "/v1/wal/stream?from=bogus"); code != http.StatusBadRequest {
@@ -138,11 +139,11 @@ func TestApplyReplicatedMirrorsState(t *testing.T) {
 	applied, skipped := 0, 0
 	stream := data
 	for len(stream) > 0 {
-		n, _, payload := ParseStreamFrame(stream)
-		if n == 0 {
+		_, payload, rest, err := trace.NextStreamFrame(stream, len(stream))
+		if err != nil {
 			t.Fatal("damaged frame")
 		}
-		id, model, rec, err := DecodeWALRecord(payload)
+		id, model, rec, err := trace.DecodeWALRecord(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestApplyReplicatedMirrorsState(t *testing.T) {
 		} else {
 			skipped++
 		}
-		stream = stream[n:]
+		stream = rest
 	}
 	if applied == 0 || skipped != 0 {
 		t.Fatalf("first apply pass: applied=%d skipped=%d", applied, skipped)
@@ -183,8 +184,8 @@ func TestApplyReplicatedMirrorsState(t *testing.T) {
 	// overlap a follower re-pulling from zero after restart produces.
 	stream = data
 	for len(stream) > 0 {
-		n, _, payload := ParseStreamFrame(stream)
-		id, model, rec, _ := DecodeWALRecord(payload)
+		_, payload, rest, _ := trace.NextStreamFrame(stream, len(stream))
+		id, model, rec, _ := trace.DecodeWALRecord(payload)
 		ok, err := replica.ApplyReplicated(id, model, rec)
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +193,7 @@ func TestApplyReplicatedMirrorsState(t *testing.T) {
 		if ok {
 			t.Fatal("duplicate replicated record applied twice")
 		}
-		stream = stream[n:]
+		stream = rest
 	}
 	// Skipped duplicates changed nothing, so they invalidated nothing.
 	if got := staleSlots(replica.store); got != 0 {

@@ -180,7 +180,7 @@ func TestCrashRecoveryEveryKillPoint(t *testing.T) {
 	if testing.Short() {
 		stride = 17
 	}
-	frame := 8 + walRecordBinarySize
+	frame := 8 + trace.WALRecordSize
 	for k := 1; k <= writes; k += stride {
 		partial := k % frame // torn frame of every possible length
 		base := faultfs.Mem()
@@ -291,7 +291,7 @@ func TestCrashRecoveryGroupCommitKillPoints(t *testing.T) {
 	if testing.Short() {
 		stride = 13
 	}
-	frame := 8 + walRecordBinarySize
+	frame := 8 + trace.WALRecordSize
 	for k := 1; k <= writes; k += stride {
 		partial := k % (frame + 11) // tear batches mid-frame and past frame boundaries
 		base := faultfs.Mem()

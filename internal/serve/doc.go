@@ -25,8 +25,12 @@
 //     rest in blocks across workers; Score and Rank are the from-scratch
 //     pass it is tested against. The handlers admit passes through a
 //     pacer (pace.go) with a fixed budget of slots swept per second.
-//   - Metrics (metrics.go): a minimal Prometheus text-format registry
-//     (counters, gauges, histograms) with no dependencies.
+//   - Metrics: the registry behind /metrics is internal/metrics, a
+//     stdlib-only leaf the router and the retrainer share.
+//   - Wire formats: every record's bytes — WAL payloads, snapshot
+//     records, SSDB batches, catch-up stream frames — come from
+//     internal/trace's one codec, which is why internal/cluster can
+//     speak them without importing this package.
 //   - Server (handlers.go, bin.go): the HTTP surface wiring the above
 //     together. Every ingest wire decodes into the one batch loop.
 //

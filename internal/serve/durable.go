@@ -116,7 +116,7 @@ func OpenJournal(store *Store, opt JournalOptions) (*Journal, error) {
 		opt.SnapshotEvery = DefaultSnapshotEvery
 	}
 	j := &Journal{store: store, opt: opt}
-	j.bufs.New = func() any { b := make([]byte, 0, walRecordBinarySize); return &b }
+	j.bufs.New = func() any { b := make([]byte, 0, trace.WALRecordSize); return &b }
 	walOpt := wal.Options{
 		Dir:          opt.Dir,
 		FS:           opt.FS,
@@ -162,7 +162,7 @@ func OpenJournal(store *Store, opt JournalOptions) (*Journal, error) {
 			j.rec.SkippedCovered++
 			return
 		}
-		id, model, rec, derr := decodeWALRecordBinary(frame)
+		id, model, rec, derr := trace.DecodeWALRecord(frame)
 		if derr != nil {
 			j.rec.Malformed++
 			return
@@ -233,7 +233,7 @@ func (j *Journal) StreamFrom(from uint64, fn func(lsn uint64, payload []byte) er
 // returns an error wrapping ErrJournal with the store unchanged.
 func (j *Journal) Upsert(id uint32, model trace.Model, rec trace.DayRecord) error {
 	bufp := j.bufs.Get().(*[]byte)
-	payload := appendWALRecordBinary((*bufp)[:0], id, model, &rec)
+	payload := trace.AppendWALRecord((*bufp)[:0], id, model, &rec)
 	err := j.UpsertPayload(id, model, rec, payload)
 	*bufp = payload[:0]
 	j.bufs.Put(bufp)
@@ -243,7 +243,7 @@ func (j *Journal) Upsert(id uint32, model trace.Model, rec trace.DayRecord) erro
 // UpsertPayload is Upsert for callers that already hold the record's
 // canonical WAL encoding — the binary ingest path, whose accepted frame
 // payloads are appended to the log verbatim. payload must equal
-// appendWALRecordBinary(nil, id, model, &rec); it is not retained after
+// trace.AppendWALRecord(nil, id, model, &rec); it is not retained after
 // the call returns. The fast path allocates nothing.
 func (j *Journal) UpsertPayload(id uint32, model trace.Model, rec trace.DayRecord, payload []byte) error {
 	var lsn uint64
@@ -396,10 +396,10 @@ func (sh *storeShard) appendSnapshotSection(buf []byte, slot int) ([]byte, int) 
 		buf = binary.LittleEndian.AppendUint32(buf, p.reports)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.n))
 		if p.n == 2 {
-			buf = appendDayRecordBinary(buf, &p.prev)
+			buf = trace.AppendDayRecord(buf, &p.prev)
 		}
 		if p.n > 0 {
-			buf = appendDayRecordBinary(buf, &p.last)
+			buf = trace.AppendDayRecord(buf, &p.last)
 		}
 		drives++
 	}
@@ -411,7 +411,7 @@ func (sh *storeShard) appendSnapshotSection(buf []byte, slot int) ([]byte, int) 
 // to back — version, drive count against the bytes present, models,
 // record counts, record flags — and, when drive is not nil, hands it
 // every drive's ID, model, accepted-report count and encoded records (a
-// multiple of dayRecordBinarySize bytes, oldest first) as it goes. A
+// multiple of trace.DayRecordSize bytes, oldest first) as it goes. A
 // version-1 drive's count is the number of its records. It returns the
 // number of drives. Nothing is allocated, so a hostile count costs
 // nothing: the walk ends where the bytes do. An error wraps
@@ -449,12 +449,12 @@ func scanSnapshotSection(b []byte, drive func(id uint32, model trace.Model, repo
 				return corrupt("snapshot drive %d retains %d records of %d reports", i, count, reports)
 			}
 		}
-		size := count * dayRecordBinarySize
+		size := count * trace.DayRecordSize
 		b = b[headLen:]
 		if len(b) < size {
 			return corrupt("snapshot drive %d records truncated: %d of %d bytes", i, len(b), size)
 		}
-		for r := dayRecordBinarySize - 1; r < size; r += dayRecordBinarySize {
+		for r := trace.DayRecordSize - 1; r < size; r += trace.DayRecordSize {
 			if b[r]&^3 != 0 {
 				return corrupt("snapshot drive %d has unknown record flags %#x", i, b[r])
 			}
@@ -476,10 +476,10 @@ func scanSnapshotSection(b []byte, drive func(id uint32, model trace.Model, repo
 // validated when they were first ingested.
 func (s *Store) loadDrive(id uint32, model trace.Model, reports uint32, recs []byte) {
 	var recent [2]trace.DayRecord
-	n := min(len(recs)/dayRecordBinarySize, 2)
-	recs = recs[len(recs)-n*dayRecordBinarySize:]
+	n := min(len(recs)/trace.DayRecordSize, 2)
+	recs = recs[len(recs)-n*trace.DayRecordSize:]
 	for i := 0; i < n; i++ {
-		decodeDayRecordBinary(recs[i*dayRecordBinarySize:], &recent[i])
+		trace.DecodeDayRecord(recs[i*trace.DayRecordSize:], &recent[i])
 	}
 	sh := s.shard(id)
 	sh.mu.Lock()

@@ -9,6 +9,7 @@ import (
 
 	"ssdfail/internal/cluster"
 	"ssdfail/internal/serve"
+	"ssdfail/internal/trace"
 )
 
 // manualClock moves only when the test moves it.
@@ -45,8 +46,8 @@ func TestFollowerParkIdleRateAndShutdown(t *testing.T) {
 	defer srv.Close()
 	armed := make(chan chan time.Time, 16) // one send per request that parks; room so a failed test cannot strand a handler
 	srv.SetParkTimer(func(d time.Duration) (<-chan time.Time, func()) {
-		if d != serve.MaxStreamWait {
-			t.Errorf("follower asked to park for %v, want %v", d, serve.MaxStreamWait)
+		if d != trace.MaxStreamWait {
+			t.Errorf("follower asked to park for %v, want %v", d, trace.MaxStreamWait)
 		}
 		fire := make(chan time.Time, 1)
 		armed <- fire
@@ -75,7 +76,7 @@ func TestFollowerParkIdleRateAndShutdown(t *testing.T) {
 	const idleSeconds = 5
 	for i := 0; i < idleSeconds; i++ {
 		fire := nextParked()
-		clock.advance(serve.MaxStreamWait)
+		clock.advance(trace.MaxStreamWait)
 		fire <- clock.Now()
 	}
 	nextParked() // the request after the last cap; it stays parked

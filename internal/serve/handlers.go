@@ -15,6 +15,7 @@ import (
 
 	"ssdfail/internal/core"
 	"ssdfail/internal/faultfs"
+	"ssdfail/internal/metrics"
 	"ssdfail/internal/remedy"
 	"ssdfail/internal/trace"
 )
@@ -109,7 +110,7 @@ type Server struct {
 	journal  *Journal // nil when WALDir is empty
 	registry *Registry
 	scorer   *Scorer
-	metrics  *Metrics
+	metrics  *metrics.Metrics
 	now      func() time.Time
 	start    time.Time
 
@@ -126,22 +127,22 @@ type Server struct {
 	parkTimer     func(time.Duration) (fire <-chan time.Time, stop func()) // time.NewTimer; a test's fake fires on demand
 	streamParking atomic.Int64
 
-	reqs           *CounterVec
-	reqDur         *Histogram
-	ingested       *Counter
-	ingestRejected *CounterVec
-	scoredDrives   *Counter
-	memoHits       *Counter
-	scoreDur       *Histogram
-	loads          *Counter
-	reloads        *Counter
-	reloadFailures *Counter
-	sheds          *CounterVec
-	snapshotReqs   *Counter
-	replicaApplied *Counter
-	replicaSkipped *Counter
-	walStreamed    *Counter
-	streamWakeups  *Counter
+	reqs           *metrics.CounterVec
+	reqDur         *metrics.Histogram
+	ingested       *metrics.Counter
+	ingestRejected *metrics.CounterVec
+	scoredDrives   *metrics.Counter
+	memoHits       *metrics.Counter
+	scoreDur       *metrics.Histogram
+	loads          *metrics.Counter
+	reloads        *metrics.Counter
+	reloadFailures *metrics.Counter
+	sheds          *metrics.CounterVec
+	snapshotReqs   *metrics.Counter
+	replicaApplied *metrics.Counter
+	replicaSkipped *metrics.Counter
+	walStreamed    *metrics.Counter
+	streamWakeups  *metrics.Counter
 }
 
 // New builds a server, loads the model from cfg.ModelPath (with
@@ -177,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 		store:     NewStore(cfg.Shards, 0),
 		registry:  NewRegistry(cfg.ModelPath, clock),
 		scorer:    NewScorer(cfg.Workers),
-		metrics:   NewMetrics(),
+		metrics:   metrics.NewMetrics(),
 		now:       clock,
 		start:     clock(),
 		ingestSem: make(chan struct{}, cfg.MaxInflightIngest),
@@ -210,7 +211,7 @@ func New(cfg Config) (*Server, error) {
 	s.reqs = m.NewCounterVec("ssdserved_http_requests_total",
 		"HTTP requests served, by handler and status code.", "handler", "code")
 	s.reqDur = m.NewHistogram("ssdserved_http_request_duration_seconds",
-		"HTTP request latency.", DurationBuckets)
+		"HTTP request latency.", metrics.DurationBuckets)
 	s.ingested = m.NewCounter("ssdserved_ingest_records_total",
 		"Drive-day records accepted into the store.")
 	s.ingestRejected = m.NewCounterVec("ssdserved_ingest_rejected_total",
@@ -221,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 	s.memoHits = m.NewCounter("ssdserved_score_memo_hits_total",
 		"Drives a fleet scoring pass answered from the resident score column without re-scoring.")
 	s.scoreDur = m.NewHistogram("ssdserved_scoring_duration_seconds",
-		"Latency of fleet scoring passes (column sweep plus re-scoring of stale slots).", DurationBuckets)
+		"Latency of fleet scoring passes (column sweep plus re-scoring of stale slots).", metrics.DurationBuckets)
 	s.loads = m.NewCounter("ssdserved_model_loads_total",
 		"Successful model loads, including the startup load.")
 	s.reloads = m.NewCounter("ssdserved_model_reloads_total",
@@ -263,13 +264,9 @@ func New(cfg Config) (*Server, error) {
 		m.NewCounterFunc("ssdserved_wal_snapshot_bytes_total",
 			"Bytes of store snapshot written.",
 			func() uint64 { return j.WALStats().SnapshotBytes })
-		// A counter in seconds: registered directly, the counter
-		// constructors being integral.
-		m.register(&metric{name: "ssdserved_wal_snapshot_seconds_total",
-			help: "Seconds spent writing store snapshots.", typ: "counter",
-			collect: func(emit emitFunc) {
-				emit("ssdserved_wal_snapshot_seconds_total", j.WALStats().SnapshotTime.Seconds())
-			}})
+		m.NewFloatCounterFunc("ssdserved_wal_snapshot_seconds_total",
+			"Seconds spent writing store snapshots.",
+			func() float64 { return j.WALStats().SnapshotTime.Seconds() })
 		m.NewCounterFunc("ssdserved_wal_snapshot_failures_total",
 			"Store snapshots that failed to write.",
 			func() uint64 { return j.SnapshotFailures() })
@@ -397,7 +394,7 @@ func (s *Server) Close() error {
 
 // Metrics exposes the metrics registry so callers can add their own
 // instruments before mounting the handler.
-func (s *Server) Metrics() *Metrics { return s.metrics }
+func (s *Server) Metrics() *metrics.Metrics { return s.metrics }
 
 // CounterSnapshot returns the current value of every metrics series,
 // keyed by full exposition name (see Metrics.Snapshot). Conformance
@@ -579,7 +576,7 @@ func (j *jsonRecords) decode(i int) (uint32, trace.Model, trace.DayRecord, []byt
 	if err != nil {
 		return ir.DriveID, 0, rec, nil, err
 	}
-	j.payload = appendWALRecordBinary(j.payload[:0], ir.DriveID, model, &rec)
+	j.payload = trace.AppendWALRecord(j.payload[:0], ir.DriveID, model, &rec)
 	return ir.DriveID, model, rec, j.payload, nil
 }
 
@@ -774,7 +771,7 @@ func (s *Server) walHealth(resp map[string]any) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", MetricsContentType)
+	w.Header().Set("Content-Type", metrics.MetricsContentType)
 	//ssdlint:allow droppederr scrape write failed means the client hung up; nothing durable is at stake
 	s.metrics.WriteTo(w)
 }

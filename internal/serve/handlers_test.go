@@ -17,6 +17,7 @@ import (
 
 	"ssdfail/internal/core"
 	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/metrics"
 	"ssdfail/internal/ml/forest"
 	"ssdfail/internal/trace"
 )
@@ -249,9 +250,9 @@ func TestServerIngestScoreWatchlistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics, _ := io.ReadAll(resp.Body)
+	exposition, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != MetricsContentType {
+	if ct := resp.Header.Get("Content-Type"); ct != metrics.MetricsContentType {
 		t.Fatalf("metrics content type %q", ct)
 	}
 	total := len(prevDay) + len(lastDay)
@@ -273,7 +274,7 @@ func TestServerIngestScoreWatchlistRoundTrip(t *testing.T) {
 		"ssdserved_http_request_duration_seconds_bucket",
 		"ssdserved_scoring_duration_seconds_count 1",
 	} {
-		if !strings.Contains(string(metrics), want) {
+		if !strings.Contains(string(exposition), want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}

@@ -64,9 +64,9 @@ func postBatch(t *testing.T, ctx context.Context, s *Server, binary bool, recs [
 	)
 	if binary {
 		handler = s.handleIngestBin
-		body = AppendBinHeader(nil, len(recs))
+		body = trace.AppendBinHeader(nil, len(recs))
 		for i := range recs {
-			body = AppendBinRecord(body, recs[i].id, recs[i].model, &recs[i].rec)
+			body = trace.AppendBinRecord(body, recs[i].id, recs[i].model, &recs[i].rec)
 		}
 	} else {
 		irs := make([]IngestRecord, len(recs))

@@ -87,17 +87,17 @@ func pullStream(t *testing.T, ctx context.Context, url string) (streamReply, err
 	}
 	rep := streamReply{
 		code:    resp.StatusCode,
-		parked:  resp.Header.Get(HeaderWALParked) != "",
-		lastLSN: resp.Header.Get(HeaderWALLastLSN),
+		parked:  resp.Header.Get(trace.HeaderWALParked) != "",
+		lastLSN: resp.Header.Get(trace.HeaderWALLastLSN),
 	}
 	for resp.StatusCode == http.StatusOK && len(data) > 0 {
-		n, lsn, _ := ParseStreamFrame(data)
-		if n == 0 {
-			t.Errorf("damaged frame after %d frames", len(rep.frames))
+		lsn, _, rest, err := trace.NextStreamFrame(data, len(data))
+		if err != nil {
+			t.Errorf("damaged frame after %d frames: %v", len(rep.frames), err)
 			break
 		}
 		rep.frames = append(rep.frames, lsn)
-		data = data[n:]
+		data = rest
 	}
 	return rep, nil
 }
@@ -311,7 +311,7 @@ func TestStreamParkCapAndServiceTime(t *testing.T) {
 			t.Fatalf("%s: reply %+v, want an empty parked 200", q, rep)
 		}
 	}
-	if got, want := timers.waits(), []time.Duration{250 * time.Millisecond, MaxStreamWait}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	if got, want := timers.waits(), []time.Duration{250 * time.Millisecond, trace.MaxStreamWait}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("parked for %v, want %v", got, want)
 	}
 	snap := s.CounterSnapshot()

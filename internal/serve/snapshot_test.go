@@ -460,7 +460,7 @@ func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 			return s
 		})},
 		{"more records retained than reports", resealed(0, func(s []byte) []byte { binary.LittleEndian.PutUint32(s[8+5:], 1); return s })},
-		{"unknown record flags", resealed(1, func(s []byte) []byte { s[8+snapshotV2DriveHead+dayRecordBinarySize-1] |= 4; return s })},
+		{"unknown record flags", resealed(1, func(s []byte) []byte { s[8+snapshotV2DriveHead+trace.DayRecordSize-1] |= 4; return s })},
 		{"unknown model", resealed(2, func(s []byte) []byte { s[8+4] = byte(trace.NumModels); return s })},
 		{"unknown section version", resealed(0, func(s []byte) []byte { binary.LittleEndian.PutUint32(s, 9); return s })},
 		{"section cut mid-record", resealed(3, func(s []byte) []byte { return s[:len(s)-5] })},
@@ -676,7 +676,7 @@ func (r *refStore) v1Sections(history, perSection int) [][]byte {
 			b = append(b, byte(d.Model))
 			b = binary.LittleEndian.AppendUint16(b, uint16(len(recs)))
 			for i := range recs {
-				b = appendDayRecordBinary(b, &recs[i])
+				b = trace.AppendDayRecord(b, &recs[i])
 			}
 		}
 		sections = append(sections, b)
@@ -837,7 +837,7 @@ func FuzzSnapshotSection(f *testing.F) {
 			seen[id] = true
 			store.loadDrive(id, model, reports, recs)
 			d, _ := store.Get(id)
-			if held := len(recs) / dayRecordBinarySize; d.Model != model || d.Reports < reports || len(d.Recent) != min(held, 2) {
+			if held := len(recs) / trace.DayRecordSize; d.Model != model || d.Reports < reports || len(d.Recent) != min(held, 2) {
 				t.Fatalf("drive %d loaded as %+v from model %v, %d reports, %d records", id, d, model, reports, held)
 			}
 			records += len(d.Recent)

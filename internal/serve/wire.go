@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"ssdfail/internal/trace"
 )
@@ -101,108 +99,6 @@ func validateDayRecord(rec *trace.DayRecord) error {
 		}
 	}
 	return nil
-}
-
-// Binary record codec for the WAL and snapshots. One day record is a
-// fixed-width little-endian block (day/age, op counters, P/E cycles,
-// bad blocks, error arrays, flags); a WAL payload prefixes it with the
-// drive ID and model. The fixed width keeps replay allocation-free and
-// makes torn frames detectable by length alone.
-
-const (
-	dayRecordBinarySize = 4 + 4 + 6*8 + 8 + 4 + 4 + trace.NumErrorKinds*4 + trace.NumErrorKinds*8 + 1
-	walRecordBinarySize = 4 + 1 + dayRecordBinarySize
-)
-
-// appendDayRecordBinary appends the fixed-width encoding of rec.
-func appendDayRecordBinary(buf []byte, rec *trace.DayRecord) []byte {
-	n := len(buf)
-	buf = slices.Grow(buf, dayRecordBinarySize)[:n+dayRecordBinarySize]
-	b := buf[n:]
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], uint32(rec.Day))
-	le.PutUint32(b[4:], uint32(rec.Age))
-	le.PutUint64(b[8:], rec.Reads)
-	le.PutUint64(b[16:], rec.Writes)
-	le.PutUint64(b[24:], rec.Erases)
-	le.PutUint64(b[32:], rec.CumReads)
-	le.PutUint64(b[40:], rec.CumWrites)
-	le.PutUint64(b[48:], rec.CumErases)
-	le.PutUint64(b[56:], math.Float64bits(rec.PECycles))
-	le.PutUint32(b[64:], rec.FactoryBadBlocks)
-	le.PutUint32(b[68:], rec.GrownBadBlocks)
-	off := 72
-	for k := 0; k < trace.NumErrorKinds; k++ {
-		le.PutUint32(b[off:], rec.Errors[k])
-		off += 4
-	}
-	for k := 0; k < trace.NumErrorKinds; k++ {
-		le.PutUint64(b[off:], rec.CumErrors[k])
-		off += 8
-	}
-	var flags byte
-	if rec.Dead {
-		flags |= 1
-	}
-	if rec.ReadOnly {
-		flags |= 2
-	}
-	b[off] = flags
-	return buf
-}
-
-// decodeDayRecordBinary decodes the fixed-width record at the front of
-// b, which holds at least dayRecordBinarySize bytes, into rec.
-func decodeDayRecordBinary(b []byte, rec *trace.DayRecord) {
-	b = b[:dayRecordBinarySize]
-	le := binary.LittleEndian
-	rec.Day = int32(le.Uint32(b[0:]))
-	rec.Age = int32(le.Uint32(b[4:]))
-	rec.Reads = le.Uint64(b[8:])
-	rec.Writes = le.Uint64(b[16:])
-	rec.Erases = le.Uint64(b[24:])
-	rec.CumReads = le.Uint64(b[32:])
-	rec.CumWrites = le.Uint64(b[40:])
-	rec.CumErases = le.Uint64(b[48:])
-	rec.PECycles = math.Float64frombits(le.Uint64(b[56:]))
-	rec.FactoryBadBlocks = le.Uint32(b[64:])
-	rec.GrownBadBlocks = le.Uint32(b[68:])
-	off := 72
-	for k := 0; k < trace.NumErrorKinds; k++ {
-		rec.Errors[k] = le.Uint32(b[off:])
-		off += 4
-	}
-	for k := 0; k < trace.NumErrorKinds; k++ {
-		rec.CumErrors[k] = le.Uint64(b[off:])
-		off += 8
-	}
-	flags := b[off]
-	rec.Dead = flags&1 != 0
-	rec.ReadOnly = flags&2 != 0
-}
-
-// appendWALRecordBinary appends the WAL payload for one accepted
-// ingest: drive ID, model, day record.
-func appendWALRecordBinary(buf []byte, id uint32, model trace.Model, rec *trace.DayRecord) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, id)
-	buf = append(buf, byte(model))
-	return appendDayRecordBinary(buf, rec)
-}
-
-// decodeWALRecordBinary decodes a payload written by
-// appendWALRecordBinary.
-func decodeWALRecordBinary(b []byte) (uint32, trace.Model, trace.DayRecord, error) {
-	if len(b) != walRecordBinarySize {
-		return 0, 0, trace.DayRecord{}, fmt.Errorf("serve: WAL record is %d bytes, want %d", len(b), walRecordBinarySize)
-	}
-	id := binary.LittleEndian.Uint32(b)
-	model := trace.Model(b[4])
-	if int(model) >= trace.NumModels {
-		return 0, 0, trace.DayRecord{}, fmt.Errorf("serve: WAL record has unknown model %d", b[4])
-	}
-	var rec trace.DayRecord
-	decodeDayRecordBinary(b[5:], &rec)
-	return id, model, rec, nil
 }
 
 // WireRecord converts an internal record back to the wire form, used by

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -16,7 +15,7 @@ import (
 //
 //	magic "SSDT" | version u32 | horizon i32 | driveCount u32
 //	per drive: id u32 | model u8 | dayCount u32 | swapCount u32
-//	           dayCount * DayRecord | swapCount * i32
+//	           dayCount * DayRecord (record.go) | swapCount * i32
 //
 // It exists so multi-gigabyte fleets round-trip quickly between the
 // generator and the analysis tools without reparsing text.
@@ -24,189 +23,107 @@ import (
 const (
 	binaryMagic   = "SSDT"
 	binaryVersion = 1
+
+	// Counts in the header are read from the file, so ReadBinary never
+	// allocates more than this many elements (< 1 MiB) ahead of the
+	// bytes that fill them; longer slices grow as their records arrive.
+	// 4096 days covers the simulator's horizons in one allocation.
+	maxPreallocDrives = 1 << 12
+	maxPreallocDays   = 1 << 12
 )
 
 var errBadMagic = errors.New("trace: bad magic; not a binary fleet stream")
 
 // WriteBinary serializes the fleet to w in the binary format.
 func WriteBinary(w io.Writer, f *Fleet) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	writeU32 := func(v uint32) { var b [4]byte; binary.LittleEndian.PutUint32(b[:], v); bw.Write(b[:]) }
-	writeU64 := func(v uint64) { var b [8]byte; binary.LittleEndian.PutUint64(b[:], v); bw.Write(b[:]) }
-	writeU32(binaryVersion)
-	writeU32(uint32(f.Horizon))
-	writeU32(uint32(len(f.Drives)))
+	const flushAt = 1 << 20
+	le := binary.LittleEndian
+	buf := make([]byte, 0, flushAt+DayRecordSize)
+	buf = append(buf, binaryMagic...)
+	buf = le.AppendUint32(buf, binaryVersion)
+	buf = le.AppendUint32(buf, uint32(f.Horizon))
+	buf = le.AppendUint32(buf, uint32(len(f.Drives)))
 	for i := range f.Drives {
 		d := &f.Drives[i]
-		writeU32(d.ID)
-		bw.WriteByte(byte(d.Model))
-		writeU32(uint32(len(d.Days)))
-		writeU32(uint32(len(d.Swaps)))
+		buf = le.AppendUint32(buf, d.ID)
+		buf = append(buf, byte(d.Model))
+		buf = le.AppendUint32(buf, uint32(len(d.Days)))
+		buf = le.AppendUint32(buf, uint32(len(d.Swaps)))
 		for j := range d.Days {
-			r := &d.Days[j]
-			writeU32(uint32(r.Day))
-			writeU32(uint32(r.Age))
-			writeU64(r.Reads)
-			writeU64(r.Writes)
-			writeU64(r.Erases)
-			writeU64(r.CumReads)
-			writeU64(r.CumWrites)
-			writeU64(r.CumErases)
-			writeU64(math.Float64bits(r.PECycles))
-			writeU32(r.FactoryBadBlocks)
-			writeU32(r.GrownBadBlocks)
-			for k := 0; k < NumErrorKinds; k++ {
-				writeU32(r.Errors[k])
+			if len(buf) >= flushAt {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
-			for k := 0; k < NumErrorKinds; k++ {
-				writeU64(r.CumErrors[k])
-			}
-			var flags byte
-			if r.Dead {
-				flags |= 1
-			}
-			if r.ReadOnly {
-				flags |= 2
-			}
-			bw.WriteByte(flags)
+			buf = AppendDayRecord(buf, &d.Days[j])
 		}
 		for _, s := range d.Swaps {
-			writeU32(uint32(s.Day))
+			buf = le.AppendUint32(buf, uint32(s.Day))
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// ReadBinary deserializes a fleet previously written by WriteBinary.
+// ReadBinary deserializes a fleet previously written by WriteBinary. A
+// stream that ends before the records its header counts is an error.
 func ReadBinary(r io.Reader) (*Fleet, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var scratch [DayRecordSize]byte
+	read := func(n int) ([]byte, error) {
+		if _, err := io.ReadFull(br, scratch[:n]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		return scratch[:n], nil
+	}
+	hdr, err := read(16)
+	if err != nil {
 		return nil, err
 	}
-	if string(magic) != binaryMagic {
+	if string(hdr[:4]) != binaryMagic {
 		return nil, errBadMagic
 	}
-	var scratch [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:8]), nil
-	}
-	ver, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != binaryVersion {
+	if ver := binary.LittleEndian.Uint32(hdr[4:]); ver != binaryVersion {
 		return nil, fmt.Errorf("trace: unsupported binary version %d", ver)
 	}
-	horizon, err := readU32()
-	if err != nil {
-		return nil, err
+	nd := binary.LittleEndian.Uint32(hdr[12:])
+	f := &Fleet{
+		Horizon: int32(binary.LittleEndian.Uint32(hdr[8:])),
+		Drives:  make([]Drive, 0, min(nd, maxPreallocDrives)),
 	}
-	nd, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	f := &Fleet{Horizon: int32(horizon), Drives: make([]Drive, nd)}
-	for i := range f.Drives {
-		d := &f.Drives[i]
-		if d.ID, err = readU32(); err != nil {
-			return nil, err
-		}
-		mb, err := br.ReadByte()
+	for range nd {
+		b, err := read(13)
 		if err != nil {
 			return nil, err
 		}
-		d.Model = Model(mb)
-		ndays, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		nswaps, err := readU32()
-		if err != nil {
-			return nil, err
-		}
+		d := Drive{ID: binary.LittleEndian.Uint32(b), Model: Model(b[4])}
+		ndays, nswaps := binary.LittleEndian.Uint32(b[5:]), binary.LittleEndian.Uint32(b[9:])
 		if ndays > 0 {
-			d.Days = make([]DayRecord, ndays)
+			d.Days = make([]DayRecord, 0, min(ndays, maxPreallocDays))
 		}
-		for j := range d.Days {
-			rec := &d.Days[j]
-			var v uint32
-			var w uint64
-			if v, err = readU32(); err != nil {
-				return nil, err
-			}
-			rec.Day = int32(v)
-			if v, err = readU32(); err != nil {
-				return nil, err
-			}
-			rec.Age = int32(v)
-			if rec.Reads, err = readU64(); err != nil {
-				return nil, err
-			}
-			if rec.Writes, err = readU64(); err != nil {
-				return nil, err
-			}
-			if rec.Erases, err = readU64(); err != nil {
-				return nil, err
-			}
-			if rec.CumReads, err = readU64(); err != nil {
-				return nil, err
-			}
-			if rec.CumWrites, err = readU64(); err != nil {
-				return nil, err
-			}
-			if rec.CumErases, err = readU64(); err != nil {
-				return nil, err
-			}
-			if w, err = readU64(); err != nil {
-				return nil, err
-			}
-			rec.PECycles = math.Float64frombits(w)
-			if rec.FactoryBadBlocks, err = readU32(); err != nil {
-				return nil, err
-			}
-			if rec.GrownBadBlocks, err = readU32(); err != nil {
-				return nil, err
-			}
-			for k := 0; k < NumErrorKinds; k++ {
-				if rec.Errors[k], err = readU32(); err != nil {
-					return nil, err
-				}
-			}
-			for k := 0; k < NumErrorKinds; k++ {
-				if rec.CumErrors[k], err = readU64(); err != nil {
-					return nil, err
-				}
-			}
-			flags, err := br.ReadByte()
+		for range ndays {
+			b, err := read(DayRecordSize)
 			if err != nil {
 				return nil, err
 			}
-			rec.Dead = flags&1 != 0
-			rec.ReadOnly = flags&2 != 0
+			d.Days = append(d.Days, DayRecord{})
+			DecodeDayRecord(b, &d.Days[len(d.Days)-1])
 		}
 		if nswaps > 0 {
-			d.Swaps = make([]SwapEvent, nswaps)
+			d.Swaps = make([]SwapEvent, 0, min(nswaps, maxPreallocDays))
 		}
-		for j := range d.Swaps {
-			v, err := readU32()
+		for range nswaps {
+			b, err := read(4)
 			if err != nil {
 				return nil, err
 			}
-			d.Swaps[j].Day = int32(v)
+			d.Swaps = append(d.Swaps, SwapEvent{Day: int32(binary.LittleEndian.Uint32(b))})
 		}
+		f.Drives = append(f.Drives, d)
 	}
 	return f, nil
 }

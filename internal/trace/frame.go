@@ -1,21 +1,27 @@
 package trace
 
-// Length-prefixed frame codec shared by every binary surface that moves
-// records: the WAL's on-disk segments, the follower replication stream,
-// and the /v1/ingest/bin wire format. A frame is
+// Length-prefixed frame codec, the one frame every binary surface that
+// moves records uses. A frame is
 //
 //	len u32 LE | crc32c u32 LE | payload (len bytes)
 //
-// — byte-for-byte the WAL's frame layout, with the CRC computed over the
-// payload using the Castagnoli polynomial. Sharing the layout is a load-
-// bearing contract, not a convenience: an ingest frame that passes
-// NextFrame carries exactly the bytes the daemon appends to its WAL, so
-// the accept path never re-encodes a record.
+// with the CRC computed over the payload using the Castagnoli
+// polynomial. Three surfaces carry it:
+//
+//   - WAL segments (internal/wal): one frame per record, back to back;
+//     snapshot sections share the header layout and checksum.
+//   - SSDB ingest batches (record.go): a batch header, then one frame
+//     per record whose payload is the record's WAL payload, so an
+//     accepted frame is journaled verbatim and never re-encoded.
+//   - The catch-up stream (GET /v1/wal/stream): each frame preceded by
+//     its LSN, lsn u64 LE | frame (AppendStreamFrame, NextStreamFrame),
+//     so a puller checks every checksum and LSN continuity itself.
 
 import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"time"
 )
 
 // FrameOverhead is the byte cost of one frame header (length + CRC).
@@ -32,7 +38,8 @@ var (
 	ErrFrameCRC       = errors.New("trace: frame CRC mismatch")
 )
 
-// FrameCRC returns the checksum stored in a frame header for payload.
+// FrameCRC returns the CRC32C of payload: the checksum a frame header
+// stores for it.
 func FrameCRC(payload []byte) uint32 {
 	return crc32.Checksum(payload, frameTable)
 }
@@ -88,4 +95,45 @@ func NextFrame(b []byte, maxPayload int) (payload, rest []byte, err error) {
 		return nil, nil, ErrFrameCRC
 	}
 	return payload, body[n:], nil
+}
+
+// The catch-up stream: GET /v1/wal/stream answers with stream frames
+// and two headers.
+const (
+	// StreamFrameHeader is the per-frame header size on the catch-up
+	// wire: the LSN and the frame header.
+	StreamFrameHeader = 8 + FrameOverhead
+
+	// MaxStreamWait caps wait_ms: how long one catch-up request may stay
+	// parked when the log has nothing past its position. It sets an idle
+	// follower's request rate (one per cap) and must stay well inside any
+	// client's timeout.
+	MaxStreamWait = time.Second
+
+	// HeaderWALLastLSN carries the log's last LSN on every 200 from the
+	// catch-up endpoint, so a follower knows its lag without a second
+	// request. HeaderWALParked is set when the request was parked: the
+	// server honoured wait_ms, so an empty reply may be re-polled at once
+	// without spinning.
+	HeaderWALLastLSN = "X-Wal-Last-Lsn"
+	HeaderWALParked  = "X-Wal-Parked"
+)
+
+// AppendStreamFrame appends one catch-up frame: lsn, then the frame
+// wrapping payload.
+func AppendStreamFrame(dst []byte, lsn uint64, payload []byte) []byte {
+	return AppendFrame(binary.LittleEndian.AppendUint64(dst, lsn), payload)
+}
+
+// NextStreamFrame decodes the catch-up frame at the front of b into its
+// LSN, its payload (aliasing b) and the remainder, with NextFrame's
+// checks and errors.
+func NextStreamFrame(b []byte, maxPayload int) (lsn uint64, payload, rest []byte, err error) {
+	if len(b) < StreamFrameHeader {
+		return 0, nil, nil, ErrFrameTruncated
+	}
+	if payload, rest, err = NextFrame(b[8:], maxPayload); err != nil {
+		return 0, nil, nil, err
+	}
+	return binary.LittleEndian.Uint64(b), payload, rest, nil
 }

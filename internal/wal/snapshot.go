@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"ssdfail/internal/faultfs"
+	"ssdfail/internal/trace"
 )
 
 // Snapshot file layout: 8-byte magic, u64 LSN (every record with an LSN
@@ -62,7 +62,7 @@ func (w *SnapshotWriter) Section(payload []byte) error {
 		return errors.New("wal: empty snapshot section")
 	}
 	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.hdr[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(w.hdr[4:8], trace.FrameCRC(payload))
 	if err := w.write(w.hdr[:8]); err != nil {
 		return err
 	}
@@ -137,7 +137,7 @@ func (w *SnapshotWriter) stream(lsn uint64, body func(*SnapshotWriter) error) er
 	binary.LittleEndian.PutUint32(t[0:4], 0)
 	binary.LittleEndian.PutUint32(t[4:8], w.sections)
 	binary.LittleEndian.PutUint64(t[8:16], uint64(w.size)+snapTrailer)
-	binary.LittleEndian.PutUint32(t[16:20], crc32.Checksum(t[:16], castagnoli))
+	binary.LittleEndian.PutUint32(t[16:20], trace.FrameCRC(t[:16]))
 	return w.write(t)
 }
 
@@ -236,7 +236,7 @@ func (r *snapReader) sections(section func([]byte) error) error {
 			binary.LittleEndian.PutUint32(t[4:8], sum)
 			copy(t[8:], rest)
 			switch {
-			case crc32.Checksum(t[:16], castagnoli) != binary.LittleEndian.Uint32(t[16:20]):
+			case trace.FrameCRC(t[:16]) != binary.LittleEndian.Uint32(t[16:20]):
 				return fmt.Errorf("%w: trailer checksum mismatch", ErrSnapshotCorrupt)
 			case sum != count:
 				return fmt.Errorf("%w: trailer counts %d sections, file holds %d", ErrSnapshotCorrupt, sum, count)
@@ -250,7 +250,7 @@ func (r *snapReader) sections(section func([]byte) error) error {
 		if err != nil {
 			return err
 		}
-		if crc32.Checksum(payload, castagnoli) != sum {
+		if trace.FrameCRC(payload) != sum {
 			return fmt.Errorf("%w: section %d checksum mismatch", ErrSnapshotCorrupt, count)
 		}
 		if err := section(payload); err != nil {
@@ -273,7 +273,7 @@ func (r *snapReader) legacy(section func([]byte) error) error {
 	if err != nil {
 		return err
 	}
-	if crc32.Checksum(payload, castagnoli) != sum {
+	if trace.FrameCRC(payload) != sum {
 		return fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 	return section(payload)

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"ssdfail/internal/faultfs"
+	"ssdfail/internal/trace"
 )
 
 // ErrPruned reports that a requested stream position precedes the
@@ -195,8 +196,8 @@ func (s *segReader) frame() ([]byte, error) {
 		}
 		return nil, err
 	}
-	n, payload := parseFrame(s.buf[s.r:s.r+size], s.maxRecord)
-	if n == 0 {
+	payload, _, err := trace.NextFrame(s.buf[s.r:s.r+size], s.maxRecord)
+	if err != nil {
 		return nil, errTornFrame
 	}
 	s.r += size

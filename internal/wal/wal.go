@@ -8,7 +8,7 @@
 //
 // On-disk layout (all integers little-endian):
 //
-//	wal-<first LSN, 20 digits>.seg   frames: len u32 | crc32c u32 | payload
+//	wal-<first LSN, 20 digits>.seg   frames: len u32 | crc32c u32 | payload (trace.AppendFrame)
 //	snapshot.snap                    "SSDWSNP2" | lsn u64 | sections | trailer (snapshot.go)
 //
 // Log sequence numbers (LSNs) start at 1 and are implicit: frame i of a
@@ -19,10 +19,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,10 +32,11 @@ import (
 	"time"
 
 	"ssdfail/internal/faultfs"
+	"ssdfail/internal/trace"
 )
 
 const (
-	frameHeaderSize = 8
+	frameHeaderSize = trace.FrameOverhead
 	segPrefix       = "wal-"
 	segSuffix       = ".seg"
 
@@ -59,8 +58,6 @@ const (
 	// a frame header are treated as corruption.
 	DefaultMaxRecordBytes = 16 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
 	// ErrClosed is returned by operations on a closed log.
@@ -312,8 +309,8 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 		}
 		off := 0
 		for {
-			n, payload := parseFrame(data[off:], opt.MaxRecordBytes)
-			if n == 0 {
+			payload, rest, err := trace.NextFrame(data[off:], opt.MaxRecordBytes)
+			if err != nil {
 				break
 			}
 			if (l.next-first)%indexStride == 0 {
@@ -322,7 +319,7 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 			replay(l.next, payload)
 			stats.Records++
 			l.next++
-			off += n
+			off = len(data) - len(rest)
 		}
 		if off < len(data) {
 			// Torn or corrupt frame: cut here, drop the rest.
@@ -385,28 +382,6 @@ func Open(opt Options, replay func(lsn uint64, payload []byte)) (*Log, RecoveryS
 	return l, stats, nil
 }
 
-// parseFrame returns the total frame size and payload of the frame at
-// the start of data, or (0, nil) when data holds no complete valid
-// frame (torn tail, zero length, oversized length, or CRC mismatch).
-func parseFrame(data []byte, maxRecord int) (int, []byte) {
-	if len(data) < frameHeaderSize {
-		return 0, nil
-	}
-	length := binary.LittleEndian.Uint32(data[0:4])
-	if length == 0 || int(length) > maxRecord {
-		return 0, nil
-	}
-	end := frameHeaderSize + int(length)
-	if end > len(data) {
-		return 0, nil
-	}
-	payload := data[frameHeaderSize:end]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
-		return 0, nil
-	}
-	return end, payload
-}
-
 // readAll reads the file into buf, grown to the file's size when it is
 // smaller, and returns the bytes read. Recovery passes each segment the
 // last one's buffer: read by doubling instead, a log's worth of segments
@@ -463,11 +438,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			}
 		}
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
+	l.buf = trace.AppendFrame(l.buf, payload)
 	lsn := l.next
 	if (lsn-l.segStart)%indexStride == 0 {
 		l.index = append(l.index, indexEntry{lsn: lsn, seg: l.segStart, off: l.segBytes})

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"ssdfail/internal/faultfs"
+	"ssdfail/internal/trace"
 )
 
 func testOpts(fs faultfs.FS) Options {
@@ -365,7 +365,7 @@ func TestPeriodicSyncBoundsTrickleLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, payload := parseFrame(data, opt.MaxRecordBytes); n == 0 || string(payload) != "trickle" {
+	if payload, _, err := trace.NextFrame(data, opt.MaxRecordBytes); err != nil || string(payload) != "trickle" {
 		t.Fatalf("segment holds %d bytes without the trickle frame", len(data))
 	}
 }
@@ -478,7 +478,7 @@ func TestSnapshotLegacyFormatLoads(t *testing.T) {
 	payload := []byte("whole-store-in-one-piece")
 	file := append([]byte("SSDWSNP1"), 42, 0, 0, 0, 0, 0, 0, 0)
 	file = binary.LittleEndian.AppendUint32(file, uint32(len(payload)))
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
+	file = binary.LittleEndian.AppendUint32(file, trace.FrameCRC(payload))
 	file = append(file, payload...)
 	write := func(b []byte) {
 		f, err := fs.OpenFile(filepath.Join(opt.Dir, SnapshotName), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -22,7 +22,7 @@ const importDAGGolden = "testdata/import_dag.golden"
 // the module, whatever the golden says.
 var leafPackages = []string{
 	"internal/eval", "internal/trace", "internal/stats", "internal/parallel", "internal/faultfs", "internal/ml/vec",
-	"internal/eventlog",
+	"internal/eventlog", "internal/metrics",
 }
 
 // moduleEdges parses the non-test files of every package under the
@@ -114,5 +114,36 @@ func TestImportDAG(t *testing.T) {
 		if !slices.Contains(edges, e) {
 			t.Errorf("golden edge gone: %s", e)
 		}
+	}
+}
+
+// TestRouterLinksOnlyWhatItRuns pins what ssdrouter links: the router
+// splits, forwards and merges, so the daemon, the WAL and the model code
+// stay out of its binary.
+func TestRouterLinksOnlyWhatItRuns(t *testing.T) {
+	deps := make(map[string][]string)
+	for _, e := range moduleEdges(t, "internal", "cmd") {
+		from, to, _ := strings.Cut(e, " -> ")
+		deps[from] = append(deps[from], to)
+	}
+	reached := map[string]bool{}
+	var visit func(pkg string)
+	visit = func(pkg string) {
+		for _, dep := range deps[pkg] {
+			if !reached[dep] {
+				reached[dep] = true
+				visit(dep)
+			}
+		}
+	}
+	visit("cmd/ssdrouter")
+	got := make([]string, 0, len(reached))
+	for pkg := range reached {
+		got = append(got, pkg)
+	}
+	slices.Sort(got)
+	want := []string{"internal/cluster", "internal/eventlog", "internal/metrics", "internal/trace"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ssdrouter links %v, want %v", got, want)
 	}
 }
