@@ -21,8 +21,10 @@ var hotPathFuncs = map[string]map[string]bool{
 		"Server.commit":           true,
 		"binState.renderBinReply": true,
 		// The warm watchlist sweep: a slot answered from the score column
-		// allocates nothing (stale slots grow reused buffers in place).
+		// allocates nothing (stale slots grow reused buffers in place), and
+		// neither does a shard answered from its memo.
 		"sweep.scanShard":       true,
+		"sweep.recall":          true,
 		"storeShard.appendUnit": true,
 		// The report column: an upsert writes its report into the drive's
 		// pair in place, and a snapshot encodes a section out of the pairs

@@ -23,8 +23,14 @@
 //   - Scorer (scorer.go, sweep.go): Sweep is the fleet pass — it answers
 //     drives whose score slot is fresh from the column and re-scores the
 //     rest in blocks across workers; Score and Rank are the from-scratch
-//     pass it is tested against. The handlers admit passes through a
-//     pacer (pace.go) with a fixed budget of slots swept per second.
+//     pass it is tested against. Each shard also keeps a memo of its last
+//     walk that found nothing stale, keyed by the shard's change counter
+//     (gen), the model version, since and threshold, and holding at most
+//     one Scored per drive: a pass with the same key takes the shard's
+//     entries from it without visiting a slot, so a warm pass over an
+//     unchanged fleet costs one memo copy per shard. The handlers admit
+//     passes through a pacer (pace.go) with a fixed budget of slots swept
+//     per second.
 //   - Metrics: the registry behind /metrics is internal/metrics, a
 //     stdlib-only leaf the router and the retrainer share.
 //   - Wire formats: every record's bytes — WAL payloads, snapshot

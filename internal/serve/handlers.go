@@ -133,6 +133,7 @@ type Server struct {
 	ingestRejected *metrics.CounterVec
 	scoredDrives   *metrics.Counter
 	memoHits       *metrics.Counter
+	memoShards     *metrics.Counter
 	scoreDur       *metrics.Histogram
 	loads          *metrics.Counter
 	reloads        *metrics.Counter
@@ -221,6 +222,10 @@ func New(cfg Config) (*Server, error) {
 			"(new report, restored, or stamped by another model version).")
 	s.memoHits = m.NewCounter("ssdserved_score_memo_hits_total",
 		"Drives a fleet scoring pass answered from the resident score column without re-scoring.")
+	s.memoShards = m.NewCounter("ssdserved_score_memo_shards_total",
+		"Store shards a fleet scoring pass answered from the memo of their last walk, without "+
+			"visiting a slot: the shard had not changed since a pass with the same model version, "+
+			"since and threshold walked it and found nothing stale.")
 	s.scoreDur = m.NewHistogram("ssdserved_scoring_duration_seconds",
 		"Latency of fleet scoring passes (column sweep plus re-scoring of stale slots).", metrics.DurationBuckets)
 	s.loads = m.NewCounter("ssdserved_model_loads_total",
@@ -603,6 +608,7 @@ func (s *Server) sweep(pred *core.Predictor, info ModelInfo, sinceDay int32, min
 	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
 	s.scoredDrives.Add(uint64(stats.Scored))
 	s.memoHits.Add(uint64(stats.Hits))
+	s.memoShards.Add(uint64(stats.ShardsMemo))
 	return stats
 }
 

@@ -264,6 +264,7 @@ func TestServerIngestScoreWatchlistRoundTrip(t *testing.T) {
 		// on its own and touches neither counter).
 		fmt.Sprintf("ssdserved_scored_drives_total %d", len(lastDay)),
 		"ssdserved_score_memo_hits_total 0",
+		"ssdserved_score_memo_shards_total 0",
 		"ssdserved_model_version 1",
 		// The startup load counts as a load, never as a reload: promotion
 		// accounting (trainer non-inferiority gate) reads reloads_total as

@@ -19,13 +19,17 @@ import (
 // behind is dropped and restarts from now: an idle server owes nobody a
 // burst.
 //
-// Why pace at all: a warm pass costs ~0.1 ms at 35k drives, so a
-// closed-loop poller would otherwise take most of a core to re-rank a
-// fleet that changes a few dozen times a second, at a rate that swings
-// 10–20 % with the host. Why this budget: it is about the lowest that
+// Why pace at all: a warm pass is answered from the shards' memos
+// (sweep.go) wherever a shard has not changed since the last pass — ~3 µs
+// at 36k drives when none has, ~7 µs when one report landed in between,
+// against ~85 µs for a full walk (2 vCPUs) — so a closed-loop poller
+// would otherwise spin at the speed of its HTTP round trips: unpaced,
+// fleet_scan's poller takes ~10k passes/s and two thirds of a core to
+// re-read an answer that changes a few dozen times a second, at a rate
+// that swings with the host. Why this budget: it is about the lowest that
 // keeps ssdbench's fleet_scan client busy enough for its own open-loop
 // generator to stay on time (an idle Go process wakes its timers up to
-// 1 ms late), and the unpaced rate on a 2-vCPU host is 2–2.5× above it.
+// 1 ms late), and the unpaced rate on a 2-vCPU host is ~6× above it.
 const (
 	sweepSlotsPerSecond = 60_000_000
 	passCatchUp         = 250 * time.Millisecond

@@ -34,11 +34,19 @@ type Store struct {
 // and no drive has an allocation of its own. A report is written into
 // its drive's pair in place, and a snapshot or recovery reads or fills
 // the column directly.
+//
+// gen counts changes to the score column: it moves, under mu's write
+// lock, whenever a slot is marked stale (invalidate) or a sweep writes
+// scores back. A fleet pass's walk of the shard is a pure function of
+// the columns and the pass's arguments, so while gen stands still the
+// walk's answer, kept in memo, stands too.
 type storeShard struct {
 	mu    sync.RWMutex
 	m     map[uint32]int32
 	slots []scoreSlot
 	pairs []*[pairBlock]reportPair // pairs[b] holds slots b*pairBlock...
+	gen   uint64
+	memo  shardMemo
 }
 
 // pairBlock is how many slots one block of the report column holds:
@@ -78,11 +86,14 @@ type scoreSlot struct {
 	model    trace.Model
 }
 
-// invalidate marks the slot's memo stale after its reports changed. This
-// is all the ingest path pays for the memo: no feature row, no score.
-func (sl *scoreSlot) invalidate() {
+// invalidate marks the slot's memo stale after its reports changed, and
+// with it the shard's memo of its last walk. This is all the ingest path
+// pays for either: no feature row, no score. The caller holds sh.mu.
+func (sh *storeShard) invalidate(slot int32) {
+	sl := &sh.slots[slot]
 	sl.stamp = 0
 	sl.rev++
+	sh.gen++
 }
 
 // add assigns the next slot, with no reports, to a new drive. The caller
@@ -141,7 +152,7 @@ func (s *Store) install(sh *storeShard, id uint32, model trace.Model, reports ui
 	case 1:
 		p.last = recent[0]
 	}
-	sh.slots[slot].invalidate()
+	sh.invalidate(slot)
 	s.records.Add(int64(len(recent)))
 }
 
@@ -235,7 +246,7 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 	if sh.push(int(slot), &rec) {
 		s.records.Add(1)
 	}
-	sh.slots[slot].invalidate()
+	sh.invalidate(slot)
 	return nil
 }
 

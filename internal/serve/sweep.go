@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"sync"
+
 	"ssdfail/internal/core"
 )
 
@@ -11,6 +13,10 @@ type SweepStats struct {
 	// Scored is the number of drives whose slot was stale and that were
 	// run through the model.
 	Scored int
+	// ShardsMemo is the number of store shards answered from the memo
+	// of their last walk, without visiting a slot. Their drives are in
+	// Hits.
+	ShardsMemo int
 }
 
 // Fleet is the number of drives the pass considered: every drive whose
@@ -39,6 +45,24 @@ type sweepBufs struct {
 	refs  []staleRef  // refs[i] is where units[i] came from
 }
 
+// shardMemo is what a shard's last walk that gathered no stale slot
+// emitted, tagged with everything that walk's answer depends on: the
+// shard's gen and the pass's version, sinceDay and minScore. A pass with
+// the same tag would walk the same slots to the same answer, so it takes
+// entries and hits from here instead. entries are copied in and out
+// under mu, which sweeps holding the shard's read lock share; they are
+// the walk's emitted entries, so a memo holds at most one Scored per
+// drive of its shard.
+type shardMemo struct {
+	mu       sync.Mutex
+	gen      uint64
+	version  uint32 // 0, the stale stamp, until a walk is remembered
+	sinceDay int32
+	minScore float64
+	hits     int
+	entries  []Scored
+}
+
 // sweep is the working state of one Sweep.
 type sweep struct {
 	sc       *Scorer
@@ -63,6 +87,13 @@ type sweep struct {
 // ScoreUnits → Score pass would produce. Re-scored slots are stamped
 // with version for the next pass, unless a report landed in between.
 //
+// A shard whose column has not changed since a walk with the same
+// version, sinceDay and minScore found no stale slot in it is answered
+// from that walk's memo instead of being walked: the same entries, the
+// same hits, in the same order. A warm pass over a fleet that has not
+// changed therefore costs one memo copy per shard, not one look per
+// drive.
+//
 // version identifies p: the registry's ModelInfo.Version, never 0. Two
 // concurrent sweeps with different models each see the other's stamps as
 // foreign and re-score, so a pass never emits another model's score.
@@ -77,7 +108,16 @@ func (sc *Scorer) Sweep(st *Store, p *core.Predictor, version int, sinceDay int3
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		sw.scanShard(int32(i), sh)
+		if sw.recall(sh) {
+			sw.stats.ShardsMemo++
+		} else {
+			gathered := len(sw.units)
+			hits := sw.scanShard(int32(i), sh)
+			sw.stats.Hits += hits
+			if len(sw.units) == gathered {
+				sw.remember(sh, hits)
+			}
+		}
 		sh.mu.RUnlock()
 		for j := range sw.out {
 			emit(sw.out[j])
@@ -94,12 +134,44 @@ func (sc *Scorer) Sweep(st *Store, p *core.Predictor, version int, sinceDay int3
 	return sw.stats
 }
 
-// scanShard is the warm path: one comparison decides a slot is fresh,
-// two more that it is in range and scores high enough to emit. Stale
-// slots are copied out for flush. The caller holds sh.mu for reading;
-// the function is in ssdlint's hotalloc scope table, so a fresh slot
-// costs no allocation.
-func (sw *sweep) scanShard(si int32, sh *storeShard) {
+// recall answers the shard from its memo when the memo's tag is this
+// pass's: its entries go to out and its hits to the stats. The caller
+// holds sh.mu for reading, so gen cannot move meanwhile. The function is
+// in ssdlint's hotalloc scope table: a pass answered from memos
+// allocates nothing.
+func (sw *sweep) recall(sh *storeShard) bool {
+	m := &sh.memo
+	m.mu.Lock()
+	ok := m.gen == sh.gen && m.version == sw.version && m.sinceDay == sw.sinceDay && m.minScore == sw.minScore
+	if ok {
+		sw.out = append(sw.out, m.entries...)
+		sw.stats.Hits += m.hits
+	}
+	m.mu.Unlock()
+	return ok
+}
+
+// remember makes the walk that just filled out, and gathered no stale
+// slot, the shard's memo. The entries are copied into the memo's own
+// buffer, which grows to exactly what it must hold. The caller holds
+// sh.mu for reading.
+func (sw *sweep) remember(sh *storeShard, hits int) {
+	m := &sh.memo
+	m.mu.Lock()
+	if cap(m.entries) < len(sw.out) {
+		m.entries = make([]Scored, 0, len(sw.out))
+	}
+	m.entries = append(m.entries[:0], sw.out...)
+	m.gen, m.version, m.sinceDay, m.minScore, m.hits = sh.gen, sw.version, sw.sinceDay, sw.minScore, hits
+	m.mu.Unlock()
+}
+
+// scanShard is the walk: one comparison decides a slot is fresh, two
+// more that it is in range and scores high enough to emit. Stale slots
+// are copied out for flush. It returns the shard's hits. The caller
+// holds sh.mu for reading; the function is in ssdlint's hotalloc scope
+// table, so a fresh slot costs no allocation.
+func (sw *sweep) scanShard(si int32, sh *storeShard) int {
 	version, sinceDay, minScore := sw.version, sw.sinceDay, sw.minScore
 	hits := 0
 	for i := range sh.slots {
@@ -121,7 +193,7 @@ func (sw *sweep) scanShard(si int32, sh *storeShard) {
 		}
 		sw.out = append(sw.out, Scored{ID: sl.id, Model: sl.model, Score: sl.score, Day: sl.day, Age: sl.age})
 	}
-	sw.stats.Hits += hits
+	return hits
 }
 
 // flush scores the gathered stale drives, writes the scores back to
@@ -146,6 +218,9 @@ func (sw *sweep) flush() {
 				sl.score, sl.day, sl.age, sl.stamp = s.Score, s.Day, s.Age, sw.version
 			}
 		}
+		// A new stamp changes what a walk finds: another version's memo
+		// of this shard would now count as hits what its walk re-scores.
+		sh.gen++
 		sh.mu.Unlock()
 		lo = hi
 	}

@@ -67,7 +67,9 @@ func WriteBinary(w io.Writer, f *Fleet) error {
 }
 
 // ReadBinary deserializes a fleet previously written by WriteBinary. A
-// stream that ends before the records its header counts is an error.
+// stream that ends before the records its header counts is an error, and
+// so is a model or a record flag bit WriteBinary cannot have written, so
+// every fleet it accepts re-encodes to the bytes it read.
 func ReadBinary(r io.Reader) (*Fleet, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var scratch [DayRecordSize]byte
@@ -101,6 +103,9 @@ func ReadBinary(r io.Reader) (*Fleet, error) {
 			return nil, err
 		}
 		d := Drive{ID: binary.LittleEndian.Uint32(b), Model: Model(b[4])}
+		if int(d.Model) >= NumModels {
+			return nil, fmt.Errorf("trace: drive %d has unknown model %d", d.ID, b[4])
+		}
 		ndays, nswaps := binary.LittleEndian.Uint32(b[5:]), binary.LittleEndian.Uint32(b[9:])
 		if ndays > 0 {
 			d.Days = make([]DayRecord, 0, min(ndays, maxPreallocDays))
@@ -109,6 +114,9 @@ func ReadBinary(r io.Reader) (*Fleet, error) {
 			b, err := read(DayRecordSize)
 			if err != nil {
 				return nil, err
+			}
+			if flags := b[DayRecordSize-1]; flags&^3 != 0 {
+				return nil, fmt.Errorf("trace: drive %d has unknown record flags %#x", d.ID, flags)
 			}
 			d.Days = append(d.Days, DayRecord{})
 			DecodeDayRecord(b, &d.Days[len(d.Days)-1])

@@ -503,6 +503,39 @@ func TestSnapshotLegacyFormatLoads(t *testing.T) {
 	}
 }
 
+// TestGroupCommitFsyncsTheFile holds the syncer's fsync counter to the
+// fsyncs the filesystem saw: every policy fsync the log counts must be a
+// File.Sync that reached the filesystem, or a group commit could report
+// durability it never asked for.
+func TestGroupCommitFsyncsTheFile(t *testing.T) {
+	inj := faultfs.New(faultfs.Mem())
+	opt := testOpts(inj)
+	opt.SegmentBytes = 1 << 20 // no rotation, whose fsync is not the syncer's
+	opt.SyncEvery = 8
+	opt.SyncInterval = -1 // group commits only, no timer
+	l, _, _ := collect(t, opt)
+	defer l.Close()
+	syncs0, fsyncs0 := inj.Count(faultfs.OpSync), l.Stats().Fsyncs
+	for i := 0; i < 5*opt.SyncEvery+3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for l.Stats().Fsyncs == fsyncs0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the syncer counted no fsync within 5s of five group commits' worth of appends")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The counter first: an fsync is counted after its File.Sync returns.
+	fsyncs := l.Stats().Fsyncs - fsyncs0
+	syncs := uint64(inj.Count(faultfs.OpSync) - syncs0)
+	if syncs < fsyncs {
+		t.Fatalf("the log counts %d fsyncs, the filesystem saw %d File.Sync calls", fsyncs, syncs)
+	}
+}
+
 func TestAppendPoisonedAfterWriteError(t *testing.T) {
 	mem := faultfs.Mem()
 	inj := faultfs.New(mem)
