@@ -39,8 +39,20 @@ var hotPathFuncs = map[string]map[string]bool{
 		"Flat.ScoreRows": true,
 	},
 	// The per-row scoring entry points of the models that standardize
-	// their input: scratch comes from a pool filled at Fit time.
-	"internal/ml/knn":       {"Model.Score": true},
+	// their input: scratch comes from a pool filled at Fit time. Under
+	// k-NN's, the walk and its top-k selection.
+	"internal/ml/knn": {
+		"Model.Score":    true,
+		"Model.vote":     true,
+		"Model.nearest":  true,
+		"Model.walkFrom": true,
+		"Model.prunes":   true,
+		"Model.dists":    true,
+		"walk.next":      true,
+		"topK.offer":     true,
+		"topK.add":       true,
+		"project":        true,
+	},
 	"internal/ml/neuralnet": {"Model.Score": true},
 	"internal/ml/logreg":    {"Model.Score": true},
 	"internal/ml/svm":       {"Model.Score": true},

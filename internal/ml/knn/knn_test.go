@@ -83,8 +83,9 @@ func TestExactNeighborRecall(t *testing.T) {
 
 // referenceScore is the specification Score is held to: every distance
 // as a plain left-to-right sum, a stable sort by distance (so equal
-// distances keep training-row order), and the inverse-distance vote
-// summed in that order.
+// distances keep training-row order) of the rows at a finite distance —
+// a row at +Inf or NaN is never a neighbor — and the inverse-distance
+// vote summed in that order, 0.5 when no neighbor has weight.
 func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
 	sc := dataset.FitScaler(train)
 	pts := sc.Apply(train)
@@ -94,14 +95,16 @@ func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
 		dist float64
 		row  int
 	}
-	hits := make([]hit, pts.Len())
-	for i := range hits {
+	var hits []hit
+	for i := 0; i < pts.Len(); i++ {
 		var s float64
 		for f, v := range pts.Row(i) {
 			d := q[f] - v
 			s += float64(d * d)
 		}
-		hits[i] = hit{s, i}
+		if s < math.Inf(1) {
+			hits = append(hits, hit{s, i})
+		}
 	}
 	sort.SliceStable(hits, func(a, b int) bool { return hits[a].dist < hits[b].dist })
 	if k <= 0 {
@@ -118,7 +121,26 @@ func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
 			wPos += w
 		}
 	}
+	if wAll == 0 {
+		return 0.5
+	}
 	return wPos / wAll
+}
+
+// matchesReference fits fx's training set on the scan path vec.AVX2
+// selects and holds every query's Score to referenceScore bit for bit.
+func matchesReference(t *testing.T, fx fixture) {
+	t.Helper()
+	train := fx.matrix()
+	m := New(Config{K: fx.k})
+	if err := m.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range fx.queries {
+		if got, want := m.Score(q), referenceScore(train, fx.k, q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s, query %d (AVX2 %v): Score = %v, reference %v", fx.name, qi, vec.AVX2, got, want)
+		}
+	}
 }
 
 // TestScoreMatchesReference holds Score to referenceScore bit for bit on
@@ -126,11 +148,14 @@ func referenceScore(train *dataset.Matrix, k int, x []float64) float64 {
 // times, two under each label — so the k-th place usually falls
 // inside a group of equal distances and only the (distance, row index)
 // order picks the right labels — and with K below 1 (the default),
-// small, and above the number of stored points. It runs on both scan
-// paths.
+// small, and above the number of stored points; and then on every
+// adversarial fixture. It runs on both scan paths.
 func TestScoreMatchesReference(t *testing.T) { bothPaths(t, testScoreMatchesReference) }
 
 func testScoreMatchesReference(t *testing.T) {
+	for _, s := range adversarialSpecs() {
+		matchesReference(t, s.fixture())
+	}
 	check := func(seed uint64, w, k int) bool {
 		rng := fleetsim.NewRNG(seed)
 		train := &dataset.Matrix{}
