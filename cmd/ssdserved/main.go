@@ -56,7 +56,7 @@ func main() {
 func run() error {
 	var (
 		addr      = flag.String("addr", ":8377", "listen address")
-		modelPath = flag.String("model", "ssdserved-model.bin", "predictor file (core.Predictor.Save format)")
+		modelPath = flag.String("model", "ssdserved-model.bin", "predictor file (model.Predictor.Save format)")
 		shards    = flag.Int("shards", serve.DefaultShards, "drive-store shard count")
 		workers   = flag.Int("workers", 0, "batch-scoring workers (0 = all CPUs)")
 		threshold = flag.Float64("threshold", 0.9, "default watchlist score threshold (paper's low-FPR operating point)")

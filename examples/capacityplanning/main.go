@@ -110,7 +110,7 @@ func main() {
 	fmt.Printf("\nwith a 3-day-lookahead predictor (holdout AUC %.3f), flagged drives\n", pred.ValidationAUC)
 	fmt.Println("can be drained and scheduled, converting emergency swaps into planned ones.")
 	fmt.Println("top of today's watchlist:")
-	for _, w := range pred.Watchlist(study, study.Fleet.Horizon-30, 5) {
+	for _, w := range study.Watchlist(pred, study.Fleet.Horizon-30, 5) {
 		fmt.Printf("  drive %-6d (%s, age %4dd)  risk %.3f\n", w.DriveID, w.Model, w.Age, w.Score)
 	}
 }

@@ -45,7 +45,7 @@ func main() {
 	// 4. Rank the live fleet by failure risk.
 	fmt.Println("highest-risk drives (latest report):")
 	fmt.Println("  drive     model   age(d)  score")
-	for _, w := range pred.Watchlist(study, 0, 10) {
+	for _, w := range study.Watchlist(pred, 0, 10) {
 		fmt.Printf("  %-8d  %-6s  %-6d  %.3f\n", w.DriveID, w.Model, w.Age, w.Score)
 	}
 }

@@ -89,7 +89,7 @@ func main() {
 	}
 	imported := core.NewStudy(fleet)
 	fmt.Println("\nrisk scores for imported drives (latest report):")
-	for _, w := range pred.Watchlist(imported, 0, 0) {
+	for _, w := range imported.Watchlist(pred, 0, 0) {
 		status := "healthy"
 		if imported.Fleet.Drives[w.DriveIdx].Failed() {
 			status = "FAILED in data"

@@ -18,6 +18,7 @@ import (
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/loadgen"
 	"ssdfail/internal/ml/forest"
+	"ssdfail/internal/model"
 	"ssdfail/internal/serve"
 	"ssdfail/internal/smartio"
 	"ssdfail/internal/sparepool"
@@ -79,11 +80,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err := pred.Save(predPath); err != nil {
 		t.Fatalf("save predictor: %v", err)
 	}
-	loadedPred, err := core.LoadPredictor(predPath)
+	loadedPred, err := model.LoadPredictor(predPath)
 	if err != nil {
 		t.Fatalf("load predictor: %v", err)
 	}
-	watch := loadedPred.Watchlist(reloaded, 0, 5)
+	watch := reloaded.Watchlist(loadedPred, 0, 5)
 	if len(watch) != 5 {
 		t.Fatalf("watchlist = %d entries", len(watch))
 	}

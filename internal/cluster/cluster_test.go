@@ -97,15 +97,15 @@ func newTestRouter(t *testing.T, cfg RouterConfig) (*Router, *httptest.Server) {
 
 // fleetRecords collects, for every fixture drive with at least offset+1
 // reports, the report offset steps back from its last one.
-func fleetRecords(offset int) []serve.IngestRecord {
-	var out []serve.IngestRecord
+func fleetRecords(offset int) []trace.IngestRecord {
+	var out []trace.IngestRecord
 	for di := range fixFleet.Drives {
 		d := &fixFleet.Drives[di]
 		j := len(d.Days) - 1 - offset
 		if j < 0 {
 			continue
 		}
-		out = append(out, serve.WireRecord(d.ID, d.Model, &d.Days[j]))
+		out = append(out, trace.WireRecord(d.ID, d.Model, &d.Days[j]))
 	}
 	return out
 }

@@ -5,18 +5,16 @@
 //
 //	study, _ := core.GenerateStudy(42, 300)        // or LoadStudy(file)
 //	pred, _ := study.TrainPredictor(core.PredictorOptions{Lookahead: 1})
-//	watch := pred.Watchlist(study, today, 20)      // drives to act on
+//	watch := study.Watchlist(pred, today, 20)      // drives to act on
 //
-// The lower-level packages (fleetsim, failure, dataset, ml/*, eval)
-// remain available for custom pipelines.
+// The predictor itself, its scoring and its file format, is
+// internal/model. The lower-level packages (fleetsim, failure, dataset,
+// ml/*, eval) remain available for custom pipelines.
 package core
 
 import (
-	"encoding"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 
@@ -26,6 +24,7 @@ import (
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/forest"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 )
 
@@ -143,17 +142,15 @@ type PredictorOptions struct {
 	Workers         int
 }
 
-// Predictor is a trained failure predictor.
-type Predictor struct {
-	Lookahead int
-	// ValidationAUC is the AUC on the held-out drives, or NaN when no
-	// holdout was requested.
-	ValidationAUC float64
-	model         ml.Classifier
-}
+// Predictor and LoadPredictor forward to internal/model, where the
+// served predictor and its SSDP format live. bench/ is their only
+// caller.
+type Predictor = model.Predictor
+
+var LoadPredictor = model.LoadPredictor
 
 // TrainPredictor trains a failure predictor on the study.
-func (s *Study) TrainPredictor(opts PredictorOptions) (*Predictor, error) {
+func (s *Study) TrainPredictor(opts PredictorOptions) (*model.Predictor, error) {
 	if opts.Lookahead <= 0 {
 		opts.Lookahead = 1
 	}
@@ -186,15 +183,10 @@ func (s *Study) TrainPredictor(opts PredictorOptions) (*Predictor, error) {
 	if opts.DownsampleRatio > 0 {
 		train = dataset.Downsample(train, opts.DownsampleRatio, opts.Seed)
 	}
-	if train.Positives() == 0 {
-		return nil, fmt.Errorf("core: no failures in training data; cannot train")
-	}
-	clf := opts.Factory()
-	if err := clf.Fit(train); err != nil {
+	p, err := model.TrainPredictorOnMatrix(train, opts.Lookahead, opts.Factory)
+	if err != nil {
 		return nil, err
 	}
-	p := &Predictor{Lookahead: opts.Lookahead, model: clf}
-	p.ValidationAUC = math.NaN()
 	if opts.HoldoutFraction > 0 && opts.HoldoutFraction < 1 {
 		test := dataset.Extract(s.Fleet, s.Analysis, dataset.Options{
 			Lookahead:          opts.Lookahead,
@@ -204,162 +196,12 @@ func (s *Study) TrainPredictor(opts PredictorOptions) (*Predictor, error) {
 			IncludeDrive:       func(di int) bool { return holdout[di] },
 		})
 		if test.Positives() > 0 {
-			p.ValidationAUC = eval.AUC(ml.ScoreBatch(clf, test), test.Y)
+			scores := make([]float64, test.Len())
+			p.ScoreMatrix(test, scores)
+			p.ValidationAUC = eval.AUC(scores, test.Y)
 		}
 	}
 	return p, nil
-}
-
-// ScoreRecord scores one daily report (higher = more failure-prone).
-func (p *Predictor) ScoreRecord(r, prev *trace.DayRecord) float64 {
-	m := &dataset.Matrix{}
-	m.AppendFeatureRow(r, prev)
-	return p.model.Score(m.Row(0))
-}
-
-// ScoreInto scores one daily report like ScoreRecord but reuses the
-// caller's scratch matrix, so batch-scoring loops (e.g. the serving
-// daemon's fleet scorer) allocate per worker instead of per drive. The
-// scratch matrix is reset first and must not be shared across
-// goroutines.
-func (p *Predictor) ScoreInto(scratch *dataset.Matrix, r, prev *trace.DayRecord) float64 {
-	scratch.Reset()
-	scratch.AppendFeatureRow(r, prev)
-	return p.model.Score(scratch.Row(0))
-}
-
-// ScoreMatrix scores every row of m into out, which must have length
-// m.Len(), bit-identical to per-row Score; it allocates nothing for the
-// forest models the daemon serves.
-func (p *Predictor) ScoreMatrix(m *dataset.Matrix, out []float64) {
-	for i := range out {
-		out[i] = p.model.Score(m.Row(i))
-	}
-}
-
-// ScoreDrive scores a drive's most recent report, or returns 0 when the
-// drive has no records.
-func (p *Predictor) ScoreDrive(d *trace.Drive) float64 {
-	n := len(d.Days)
-	if n == 0 {
-		return 0
-	}
-	var prev *trace.DayRecord
-	if n > 1 {
-		prev = &d.Days[n-2]
-	}
-	return p.ScoreRecord(&d.Days[n-1], prev)
-}
-
-// Encode serializes a trained predictor to the byte format Save writes
-// and DecodePredictor reads, for callers that install models without
-// touching disk first (the continuous-learning trainer hashes and
-// atomically publishes these bytes). Only predictors whose underlying
-// model supports binary marshaling (the default random forest does) can
-// be encoded.
-func (p *Predictor) Encode() ([]byte, error) {
-	m, ok := p.model.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("core: %s does not support serialization", p.model.Name())
-	}
-	data, err := m.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var buf []byte
-	buf = append(buf, "SSDP"...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(p.Lookahead))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(data)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, data...)
-	return buf, nil
-}
-
-// Save writes a trained predictor to disk in the Encode format.
-func (p *Predictor) Save(path string) error {
-	buf, err := p.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf, 0o644)
-}
-
-// TrainPredictorOnMatrix fits a predictor directly on a prepared
-// training matrix. It is the classifier half of TrainPredictor for
-// callers that own their extraction and evaluation pipeline — the
-// continuous-learning trainer builds matrices through the expgrid
-// feature-matrix cache and partitions holdout drives itself, so it
-// needs fit + wrap without the study-level extraction. The returned
-// predictor's ValidationAUC is NaN; evaluation is the caller's job.
-func TrainPredictorOnMatrix(train *dataset.Matrix, opts PredictorOptions) (*Predictor, error) {
-	if opts.Lookahead <= 0 {
-		opts.Lookahead = 1
-	}
-	if opts.Factory == nil {
-		cfg := forest.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.Workers = opts.Workers
-		opts.Factory = forest.NewFactory(cfg)
-	}
-	if train.Positives() == 0 {
-		return nil, fmt.Errorf("core: no failures in training data; cannot train")
-	}
-	clf := opts.Factory()
-	if err := clf.Fit(train); err != nil {
-		return nil, err
-	}
-	p := &Predictor{Lookahead: opts.Lookahead, ValidationAUC: math.NaN(), model: clf}
-	return p, nil
-}
-
-// LoadPredictor reads a predictor saved by Save. The model is restored
-// as a random forest.
-func LoadPredictor(path string) (*Predictor, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodePredictor(data)
-}
-
-// DecodePredictor parses a predictor from the byte format written by
-// Save. The whole buffer must be consumed: trailing garbage is
-// rejected, since the daemon loads these bytes from untrusted disk
-// state at runtime.
-func DecodePredictor(data []byte) (*Predictor, error) {
-	if len(data) < 12 || string(data[:4]) != "SSDP" {
-		return nil, fmt.Errorf("core: not a predictor file")
-	}
-	lookahead := int(binary.LittleEndian.Uint32(data[4:8]))
-	n := int(binary.LittleEndian.Uint32(data[8:12]))
-	if n < 0 || 12+n != len(data) {
-		return nil, fmt.Errorf("core: predictor payload length %d does not match file size %d", n, len(data))
-	}
-	if lookahead < 1 {
-		return nil, fmt.Errorf("core: invalid lookahead %d", lookahead)
-	}
-	f := forest.New(forest.DefaultConfig())
-	if err := f.UnmarshalBinary(data[12 : 12+n]); err != nil {
-		return nil, err
-	}
-	p := &Predictor{Lookahead: lookahead, ValidationAUC: math.NaN(), model: f}
-	return p, nil
-}
-
-// ModelName returns the name of the underlying classifier.
-func (p *Predictor) ModelName() string { return p.model.Name() }
-
-// FeatureWidth returns the feature-vector width the underlying model
-// expects, or 0 when the model does not report one. Callers that build
-// feature rows themselves (e.g. the serving daemon) use this to refuse
-// models whose width does not match their pipeline instead of panicking
-// at score time.
-func (p *Predictor) FeatureWidth() int {
-	if w, ok := p.model.(interface{ Width() int }); ok {
-		return w.Width()
-	}
-	return 0
 }
 
 // WatchItem is one entry of a fleet watchlist.
@@ -372,11 +214,11 @@ type WatchItem struct {
 }
 
 // Watchlist scores the latest report of every live drive (drives whose
-// last report is at or after sinceDay) and returns the top K by score,
-// descending. This is the paper's proactive-management use case: the
-// returned drives are candidates for early replacement or data
+// last report is at or after sinceDay) with p and returns the top K by
+// score, descending. This is the paper's proactive-management use case:
+// the returned drives are candidates for early replacement or data
 // migration.
-func (p *Predictor) Watchlist(s *Study, sinceDay int32, k int) []WatchItem {
+func (s *Study) Watchlist(p *model.Predictor, sinceDay int32, k int) []WatchItem {
 	var items []WatchItem
 	for di := range s.Fleet.Drives {
 		d := &s.Fleet.Drives[di]

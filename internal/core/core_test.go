@@ -9,6 +9,7 @@ import (
 
 	"ssdfail/internal/ml/knn"
 	"ssdfail/internal/ml/tree"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 )
 
@@ -159,7 +160,7 @@ func TestWatchlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watch := p.Watchlist(s, 0, 10)
+	watch := s.Watchlist(p, 0, 10)
 	if len(watch) != 10 {
 		t.Fatalf("watchlist size = %d", len(watch))
 	}
@@ -169,11 +170,11 @@ func TestWatchlist(t *testing.T) {
 		}
 	}
 	// sinceDay beyond the horizon filters everything.
-	if got := p.Watchlist(s, s.Fleet.Horizon+1, 10); len(got) != 0 {
+	if got := s.Watchlist(p, s.Fleet.Horizon+1, 10); len(got) != 0 {
 		t.Errorf("future watchlist should be empty, got %d", len(got))
 	}
 	// k = 0 returns all live drives.
-	all := p.Watchlist(s, 0, 0)
+	all := s.Watchlist(p, 0, 0)
 	if len(all) == 0 || len(all) < len(watch) {
 		t.Errorf("unbounded watchlist = %d entries", len(all))
 	}
@@ -189,7 +190,7 @@ func TestPredictorSaveLoad(t *testing.T) {
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPredictor(path)
+	loaded, err := model.LoadPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestPredictorSaveLoad(t *testing.T) {
 			t.Fatalf("drive %d scores differ after reload", d.ID)
 		}
 	}
-	if _, err := LoadPredictor(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+	if _, err := model.LoadPredictor(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Error("missing file should error")
 	}
 }

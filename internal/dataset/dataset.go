@@ -13,7 +13,7 @@ import (
 	"slices"
 
 	"ssdfail/internal/failure"
-	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/rng"
 	"ssdfail/internal/trace"
 )
 
@@ -220,7 +220,7 @@ func Extract(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 // afresh from o.Seed on every walk, so two walks under the same options
 // visit the same rows.
 func walkRows(f *trace.Fleet, an *failure.Analysis, o *Options, emit func(di int, r, prev *trace.DayRecord, label int8)) {
-	rng := fleetsim.NewRNG(o.Seed ^ 0x5ca1ab1e)
+	rng := rng.New(o.Seed ^ 0x5ca1ab1e)
 	keepNeg := o.NegativeSampleProb > 0 && o.NegativeSampleProb < 1
 
 	for di := range f.Drives {
@@ -291,7 +291,7 @@ func Downsample(m *Matrix, ratio float64, seed uint64) *Matrix {
 	if p >= 1 {
 		return m
 	}
-	rng := fleetsim.NewRNG(seed ^ 0xd0d0)
+	rng := rng.New(seed ^ 0xd0d0)
 	out := &Matrix{}
 	for i := 0; i < m.Len(); i++ {
 		if m.Y[i] == 1 || rng.Bernoulli(p) {
@@ -334,7 +334,7 @@ func (m *Matrix) Subset(rows []int) *Matrix {
 // that the highly correlated days of a single drive never span the
 // train/test split.
 func Folds(nDrives, k int, seed uint64) []int {
-	rng := fleetsim.NewRNG(seed ^ 0xf01d5)
+	rng := rng.New(seed ^ 0xf01d5)
 	perm := make([]int, nDrives)
 	for i := range perm {
 		perm[i] = i

@@ -8,6 +8,7 @@ import (
 
 	"ssdfail/internal/failure"
 	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/rng"
 	"ssdfail/internal/trace"
 )
 
@@ -354,7 +355,7 @@ func extractAppending(f *trace.Fleet, an *failure.Analysis, o Options) *Matrix {
 		o.Lookahead = 1
 	}
 	m := &Matrix{}
-	rng := fleetsim.NewRNG(o.Seed ^ 0x5ca1ab1e)
+	rng := rng.New(o.Seed ^ 0x5ca1ab1e)
 	keepNeg := o.NegativeSampleProb > 0 && o.NegativeSampleProb < 1
 	for di := range f.Drives {
 		if o.IncludeDrive != nil && !o.IncludeDrive(di) {

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/rng"
 )
 
 func TestBrierScore(t *testing.T) {
@@ -28,7 +28,7 @@ func TestBrierScore(t *testing.T) {
 func TestReliabilityCurvePerfectCalibration(t *testing.T) {
 	// Labels drawn with probability equal to the score: the observed
 	// rate per bin must track the predicted rate.
-	rng := fleetsim.NewRNG(3)
+	rng := rng.New(3)
 	n := 200000
 	scores := make([]float64, n)
 	y := make([]int8, n)
@@ -54,7 +54,7 @@ func TestReliabilityCurvePerfectCalibration(t *testing.T) {
 
 func TestReliabilityCurveMiscalibrated(t *testing.T) {
 	// Scores say 0.9 but the true rate is 0.5.
-	rng := fleetsim.NewRNG(4)
+	rng := rng.New(4)
 	n := 20000
 	scores := make([]float64, n)
 	y := make([]int8, n)

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/mltest"
+	"ssdfail/internal/rng"
 )
 
 func TestAUCKnownValues(t *testing.T) {
@@ -27,7 +27,7 @@ func TestAUCKnownValues(t *testing.T) {
 // Property: rank AUC agrees with the independent reference in mltest.
 func TestAUCMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
-		rng := fleetsim.NewRNG(seed)
+		rng := rng.New(seed)
 		n := 10 + int(seed%200)
 		scores := make([]float64, n)
 		y := make([]int8, n)
@@ -48,7 +48,7 @@ func TestAUCMatchesReferenceProperty(t *testing.T) {
 // rank-sum path), and either class in the minority.
 func TestAUCMatchesRanksProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
-		rng := fleetsim.NewRNG(seed)
+		rng := rng.New(seed)
 		n := 1 + int(seed%300)
 		posRate := []float64{0, 0.03, 0.5, 0.97, 1}[seed%5]
 		levels := []float64{1, 4, 50, 1 << 30}[(seed/5)%4]
@@ -81,7 +81,7 @@ func TestAUCMatchesRanksProperty(t *testing.T) {
 // Property: trapezoid AUC of the ROC curve equals the rank AUC.
 func TestROCTrapezoidMatchesRankAUC(t *testing.T) {
 	prop := func(seed uint64) bool {
-		rng := fleetsim.NewRNG(seed)
+		rng := rng.New(seed)
 		n := 20 + int(seed%100)
 		scores := make([]float64, n)
 		y := make([]int8, n)

@@ -3,6 +3,7 @@ package fleetsim
 import (
 	"testing"
 
+	"ssdfail/internal/rng"
 	"ssdfail/internal/stats"
 	"ssdfail/internal/trace"
 )
@@ -12,7 +13,7 @@ import (
 // and the raw RNG must be uniform.
 
 func TestRNGUniformKS(t *testing.T) {
-	r := NewRNG(99)
+	r := rng.New(99)
 	xs := make([]float64, 20000)
 	for i := range xs {
 		xs[i] = r.Float64()
@@ -53,8 +54,8 @@ func TestWorkloadLognormalShape(t *testing.T) {
 	// lognormal within KS distance against a fresh sample from the
 	// same generative formula.
 	cfg := DefaultModelConfig(trace.MLCA, 1)
-	rng := NewRNG(5)
-	st := &driveState{cfg: &cfg, rng: rng, activity: 1}
+	r1 := rng.New(5)
+	st := &driveState{cfg: &cfg, rng: r1, activity: 1}
 	var sim []float64
 	for len(sim) < 4000 {
 		_, w, _ := st.workload(1000, -1)
@@ -63,7 +64,7 @@ func TestWorkloadLognormalShape(t *testing.T) {
 		}
 	}
 	ref := make([]float64, 4000)
-	r2 := NewRNG(6)
+	r2 := rng.New(6)
 	for i := range ref {
 		ref[i] = cfg.WriteScale * r2.LogNormal(-0.5*cfg.WriteSigma*cfg.WriteSigma, cfg.WriteSigma)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"ssdfail/internal/rng"
 	"ssdfail/internal/trace"
 )
 
@@ -54,7 +55,7 @@ type DriveTruth struct {
 // driveState carries the latent per-drive factors and running counters.
 type driveState struct {
 	cfg *ModelConfig
-	rng *RNG
+	rng *rng.RNG
 
 	activity float64 // per-drive workload factor
 	errProne float64 // per-drive error-proneness factor
@@ -263,7 +264,7 @@ var dayBufs = sync.Pool{New: func() any { return new([]trace.DayRecord) }}
 // for one drive. The RNG must be exclusive to this drive. Days holds
 // exactly the drive's reports (cap == len), and stays nil when the drive
 // never reports.
-func simulateDrive(fc *FleetConfig, cfg *ModelConfig, id uint32, rng *RNG) (trace.Drive, DriveTruth) {
+func simulateDrive(fc *FleetConfig, cfg *ModelConfig, id uint32, rng *rng.RNG) (trace.Drive, DriveTruth) {
 	buf := dayBufs.Get().(*[]trace.DayRecord)
 	days := (*buf)[:0]
 	st := &driveState{cfg: cfg, rng: rng}

@@ -1,9 +1,16 @@
+// Package fleetsim generates synthetic SSD fleet traces whose statistical
+// structure follows the proprietary Google trace characterized in "SSD
+// Failures in the Field" (SC '19): per-model failure incidence, a ~90-day
+// infant-mortality period, age-dependent write intensity, error-type
+// incidence and correlation structure, pre-failure symptom ramps, and the
+// swap/repair pipeline. See DESIGN.md §2 for the substitution argument.
 package fleetsim
 
 import (
 	"fmt"
 
 	"ssdfail/internal/parallel"
+	"ssdfail/internal/rng"
 	"ssdfail/internal/trace"
 )
 
@@ -48,7 +55,7 @@ func Generate(cfg FleetConfig) (*trace.Fleet, *Truth, error) {
 		}
 	}
 
-	root := NewRNG(cfg.Seed)
+	root := rng.New(cfg.Seed)
 	parallel.For(cfg.Workers, total, func(i int) {
 		id := uint32(i + 1)
 		rng := root.Derive(uint64(id))

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ssdfail/internal/failure"
+	"ssdfail/internal/rng"
 )
 
 // Config-space property tests: random (but sane) parameter perturbations
@@ -13,7 +14,7 @@ import (
 
 // perturbedConfig builds a valid config with randomized knobs.
 func perturbedConfig(seed uint64) FleetConfig {
-	rng := NewRNG(seed)
+	rng := rng.New(seed)
 	cfg := DefaultConfig(seed, 8+rng.Intn(20))
 	cfg.HorizonDays = int32(300 + rng.Intn(1200))
 	cfg.EarlyWindow = cfg.HorizonDays / 4

@@ -13,9 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/loadgen"
+	"ssdfail/internal/model"
 	"ssdfail/internal/serve"
 )
 
@@ -32,7 +32,7 @@ func invertLabels(m *dataset.Matrix) {
 // scrambled labels. It is what a champion looks like after the world
 // has drifted away from its training regime — scoring near coin-flip —
 // so a freshly retrained challenger clears the non-inferiority gate.
-func weakChampion(t *testing.T) *core.Predictor {
+func weakChampion(t *testing.T) *model.Predictor {
 	t.Helper()
 	cfg := testConfig()
 	cfg.MutateTrain = invertLabels
@@ -48,14 +48,14 @@ func weakChampion(t *testing.T) *core.Predictor {
 }
 
 // modelInfo fetches the daemon's current model identity.
-func modelInfo(t *testing.T, baseURL string) serve.ModelInfo {
+func modelInfo(t *testing.T, baseURL string) model.Info {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/model")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var info serve.ModelInfo
+	var info model.Info
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEndToEndPromotionLoop(t *testing.T) {
 	if got := metricValue(t, ts.URL, "ssdserved_model_loads_total"); got != float64(1+st.Promotions) {
 		t.Fatalf("ssdserved_model_loads_total %v, want %d", got, 1+st.Promotions)
 	}
-	published, err := core.LoadPredictor(modelPath)
+	published, err := model.LoadPredictor(modelPath)
 	if err != nil {
 		t.Fatalf("promoted model file unreadable: %v", err)
 	}

@@ -8,13 +8,13 @@ import (
 	"math"
 	"sync"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/eval"
 	"ssdfail/internal/eventlog"
 	"ssdfail/internal/expgrid"
 	"ssdfail/internal/failure"
 	"ssdfail/internal/ml/forest"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 )
 
@@ -74,12 +74,12 @@ type Config struct {
 	Channels []Channel
 	// Champion is the currently serving predictor (nil = none yet: the
 	// first viable challenger is promoted unconditionally).
-	Champion *core.Predictor
+	Champion *model.Predictor
 	// Donor, when Champion is nil, seeds the champion slot with another
 	// drive model's predictor — the paper's Table 8 cross-model
 	// transfer as a live bootstrap: the donor serves (and sets the bar)
 	// until a locally trained challenger beats it on local holdout.
-	Donor *core.Predictor
+	Donor *model.Predictor
 	// Promote installs a passed challenger (write bytes + trigger the
 	// daemon's reload). nil = record the decision but skip the side
 	// effect (replay/analysis mode). A Promote error rejects the
@@ -193,7 +193,7 @@ type Loop struct {
 	state    *fleetState
 	channels []channelState
 	cache    *expgrid.MatrixCache
-	champion *core.Predictor
+	champion *model.Predictor
 
 	t           uint64 // records fed (in- and out-of-scope)
 	lastAttempt uint64 // t at the last retrain attempt; 0 = none
@@ -242,7 +242,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 func (l *Loop) Log() *eventlog.Log[Event] { return l.log }
 
 // Champion returns the predictor currently holding the champion slot.
-func (l *Loop) Champion() *core.Predictor { return l.champion }
+func (l *Loop) Champion() *model.Predictor { return l.champion }
 
 // Stats returns a snapshot of the loop's counters.
 func (l *Loop) Stats() Stats {
@@ -354,7 +354,7 @@ func appendRows(dst, src *dataset.Matrix, cutoff int32) int {
 }
 
 // aucOn scores the matrix with p and returns the ROC AUC.
-func aucOn(p *core.Predictor, m *dataset.Matrix) float64 {
+func aucOn(p *model.Predictor, m *dataset.Matrix) float64 {
 	scores := make([]float64, m.Len())
 	p.ScoreMatrix(m, scores)
 	return eval.AUC(scores, m.Y)
@@ -436,10 +436,7 @@ func (l *Loop) Retrain() Outcome {
 	fc.Trees = l.cfg.Trees
 	fc.Seed = o.Seed
 	fc.Workers = l.cfg.Workers
-	challenger, err := core.TrainPredictorOnMatrix(sampled, core.PredictorOptions{
-		Lookahead: l.cfg.Lookahead,
-		Factory:   forest.NewFactory(fc),
-	})
+	challenger, err := model.TrainPredictorOnMatrix(sampled, l.cfg.Lookahead, forest.NewFactory(fc))
 	if err != nil {
 		return l.skip(o, "train_error")
 	}

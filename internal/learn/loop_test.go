@@ -10,10 +10,10 @@ import (
 	"strings"
 	"testing"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
 	"ssdfail/internal/eventlog"
 	"ssdfail/internal/expgrid"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 )
 
@@ -225,7 +225,7 @@ func TestSteadyStreamTriggersNothing(t *testing.T) {
 
 // trainedChampion builds a competent predictor by running one clean
 // retrain over the steady stream.
-func trainedChampion(t *testing.T) *core.Predictor {
+func trainedChampion(t *testing.T) *model.Predictor {
 	t.Helper()
 	l, err := NewLoop(testConfig())
 	if err != nil {

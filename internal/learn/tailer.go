@@ -11,9 +11,8 @@ import (
 	"time"
 
 	"ssdfail/internal/cluster"
-	"ssdfail/internal/core"
 	"ssdfail/internal/metrics"
-	"ssdfail/internal/serve"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 )
 
@@ -69,12 +68,12 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
 	lc := cfg.Loop
-	if p, err := core.LoadPredictor(cfg.ModelPath); err == nil {
+	if p, err := model.LoadPredictor(cfg.ModelPath); err == nil {
 		lc.Champion = p
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("learn: loading champion %s: %w", cfg.ModelPath, err)
 	} else if cfg.DonorPath != "" {
-		donor, err := core.LoadPredictor(cfg.DonorPath)
+		donor, err := model.LoadPredictor(cfg.DonorPath)
 		if err != nil {
 			return nil, fmt.Errorf("learn: loading donor %s: %w", cfg.DonorPath, err)
 		}
@@ -141,7 +140,7 @@ func (tr *Trainer) promote(encoded []byte, o Outcome) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("learn: reload: status %d: %s", resp.StatusCode, body)
 	}
-	var info serve.ModelInfo
+	var info model.Info
 	if err := json.Unmarshal(body, &info); err != nil {
 		return fmt.Errorf("learn: reload: parsing response: %w", err)
 	}

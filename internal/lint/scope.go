@@ -9,9 +9,15 @@ import (
 // be bit-identical run-to-run and at any worker count. Wall-clock reads
 // and global rand draws are banned here outright.
 var deterministicPkgs = []string{
+	// The one seeded generator every simulator, sampler and classifier
+	// draws from.
+	"internal/rng",
 	"internal/fleetsim",
 	"internal/dataset",
 	"internal/ml",
+	// The served predictor: its SSDP bytes and scores are pinned by a
+	// committed fixture.
+	"internal/model",
 	"internal/expgrid",
 	"internal/experiments",
 	"internal/remedy",

@@ -5,13 +5,13 @@ import (
 	"sort"
 	"testing"
 
-	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/rng"
 )
 
 func TestBucketIndexBounds(t *testing.T) {
 	// Every value must land in a bucket whose upper bound is >= the
 	// value and whose relative overshoot is within the design error.
-	rng := fleetsim.NewRNG(11)
+	rng := rng.New(11)
 	values := []int64{0, 1, 31, 32, 33, 63, 64, 100, 1023, 1024, 1 << 20, 1 << 40, math.MaxInt64}
 	for i := 0; i < 2000; i++ {
 		values = append(values, int64(rng.Uint64()>>1))
@@ -43,7 +43,7 @@ func TestBucketIndexBounds(t *testing.T) {
 }
 
 func TestHistogramQuantilesAgainstExactData(t *testing.T) {
-	rng := fleetsim.NewRNG(7)
+	rng := rng.New(7)
 	var h Histogram
 	data := make([]int64, 0, 10000)
 	for i := 0; i < 10000; i++ {
@@ -81,7 +81,7 @@ func TestHistogramQuantilesAgainstExactData(t *testing.T) {
 }
 
 func TestHistogramMergeEqualsCombinedRecording(t *testing.T) {
-	rng := fleetsim.NewRNG(3)
+	rng := rng.New(3)
 	var a, b, all Histogram
 	for i := 0; i < 5000; i++ {
 		v := int64(rng.Uint64() % (1 << 30))

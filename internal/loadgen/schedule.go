@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"ssdfail/internal/fleetsim"
-	"ssdfail/internal/serve"
+	"ssdfail/internal/rng"
 	"ssdfail/internal/trace"
 )
 
@@ -359,7 +359,7 @@ func Build(cfg Config) (*Schedule, error) {
 		}
 	}
 
-	root := fleetsim.NewRNG(cfg.Seed)
+	root := rng.New(cfg.Seed)
 	for s := range perStream {
 		recs := perStream[s]
 		sort.SliceStable(recs, func(a, b int) bool {
@@ -387,9 +387,9 @@ func Build(cfg Config) (*Schedule, error) {
 					body = trace.AppendBinRecord(body, r.id, r.model, r.r)
 				}
 			} else {
-				batch := make([]serve.IngestRecord, 0, end-off)
+				batch := make([]trace.IngestRecord, 0, end-off)
 				for _, r := range recs[off:end] {
-					batch = append(batch, serve.WireRecord(r.id, r.model, r.r))
+					batch = append(batch, trace.WireRecord(r.id, r.model, r.r))
 				}
 				body, err = json.Marshal(batch)
 				if err != nil {
@@ -453,7 +453,7 @@ func Build(cfg Config) (*Schedule, error) {
 // targets a drive whose first batch is already scheduled earlier in the
 // same stream, so in a sequential replay it can never race its own
 // ingest.
-func probeOp(rng *fleetsim.RNG, seen []uint32) Op {
+func probeOp(rng *rng.RNG, seen []uint32) Op {
 	switch rng.Intn(4) {
 	case 0:
 		return Op{Kind: OpWatchlist, Path: "/v1/watchlist"}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"ssdfail/internal/serve"
+	"ssdfail/internal/trace"
 )
 
 func testConfig(seed uint64) Config {
@@ -105,7 +105,7 @@ func TestBuildPreservesPerDriveOrder(t *testing.T) {
 			case OpReload:
 				reloads++
 			case OpIngestBatch:
-				var batch []serve.IngestRecord
+				var batch []trace.IngestRecord
 				if err := json.Unmarshal(op.Body, &batch); err != nil {
 					t.Fatalf("stream %d: bad batch body: %v", s, err)
 				}
@@ -260,7 +260,7 @@ func TestBuildDriftCohort(t *testing.T) {
 			if op.Kind != OpIngestBatch {
 				continue
 			}
-			var batch []serve.IngestRecord
+			var batch []trace.IngestRecord
 			if err := json.Unmarshal(op.Body, &batch); err != nil {
 				t.Fatal(err)
 			}

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/mltest"
 	"ssdfail/internal/ml/tree"
 	"ssdfail/internal/ml/vec"
+	"ssdfail/internal/rng"
 )
 
 // bothPaths runs f with the walk kernel, where the host runs kernels,
@@ -90,7 +90,7 @@ func walkForests(t *testing.T) map[string]*Forest {
 	train := mltest.TwoBlobs(300, 0.8, 21)
 	grow := func(depth, minLeaf int, seed uint64) *tree.Tree {
 		tr := tree.New(tree.Config{MaxDepth: depth, MinLeaf: minLeaf, MinSplit: 2 * minLeaf, MaxFeatures: 6, Seed: seed})
-		rng := fleetsim.NewRNG(seed)
+		rng := rng.New(seed)
 		rows := make([]int32, train.Len())
 		for i := range rows {
 			rows[i] = int32(rng.Intn(train.Len()))
@@ -150,7 +150,7 @@ func walkRows(f *Forest, w, n int, seed uint64) [][]float64 {
 		}
 	}
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
-	rng := fleetsim.NewRNG(seed)
+	rng := rng.New(seed)
 	rows := make([][]float64, n)
 	for r := range rows {
 		x := make([]float64, w)

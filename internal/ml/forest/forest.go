@@ -17,10 +17,10 @@ import (
 	"math"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/tree"
 	"ssdfail/internal/parallel"
+	"ssdfail/internal/rng"
 )
 
 // Config holds the forest hyperparameters.
@@ -77,7 +77,7 @@ func (f *Forest) Fit(m *dataset.Matrix) error {
 			maxFeat = 1
 		}
 	}
-	root := fleetsim.NewRNG(f.cfg.Seed ^ 0xf0ee57)
+	root := rng.New(f.cfg.Seed ^ 0xf0ee57)
 	f.trees = make([]*tree.Tree, nTrees)
 	errs := make([]error, nTrees)
 	parallel.For(f.cfg.Workers, nTrees, func(ti int) {

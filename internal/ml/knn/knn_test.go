@@ -7,9 +7,9 @@ import (
 	"testing/quick"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/mltest"
 	"ssdfail/internal/ml/vec"
+	"ssdfail/internal/rng"
 )
 
 // bothPaths runs f on the AVX2 kernel, where the host has one, and then
@@ -157,7 +157,7 @@ func testScoreMatchesReference(t *testing.T) {
 		matchesReference(t, s.fixture())
 	}
 	check := func(seed uint64, w, k int) bool {
-		rng := fleetsim.NewRNG(seed)
+		rng := rng.New(seed)
 		train := &dataset.Matrix{}
 		if w != dataset.NumFeatures {
 			train.Width = w
@@ -234,7 +234,7 @@ func TestPathsAgreeOnNonFiniteQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := fleetsim.NewRNG(9)
+	rng := rng.New(9)
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -1e200}
 	q := make([]float64, train.W())
 	for trial := 0; trial < 200; trial++ {

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/vec"
+	"ssdfail/internal/rng"
 )
 
 // fixture is a training set and the queries it is scored on: rows of one
@@ -37,7 +37,7 @@ func (fx fixture) matrix() *dataset.Matrix {
 }
 
 // normRows returns n rows of width w with entries scale·N(0, 1).
-func normRows(rng *fleetsim.RNG, n, w int, scale float64) [][]float64 {
+func normRows(rng *rng.RNG, n, w int, scale float64) [][]float64 {
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i] = make([]float64, w)
@@ -60,7 +60,7 @@ func scaled(r []float64, c float64) []float64 {
 // direction times N(0, 1), plus N(0, 0.1²) noise on every feature. Like
 // the grid's features, the columns are strongly correlated, so one
 // direction carries most of the spread.
-func lineRows(rng *fleetsim.RNG, n, w int) [][]float64 {
+func lineRows(rng *rng.RNG, n, w int) [][]float64 {
 	dir := normRows(rng, 1, w, 1)[0]
 	rows := normRows(rng, n, w, 0.1)
 	for _, r := range rows {
@@ -138,7 +138,7 @@ func (s spec) String() string {
 // first row, a fresh row, two points far beyond every row on either side,
 // and the shape's own.
 func (s spec) fixture() fixture {
-	rng := fleetsim.NewRNG(s.seed)
+	rng := rng.New(s.seed)
 	scale := math.Ldexp(1, s.scaleExp2)
 	w, n := s.w, s.n
 	fx := fixture{name: s.String(), k: s.k, labels: rng.Uint64()}
@@ -276,7 +276,7 @@ func adversarialSpecs() []spec {
 func TestScanDirectionChangesNoScore(t *testing.T) { bothPaths(t, testScanDirectionChangesNoScore) }
 
 func testScanDirectionChangesNoScore(t *testing.T) {
-	rng := fleetsim.NewRNG(7)
+	src := rng.New(7)
 	for _, s := range adversarialSpecs() {
 		fx := s.fixture()
 		train := fx.matrix()
@@ -299,9 +299,9 @@ func testScanDirectionChangesNoScore(t *testing.T) {
 			}
 		}
 		for i := 0; i < 3; i++ {
-			seed := rng.Uint64()
+			seed := src.Uint64()
 			turns[fmt.Sprintf("random %#x", seed)] = func(u []float64) {
-				r := fleetsim.NewRNG(seed)
+				r := rng.New(seed)
 				for j := range u {
 					u[j] = r.NormFloat64()
 				}
@@ -344,7 +344,7 @@ func TestNoSpreadFallsBackToFirstAxis(t *testing.T) {
 func TestWalkPrunesAndCounts(t *testing.T) { bothPaths(t, testWalkPrunesAndCounts) }
 
 func testWalkPrunesAndCounts(t *testing.T) {
-	rng := fleetsim.NewRNG(3)
+	rng := rng.New(3)
 	rows := lineRows(rng, 500, dataset.NumFeatures)
 	train := fixture{k: 15, labels: 0x9e3779b97f4a7c15, rows: rows[:400]}.matrix()
 	m := New(DefaultConfig())

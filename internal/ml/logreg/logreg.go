@@ -6,8 +6,8 @@ import (
 	"errors"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
+	"ssdfail/internal/rng"
 )
 
 // Config holds the hyperparameters; the ridge coefficient L2 is the one
@@ -56,7 +56,7 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 	m.w = make([]float64, data.W())
 	m.b = 0
 	grad := make([]float64, data.W())
-	rng := fleetsim.NewRNG(m.cfg.Seed ^ 0x10618e6)
+	rng := rng.New(m.cfg.Seed ^ 0x10618e6)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i

@@ -7,14 +7,14 @@ import (
 	"sort"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/rng"
 )
 
 // TwoBlobs builds a binary dataset of 2n rows: positives centered at
 // +sep/2 and negatives at -sep/2 along the first three features, with
 // unit Gaussian noise on every feature. Larger sep means easier.
 func TwoBlobs(n int, sep float64, seed uint64) *dataset.Matrix {
-	rng := fleetsim.NewRNG(seed)
+	rng := rng.New(seed)
 	m := &dataset.Matrix{}
 	for i := 0; i < 2*n; i++ {
 		label := int8(i % 2)
@@ -47,7 +47,7 @@ func TwoBlobs(n int, sep float64, seed uint64) *dataset.Matrix {
 // thirty noise dimensions. Nonlinear models should beat 0.5 AUC
 // comfortably; linear ones cannot.
 func XOR(n int, seed uint64) *dataset.Matrix {
-	rng := fleetsim.NewRNG(seed)
+	rng := rng.New(seed)
 	m := &dataset.Matrix{}
 	for i := 0; i < n; i++ {
 		base := len(m.X)
@@ -73,7 +73,7 @@ func XOR(n int, seed uint64) *dataset.Matrix {
 // greedy tree captures it with two splits; a fair test of nonlinearity
 // for CART-style models, which legitimately struggle on XOR.
 func Band(n int, seed uint64) *dataset.Matrix {
-	rng := fleetsim.NewRNG(seed)
+	rng := rng.New(seed)
 	m := &dataset.Matrix{}
 	for i := 0; i < n; i++ {
 		base := len(m.X)

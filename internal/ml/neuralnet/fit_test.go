@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/mltest"
+	"ssdfail/internal/rng"
 )
 
 // refLayer is a dense layer as referenceFit keeps it: row-major
@@ -47,7 +47,7 @@ func referenceFit(cfg Config, data *dataset.Matrix) ([]*refLayer, *dataset.Scale
 	n := data.Len()
 	scaler := dataset.FitScaler(data)
 	scaled := scaler.Apply(data)
-	rng := fleetsim.NewRNG(cfg.Seed ^ 0x4e7)
+	rng := rng.New(cfg.Seed ^ 0x4e7)
 	sizes := append([]int{data.W()}, cfg.Hidden...)
 	sizes = append(sizes, 1)
 	var layers []*refLayer
@@ -158,7 +158,7 @@ func referenceFit(cfg Config, data *dataset.Matrix) ([]*refLayer, *dataset.Scale
 // zero, so the ReLU masks and the skipped zero deltas both occur.
 func zeroedBlobs(n int, seed uint64) *dataset.Matrix {
 	m := mltest.TwoBlobs(n, 1.5, seed)
-	rng := fleetsim.NewRNG(seed + 100)
+	rng := rng.New(seed + 100)
 	for i := 0; i < m.Len(); i++ {
 		row := m.Row(i)
 		for f := range row {

@@ -21,9 +21,9 @@ import (
 	"sync"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
 	"ssdfail/internal/ml/vec"
+	"ssdfail/internal/rng"
 )
 
 // Config holds the MLP hyperparameters. Hidden layer sizes are the knob
@@ -64,7 +64,7 @@ type layer struct {
 	mb, vb []float64
 }
 
-func newLayer(in, out int, rng *fleetsim.RNG, backprop bool) *layer {
+func newLayer(in, out int, rng *rng.RNG, backprop bool) *layer {
 	l := &layer{
 		in: in, out: out, simd: vec.AVX2,
 		w: make([]float64, in*out), b: make([]float64, out),
@@ -194,7 +194,7 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 	m.scaler = dataset.FitScaler(data)
 	scaled := m.scaler.Apply(data)
 
-	rng := fleetsim.NewRNG(m.cfg.Seed ^ 0x4e7)
+	rng := rng.New(m.cfg.Seed ^ 0x4e7)
 	sizes := append([]int{data.W()}, m.cfg.Hidden...)
 	sizes = append(sizes, 1)
 	m.layers = nil

@@ -9,8 +9,8 @@ import (
 	"math"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
+	"ssdfail/internal/rng"
 )
 
 // Config holds the SVM hyperparameters.
@@ -55,7 +55,7 @@ func (m *Model) Fit(data *dataset.Matrix) error {
 
 	m.w = make([]float64, data.W())
 	m.b = 0
-	rng := fleetsim.NewRNG(m.cfg.Seed ^ 0x57a7e)
+	rng := rng.New(m.cfg.Seed ^ 0x57a7e)
 	t := 1
 	lambda := m.cfg.Lambda
 	if lambda <= 0 {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
+	"ssdfail/internal/rng"
 )
 
 // valLabel is one row's value of the feature under search and its label.
@@ -72,7 +72,7 @@ func referenceBestSplit(b *builder, feats []int, rows []int32, pos float64) (int
 // (so most rows tie), with signed zeros among them, over bootstrap
 // samples that repeat rows, at several leaf minimums.
 func TestBestSplitMatchesPairSort(t *testing.T) {
-	rng := fleetsim.NewRNG(11)
+	rng := rng.New(11)
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(80)
 		levels := 1 + rng.Intn(6)

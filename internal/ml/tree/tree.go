@@ -14,8 +14,8 @@ import (
 	"slices"
 
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml"
+	"ssdfail/internal/rng"
 )
 
 // Config holds the tree hyperparameters. The maximum depth is the
@@ -45,7 +45,7 @@ type Tree struct {
 	cfg        Config
 	nodes      []node
 	importance []float64
-	rng        *fleetsim.RNG
+	rng        *rng.RNG
 	width      int // feature-vector width seen at fit time
 }
 
@@ -78,7 +78,7 @@ func (t *Tree) FitRows(m *dataset.Matrix, rows []int32) error {
 	t.nodes = t.nodes[:0]
 	t.width = m.W()
 	t.importance = make([]float64, t.width)
-	t.rng = fleetsim.NewRNG(t.cfg.Seed ^ 0x7ee5)
+	t.rng = rng.New(t.cfg.Seed ^ 0x7ee5)
 	minLeaf := t.cfg.MinLeaf
 	if minLeaf < 1 {
 		minLeaf = 1

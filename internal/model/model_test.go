@@ -1,4 +1,4 @@
-package core
+package model
 
 import (
 	"bufio"
@@ -14,12 +14,12 @@ import (
 
 // predictor_v1.ssdp pins the SSDP predictor format as it was first
 // written: a 4-tree, depth-5 forest (seed 58, lookahead 3) trained on
-// GenerateStudy(58, 30) and saved by Encode. predictor_v1.scores holds
+// core.GenerateStudy(58, 30) and saved by Encode. predictor_v1.scores holds
 // eight of that study's feature rows with the score the forest gave
 // each. A format change adds a fixture; none is ever edited.
 const (
-	predictorFixture = "../model/testdata/predictor_v1.ssdp"
-	scoresFixture    = "../model/testdata/predictor_v1.scores"
+	predictorFixture = "testdata/predictor_v1.ssdp"
+	scoresFixture    = "testdata/predictor_v1.scores"
 )
 
 // TestPredictorFixture decodes the SSDP fixture, re-encodes it byte for

@@ -1,10 +1,10 @@
 // Package parallel provides the small shared-memory parallel runtime used
 // by the simulator, the random forest, and the evaluation harness: a
-// chunked parallel-for, a parallel map, and a reusable worker pool.
+// chunked parallel-for and a reusable worker pool.
 //
-// All helpers are deterministic in the sense that they never reorder
-// results: output slot i always corresponds to input slot i, so callers
-// that seed per-item RNGs get identical results at any worker count.
+// For hands every index to its function exactly once, so callers that
+// write slot i from input i with a per-item RNG get identical results at
+// any worker count.
 package parallel
 
 import (
@@ -72,55 +72,6 @@ func For(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Map applies fn to every index in [0, n) and collects the results in
-// order. It is For with an output slice.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapSlice applies fn to every element of in and collects results in order.
-func MapSlice[S, T any](workers int, in []S, fn func(S) T) []T {
-	return Map(workers, len(in), func(i int) T { return fn(in[i]) })
-}
-
-// Reduce computes a parallel reduction: fn maps each index to a partial
-// value of type T and merge folds partials together. merge must be
-// associative; the zero value of T must be its identity. The reduction
-// tree shape is fixed by the worker count, so results are deterministic
-// for a given workers value (and exactly equal at any workers value when
-// merge is also commutative over the partials, e.g. integer sums).
-func Reduce[T any](workers, n int, fn func(i int) T, merge func(a, b T) T) T {
-	workers = clampWorkers(workers, n)
-	var zero T
-	if n == 0 {
-		return zero
-	}
-	partials := make([]T, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			acc := zero
-			// Static block partition keeps each partial's fold order fixed.
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			for i := lo; i < hi; i++ {
-				acc = merge(acc, fn(i))
-			}
-			partials[w] = acc
-		}(w)
-	}
-	wg.Wait()
-	acc := zero
-	for _, p := range partials {
-		acc = merge(acc, p)
-	}
-	return acc
 }
 
 // Pool is a reusable fixed-size worker pool for irregular task graphs

@@ -20,62 +20,6 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestMapPreservesOrder(t *testing.T) {
-	got := Map(4, 100, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestMapSlice(t *testing.T) {
-	in := []string{"a", "bb", "ccc"}
-	got := MapSlice(2, in, func(s string) int { return len(s) })
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MapSlice = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	if got := Map(4, 0, func(int) int { return 1 }); len(got) != 0 {
-		t.Fatalf("Map over 0 items returned %v", got)
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	merge := func(a, b int64) int64 { return a + b }
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := Reduce(workers, 1000, func(i int) int64 { return int64(i) }, merge)
-		if got != 999*1000/2 {
-			t.Fatalf("workers=%d: Reduce = %d", workers, got)
-		}
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := Reduce(4, 0, func(int) int { return 7 }, func(a, b int) int { return a + b })
-	if got != 0 {
-		t.Fatalf("Reduce over empty = %d, want 0", got)
-	}
-}
-
-func TestReduceDeterministicAcrossWorkerCounts(t *testing.T) {
-	// Integer sums are associative and commutative, so every worker
-	// count must give the identical result.
-	fn := func(i int) int64 { return int64(i*i - 3*i + 1) }
-	merge := func(a, b int64) int64 { return a + b }
-	want := Reduce(1, 777, fn, merge)
-	for _, workers := range []int{2, 3, 8, 32} {
-		if got := Reduce(workers, 777, fn, merge); got != want {
-			t.Fatalf("workers=%d: %d != %d", workers, got, want)
-		}
-	}
-}
-
 func TestPool(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

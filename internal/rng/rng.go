@@ -1,10 +1,8 @@
-// Package fleetsim generates synthetic SSD fleet traces whose statistical
-// structure follows the proprietary Google trace characterized in "SSD
-// Failures in the Field" (SC '19): per-model failure incidence, a ~90-day
-// infant-mortality period, age-dependent write intensity, error-type
-// incidence and correlation structure, pre-failure symptom ramps, and the
-// swap/repair pipeline. See DESIGN.md §2 for the substitution argument.
-package fleetsim
+// Package rng is the repository's one seedable pseudorandom generator.
+// The simulator, the dataset samplers and every classifier draw from
+// it, so a seed fixes their output on any machine. It imports only the
+// standard library.
+package rng
 
 import "math"
 
@@ -25,8 +23,8 @@ func splitMix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// NewRNG returns an RNG seeded from seed via SplitMix64.
-func NewRNG(seed uint64) *RNG {
+// New returns an RNG seeded from seed via SplitMix64.
+func New(seed uint64) *RNG {
 	var r RNG
 	r.Seed(seed)
 	return &r
@@ -79,7 +77,7 @@ func (r *RNG) Float64() float64 {
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
-		panic("fleetsim: Intn with non-positive n")
+		panic("rng: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
 }
@@ -187,7 +185,7 @@ func (r *RNG) Geometric(p float64) uint64 {
 		return 0
 	}
 	if p <= 0 {
-		panic("fleetsim: Geometric with p <= 0")
+		panic("rng: Geometric with p <= 0")
 	}
 	return uint64(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
 }

@@ -72,9 +72,9 @@ const benchDayBase = 10_000_000
 // function that advances every record's day and age by one, patching
 // the fixed-width digits in place.
 func newJSONLane(w int) *benchLane {
-	recs := make([]IngestRecord, benchBatchRecords)
+	recs := make([]trace.IngestRecord, benchBatchRecords)
 	for i := range recs {
-		recs[i] = IngestRecord{
+		recs[i] = trace.IngestRecord{
 			DriveID: uint32(3<<20 + w*1024 + i),
 			Model:   "MLC-A",
 			Day:     benchDayBase, Age: benchDayBase,

@@ -25,8 +25,11 @@ import (
 	"ssdfail/internal/trace"
 )
 
-// The SSDB batch and WAL record codecs live in internal/trace. These
-// forwards keep the names bench/ calls; bench/ is their only caller.
+// The SSDB batch and WAL record codecs and the JSON wire record live in
+// internal/trace. These forwards keep the names bench/ calls; bench/ is
+// their only caller.
+type IngestRecord = trace.IngestRecord
+
 const (
 	BinHeaderSize = trace.BinHeaderSize
 	BinRecordSize = trace.BinRecordSize
@@ -38,6 +41,7 @@ var (
 	AppendBinRecord = trace.AppendBinRecord
 	ParseBinHeader  = trace.ParseBinHeader
 	DecodeWALRecord = trace.DecodeWALRecord
+	WireRecord      = trace.WireRecord
 )
 
 // binState is the pooled per-request scratch for batch ingest: the body
@@ -262,7 +266,7 @@ func (f *binFrames) decode(int) (uint32, trace.Model, trace.DayRecord, []byte, e
 	}
 	_, model, rec, err := trace.DecodeWALRecord(payload)
 	if err == nil {
-		err = validateDayRecord(&rec)
+		err = trace.ValidateIngest(&rec)
 	}
 	return binary.LittleEndian.Uint32(payload), model, rec, payload, err
 }

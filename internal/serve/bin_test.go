@@ -11,8 +11,8 @@ import (
 	"net/http"
 	"testing"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 	"ssdfail/internal/wal"
 )
@@ -314,12 +314,12 @@ func TestBinaryIngestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPredictorFlatScoreGolden proves the serving predictor's three
-// scoring entry points — allocating single-record, scratch-reusing, and
-// the whole-matrix path — bit-identical on the package's fixture model,
-// and pins the two hot entry points to zero allocations.
+// TestPredictorFlatScoreGolden proves the serving predictor's two
+// scoring entry points — allocating single-record and the whole-matrix
+// path — bit-identical on the package's fixture model, and pins the hot
+// one, the whole-matrix path, to zero allocations.
 func TestPredictorFlatScoreGolden(t *testing.T) {
-	pred, err := core.LoadPredictor(fixModelPath)
+	pred, err := model.LoadPredictor(fixModelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,26 +340,15 @@ func TestPredictorFlatScoreGolden(t *testing.T) {
 	}
 	out := make([]float64, len(pairs))
 	pred.ScoreMatrix(&m, out)
-	var scratch dataset.Matrix
 	for i, p := range pairs {
 		want := pred.ScoreRecord(p.r, p.prev)
-		if got := pred.ScoreInto(&scratch, p.r, p.prev); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("drive %d: ScoreInto = %v, ScoreRecord = %v", i, got, want)
-		}
 		if math.Float64bits(out[i]) != math.Float64bits(want) {
 			t.Fatalf("drive %d: ScoreMatrix = %v, ScoreRecord = %v", i, out[i], want)
 		}
 	}
-
-	p := pairs[0]
-	var sink float64
-	if a := testing.AllocsPerRun(100, func() { sink += pred.ScoreInto(&scratch, p.r, p.prev) }); a != 0 {
-		t.Errorf("ScoreInto: %.1f allocs/op, want 0", a)
-	}
 	if a := testing.AllocsPerRun(50, func() { pred.ScoreMatrix(&m, out) }); a != 0 {
 		t.Errorf("ScoreMatrix: %.1f allocs/op, want 0", a)
 	}
-	_ = sink
 }
 
 // FuzzDecodeIngestFrame throws arbitrary bodies at the full binary

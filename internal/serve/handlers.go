@@ -13,16 +13,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/faultfs"
 	"ssdfail/internal/metrics"
+	"ssdfail/internal/model"
 	"ssdfail/internal/remedy"
 	"ssdfail/internal/trace"
 )
 
 // Config configures a Server.
 type Config struct {
-	// ModelPath is the predictor file (core.Predictor.Save format) the
+	// ModelPath is the predictor file (model.Predictor.Save format) the
 	// registry loads at startup and on POST /v1/model/reload.
 	ModelPath string
 	// Shards is the drive-state store's shard count; 0 uses
@@ -546,7 +546,7 @@ func (s *Server) serveJSONIngest(w http.ResponseWriter, r *http.Request, handler
 	defer s.releaseBinState(st)
 	var dst any = &st.json.recs
 	if single {
-		st.json.recs = make([]IngestRecord, 1)
+		st.json.recs = make([]trace.IngestRecord, 1)
 		dst = &st.json.recs[0]
 	}
 	if code, err := s.decodeJSON(w, r, dst); err != nil {
@@ -571,7 +571,7 @@ func (s *Server) serveJSONIngest(w http.ResponseWriter, r *http.Request, handler
 // record, and its canonical WAL encoding goes into a pooled buffer, so
 // both wires journal the same bytes for the same record.
 type jsonRecords struct {
-	recs    []IngestRecord
+	recs    []trace.IngestRecord
 	payload []byte
 }
 
@@ -601,7 +601,7 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 // sweep runs one fleet scoring pass with the given model, once the
 // pacer admits it, and accounts for it in the scoring metrics. It is the
 // only way a handler scores the fleet.
-func (s *Server) sweep(pred *core.Predictor, info ModelInfo, sinceDay int32, minScore float64, emit func(Scored)) SweepStats {
+func (s *Server) sweep(pred *model.Predictor, info model.Info, sinceDay int32, minScore float64, emit func(Scored)) SweepStats {
 	s.pace.wait(s.store.Len())
 	begin := s.now()
 	stats := s.scorer.Sweep(s.store, pred, info.Version, sinceDay, minScore, emit)
@@ -696,7 +696,7 @@ func (s *Server) handleDrive(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(snap.Recent)
 	if n > 0 {
-		resp["last"] = WireRecord(snap.ID, snap.Model, &snap.Recent[n-1])
+		resp["last"] = trace.WireRecord(snap.ID, snap.Model, &snap.Recent[n-1])
 	}
 	if pred, info, ok := s.registry.Current(); ok && n > 0 {
 		var prev *trace.DayRecord

@@ -19,6 +19,7 @@ import (
 	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/metrics"
 	"ssdfail/internal/ml/forest"
+	"ssdfail/internal/model"
 	"ssdfail/internal/trace"
 )
 
@@ -98,15 +99,15 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 
 // fleetDay collects, for every drive with at least offset+1 reports,
 // the report offset steps back from its last one, as wire records.
-func fleetDay(offset int) []IngestRecord {
-	var out []IngestRecord
+func fleetDay(offset int) []trace.IngestRecord {
+	var out []trace.IngestRecord
 	for di := range fixFleet.Drives {
 		d := &fixFleet.Drives[di]
 		j := len(d.Days) - 1 - offset
 		if j < 0 {
 			continue
 		}
-		out = append(out, WireRecord(d.ID, d.Model, &d.Days[j]))
+		out = append(out, trace.WireRecord(d.ID, d.Model, &d.Days[j]))
 	}
 	return out
 }
@@ -397,10 +398,10 @@ func TestServerConcurrentIngestAndReload(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			day := int32(1000 + i)
-			batch := make([]IngestRecord, 0, 40)
+			batch := make([]trace.IngestRecord, 0, 40)
 			for d := 0; d < 40; d++ {
 				r := rec(day)
-				ir := WireRecord(uint32(5000+d), trace.MLCB, &r)
+				ir := trace.WireRecord(uint32(5000+d), trace.MLCB, &r)
 				batch = append(batch, ir)
 			}
 			body, _ := json.Marshal(batch)
@@ -476,7 +477,7 @@ func TestServerConcurrentIngestAndReload(t *testing.T) {
 
 	// The daemon survived: the model serves, versions advanced, and the
 	// failure counter reflects the corrupt reloads.
-	var info ModelInfo
+	var info model.Info
 	if resp := getJSON(t, ts.URL+"/v1/model", &info); resp.StatusCode != http.StatusOK {
 		t.Fatalf("model status %d", resp.StatusCode)
 	}
@@ -546,7 +547,7 @@ func TestModelReloadFailurePaths(t *testing.T) {
 		f != "ssdserved_model_reload_failures_total 0" {
 		t.Fatalf("startup counters: %q %q %q", l, r, f)
 	}
-	before := ModelInfo{}
+	before := model.Info{}
 	getJSON(t, ts.URL+"/v1/model", &before)
 
 	// Corrupt challenger bytes: the reload must fail loudly...
@@ -563,7 +564,7 @@ func TestModelReloadFailurePaths(t *testing.T) {
 		t.Fatalf("post-corrupt counters: %q %q %q", l, r, f)
 	}
 	// ...and the champion keeps serving, byte for byte.
-	after := ModelInfo{}
+	after := model.Info{}
 	getJSON(t, ts.URL+"/v1/model", &after)
 	if after.Version != before.Version || after.SHA256 != before.SHA256 {
 		t.Fatalf("serving model changed under a failed reload: %+v -> %+v", before, after)
@@ -584,7 +585,7 @@ func TestModelReloadFailurePaths(t *testing.T) {
 		f != "ssdserved_model_reload_failures_total 1" {
 		t.Fatalf("post-recovery counters: %q %q %q", l, r, f)
 	}
-	final := ModelInfo{}
+	final := model.Info{}
 	getJSON(t, ts.URL+"/v1/model", &final)
 	if final.Version != before.Version+1 {
 		t.Fatalf("version %d after recovery, want %d", final.Version, before.Version+1)

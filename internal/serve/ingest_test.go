@@ -69,9 +69,9 @@ func postBatch(t *testing.T, ctx context.Context, s *Server, binary bool, recs [
 			body = trace.AppendBinRecord(body, recs[i].id, recs[i].model, &recs[i].rec)
 		}
 	} else {
-		irs := make([]IngestRecord, len(recs))
+		irs := make([]trace.IngestRecord, len(recs))
 		for i := range recs {
-			irs[i] = WireRecord(recs[i].id, recs[i].model, &recs[i].rec)
+			irs[i] = trace.WireRecord(recs[i].id, recs[i].model, &recs[i].rec)
 		}
 		var err error
 		if body, err = json.Marshal(irs); err != nil {

@@ -53,11 +53,11 @@ func (p *parkTimers) waits() []time.Duration {
 }
 
 // parkBatch is n valid first-day reports for n distinct drives.
-func parkBatch(n int) []IngestRecord {
-	batch := make([]IngestRecord, n)
+func parkBatch(n int) []trace.IngestRecord {
+	batch := make([]trace.IngestRecord, n)
 	for i := range batch {
 		rec := crashRec(i, 0)
-		batch[i] = WireRecord(uint32(7000+i), trace.Model(i%trace.NumModels), &rec)
+		batch[i] = trace.WireRecord(uint32(7000+i), trace.Model(i%trace.NumModels), &rec)
 	}
 	return batch
 }

@@ -9,25 +9,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
+	"ssdfail/internal/model"
 )
 
-// ModelInfo describes the currently served predictor.
-type ModelInfo struct {
-	Version      int       `json:"version"` // reload generation, 1 = startup load
-	Path         string    `json:"path"`
-	SHA256       string    `json:"sha256"`
-	SizeBytes    int       `json:"size_bytes"`
-	LoadedAt     time.Time `json:"loaded_at"`
-	ModelName    string    `json:"model_name"`
-	Lookahead    int       `json:"lookahead"`
-	FeatureWidth int       `json:"feature_width"`
-}
-
 type modelEntry struct {
-	pred *core.Predictor
-	info ModelInfo
+	pred *model.Predictor
+	info model.Info
 }
 
 // Registry holds the live predictor behind an atomic pointer. Scoring
@@ -42,8 +30,8 @@ type Registry struct {
 }
 
 // NewRegistry points a registry at a predictor file written by
-// core.Predictor.Save. Nothing is loaded until Load is called. now
-// stamps ModelInfo.LoadedAt; nil uses the wall clock, servers pass
+// model.Predictor.Save. Nothing is loaded until Load is called. now
+// stamps model.Info.LoadedAt; nil uses the wall clock, servers pass
 // their injected clock so reload timestamps follow the same time
 // source as everything else they report.
 func NewRegistry(path string, now func() time.Time) *Registry {
@@ -57,20 +45,20 @@ func NewRegistry(path string, now func() time.Time) *Registry {
 // On any error the previously published model keeps serving. The new
 // model must report a feature width matching the serving pipeline's
 // standard row layout — a width mismatch would panic at score time.
-func (r *Registry) Load() (ModelInfo, error) {
+func (r *Registry) Load() (model.Info, error) {
 	// Read, decode, and validate before taking the lock: the mutex only
 	// serializes the version bump and publish, and a slow disk must not
 	// stall a concurrent reload's error return.
 	data, err := os.ReadFile(r.path)
 	if err != nil {
-		return ModelInfo{}, fmt.Errorf("serve: reading model: %w", err)
+		return model.Info{}, fmt.Errorf("serve: reading model: %w", err)
 	}
-	pred, err := core.DecodePredictor(data)
+	pred, err := model.DecodePredictor(data)
 	if err != nil {
-		return ModelInfo{}, fmt.Errorf("serve: decoding model: %w", err)
+		return model.Info{}, fmt.Errorf("serve: decoding model: %w", err)
 	}
 	if w := pred.FeatureWidth(); w != dataset.NumFeatures {
-		return ModelInfo{}, fmt.Errorf(
+		return model.Info{}, fmt.Errorf(
 			"serve: model expects feature width %d, serving pipeline produces %d",
 			w, dataset.NumFeatures)
 	}
@@ -81,7 +69,7 @@ func (r *Registry) Load() (ModelInfo, error) {
 	if old := r.cur.Load(); old != nil {
 		version = old.info.Version + 1
 	}
-	info := ModelInfo{
+	info := model.Info{
 		Version:      version,
 		Path:         r.path,
 		SHA256:       hex.EncodeToString(sum[:]),
@@ -97,10 +85,10 @@ func (r *Registry) Load() (ModelInfo, error) {
 
 // Current returns the live predictor and its metadata, or ok=false when
 // no model has been loaded yet.
-func (r *Registry) Current() (*core.Predictor, ModelInfo, bool) {
+func (r *Registry) Current() (*model.Predictor, model.Info, bool) {
 	e := r.cur.Load()
 	if e == nil {
-		return nil, ModelInfo{}, false
+		return nil, model.Info{}, false
 	}
 	return e.pred, e.info, true
 }

@@ -10,10 +10,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
-	"ssdfail/internal/fleetsim"
 	"ssdfail/internal/ml/forest"
+	"ssdfail/internal/model"
+	"ssdfail/internal/rng"
 	"ssdfail/internal/trace"
 )
 
@@ -134,9 +134,9 @@ func TestHotSwapNeverMixesModelsInABatch(t *testing.T) {
 	}
 
 	// Version→predictor pairing, observed from all goroutines.
-	var pairs sync.Map // version int -> *core.Predictor
-	checkPair := func(version int, pred *core.Predictor) {
-		if prior, loaded := pairs.LoadOrStore(version, pred); loaded && prior.(*core.Predictor) != pred {
+	var pairs sync.Map // version int -> *model.Predictor
+	checkPair := func(version int, pred *model.Predictor) {
+		if prior, loaded := pairs.LoadOrStore(version, pred); loaded && prior.(*model.Predictor) != pred {
 			t.Errorf("version %d paired with two predictor pointers", version)
 		}
 	}
@@ -213,7 +213,7 @@ func TestHotSwapNeverMixesModelsInABatch(t *testing.T) {
 				checkPair(info.Version, pred)
 				// The batch must be scored by pred and nothing else, no
 				// matter how many reloads land while it runs.
-				sc.observe = func(p *core.Predictor, unit int) {
+				sc.observe = func(p *model.Predictor, unit int) {
 					if p != pred {
 						mixed.Add(1)
 					}
@@ -245,7 +245,7 @@ func TestRegistryRejectsWidthMismatch(t *testing.T) {
 	// width) would panic when scoring standard rows; the registry must
 	// refuse it at load time.
 	narrow := &dataset.Matrix{Width: 3}
-	rng := fleetsim.NewRNG(1)
+	rng := rng.New(1)
 	for i := 0; i < 100; i++ {
 		label := int8(i % 2)
 		for f := 0; f < 3; f++ {
@@ -291,7 +291,7 @@ func TestRegistryRejectsWidthMismatch(t *testing.T) {
 func TestHotSwapSweepNeverEmitsAnotherVersionsScore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.bin")
 	files := fixtureModelFiles(t)
-	preds := [2]*core.Predictor{loadPredictor(t, fixModelPath), loadPredictor(t, fixAltModelPath)}
+	preds := [2]*model.Predictor{loadPredictor(t, fixModelPath), loadPredictor(t, fixAltModelPath)}
 	if err := os.WriteFile(path, files[0], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestHotSwapSweepNeverEmitsAnotherVersionsScore(t *testing.T) {
 					quiet++ // a couple of passes over the settled store too
 				}
 				pred, info, _ := reg.Current()
-				sc.observe = func(p *core.Predictor, unit int) {
+				sc.observe = func(p *model.Predictor, unit int) {
 					if p != pred {
 						mixed.Add(1)
 					}

@@ -4,8 +4,8 @@ import (
 	"sort"
 	"sync"
 
-	"ssdfail/internal/core"
 	"ssdfail/internal/dataset"
+	"ssdfail/internal/model"
 	"ssdfail/internal/parallel"
 	"ssdfail/internal/trace"
 )
@@ -34,7 +34,7 @@ type Scorer struct {
 	// concurrency test uses it to prove that no batch ever mixes two
 	// models: within one Score call every unit must report the same
 	// predictor pointer, no matter how many reloads land mid-batch.
-	observe func(p *core.Predictor, unit int)
+	observe func(p *model.Predictor, unit int)
 }
 
 // scoreScratch is the pooled per-block working set: one feature matrix
@@ -66,7 +66,7 @@ func (sc *Scorer) Workers() int { return sc.workers }
 // Score scores every unit with the given predictor. Output slot i
 // corresponds to units[i], so results are deterministic at any worker
 // count.
-func (sc *Scorer) Score(p *core.Predictor, units []ScoreUnit) []Scored {
+func (sc *Scorer) Score(p *model.Predictor, units []ScoreUnit) []Scored {
 	out := make([]Scored, len(units))
 	blocks := (len(units) + scoreBlockRows - 1) / scoreBlockRows
 	parallel.For(sc.workers, blocks, func(bi int) {

@@ -32,10 +32,10 @@ func TestShutdownDrainsInflightBatch(t *testing.T) {
 	}
 
 	const batchSize = 200
-	batch := make([]IngestRecord, batchSize)
+	batch := make([]trace.IngestRecord, batchSize)
 	for i := range batch {
 		rec := crashRec(i, 0)
-		batch[i] = WireRecord(uint32(5000+i), trace.Model(i%trace.NumModels), &rec)
+		batch[i] = trace.WireRecord(uint32(5000+i), trace.Model(i%trace.NumModels), &rec)
 	}
 	body, err := json.Marshal(batch)
 	if err != nil {

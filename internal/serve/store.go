@@ -70,7 +70,7 @@ type reportPair struct {
 // drive's two latest reports and the model, so it stays valid until a
 // report arrives (Upsert, Restore) or the model changes.
 //
-// stamp is the registry ModelInfo.Version whose model produced
+// stamp is the registry model.Info.Version whose model produced
 // score/day/age; 0 means stale, and a pass trusts only slots stamped
 // with its own version. rev counts writes to the slot's reports, so a
 // pass that scored the slot outside the lock can tell whether what it

@@ -3,7 +3,7 @@ package serve
 import (
 	"sync"
 
-	"ssdfail/internal/core"
+	"ssdfail/internal/model"
 )
 
 // SweepStats reports what one Sweep did.
@@ -67,7 +67,7 @@ type shardMemo struct {
 type sweep struct {
 	sc       *Scorer
 	store    *Store
-	pred     *core.Predictor
+	pred     *model.Predictor
 	version  uint32
 	sinceDay int32
 	minScore float64
@@ -94,11 +94,11 @@ type sweep struct {
 // changed therefore costs one memo copy per shard, not one look per
 // drive.
 //
-// version identifies p: the registry's ModelInfo.Version, never 0. Two
+// version identifies p: the registry's model.Info.Version, never 0. Two
 // concurrent sweeps with different models each see the other's stamps as
 // foreign and re-score, so a pass never emits another model's score.
 // emit runs on the calling goroutine with no lock held.
-func (sc *Scorer) Sweep(st *Store, p *core.Predictor, version int, sinceDay int32, minScore float64, emit func(Scored)) SweepStats {
+func (sc *Scorer) Sweep(st *Store, p *model.Predictor, version int, sinceDay int32, minScore float64, emit func(Scored)) SweepStats {
 	if version <= 0 {
 		panic("serve: Sweep needs the registry version of its predictor (>= 1); 0 is the stale stamp")
 	}

@@ -13,15 +13,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ssdfail/internal/core"
+	"ssdfail/internal/model"
 	"ssdfail/internal/remedy"
 	"ssdfail/internal/sparepool"
 	"ssdfail/internal/trace"
 )
 
-func loadPredictor(t testing.TB, path string) *core.Predictor {
+func loadPredictor(t testing.TB, path string) *model.Predictor {
 	t.Helper()
-	pred, err := core.LoadPredictor(path)
+	pred, err := model.LoadPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func shardsGathering(s *Store, version int, since int32) int {
 
 // fromScratch is the pass the sweep replaced and the reference it is
 // held against: snapshot every drive, score every drive, sort the fleet.
-func fromScratch(store *Store, pred *core.Predictor, since int32, threshold float64, k int) (ranked []Scored, fleet int) {
+func fromScratch(store *Store, pred *model.Predictor, since int32, threshold float64, k int) (ranked []Scored, fleet int) {
 	units := store.ScoreUnits(since)
 	return Rank(NewScorer(1).Score(pred, units), threshold, k), len(units)
 }
 
 // sweepRanked runs one sweep into a top-k selector, as the watchlist
 // handler does.
-func sweepRanked(sc *Scorer, store *Store, pred *core.Predictor, version int, since int32, threshold float64, k int) ([]Scored, SweepStats) {
+func sweepRanked(sc *Scorer, store *Store, pred *model.Predictor, version int, since int32, threshold float64, k int) ([]Scored, SweepStats) {
 	top := topK{k: k}
 	stats := sc.Sweep(store, pred, version, since, threshold, top.offer)
 	return top.ranked(), stats
@@ -156,7 +156,7 @@ func TestSweepMemoLifecycle(t *testing.T) {
 	// repeat finds every shard memoized except those the first pass
 	// re-scored drives in: their write-back moved gen, and the repeat's
 	// walk of them is what memoizes them.
-	check := func(step string, pred *core.Predictor, version int, since int32, wantHits, wantScored int) {
+	check := func(step string, pred *model.Predictor, version int, since int32, wantHits, wantScored int) {
 		t.Helper()
 		gathering := shardsGathering(store, version, since)
 		for _, c := range []struct {
@@ -328,7 +328,7 @@ func TestSweepFromMemosAllocatesNothing(t *testing.T) {
 // pass must still emit exactly its own operating point's from-scratch
 // ranking. Run it under -race.
 func TestConcurrentSweepsMatchTheirOwnReference(t *testing.T) {
-	preds := [2]*core.Predictor{loadPredictor(t, fixModelPath), loadPredictor(t, fixAltModelPath)}
+	preds := [2]*model.Predictor{loadPredictor(t, fixModelPath), loadPredictor(t, fixAltModelPath)}
 	thresholds := [2]float64{0, 0.5}
 	store := NewStore(8, 0)
 	upsertFleetDay(t, store, 2)
@@ -483,7 +483,7 @@ func runSweepProperty(t *testing.T, seed uint64, steps int) {
 	// Two versions the registry never reaches, each bound to one of the
 	// fixture forests, for passes that go straight to the scorer.
 	alts := [2]struct {
-		pred    *core.Predictor
+		pred    *model.Predictor
 		version int
 	}{{loadPredictor(t, fixModelPath), 1001}, {loadPredictor(t, fixAltModelPath), 1002}}
 	var altSince int32
@@ -513,7 +513,7 @@ func runSweepProperty(t *testing.T, seed uint64, steps int) {
 	ingest := func(pd *propDrive, j int) error {
 		st := srv.acquireBinState()
 		defer srv.releaseBinState(st)
-		st.json.recs = []IngestRecord{WireRecord(pd.d.ID, pd.d.Model, &pd.d.Days[j])}
+		st.json.recs = []trace.IngestRecord{trace.WireRecord(pd.d.ID, pd.d.Model, &pd.d.Days[j])}
 		if res := srv.ingestBatch(context.Background(), 1, &st.json, st); res.accepted != 1 {
 			return fmt.Errorf("not accepted: %+v", st.errs)
 		}

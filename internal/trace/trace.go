@@ -302,8 +302,9 @@ func (f *Fleet) FilterModel(m Model) *Fleet {
 	return out
 }
 
-// Validate checks structural invariants of the fleet: records sorted and
-// unique per drive, monotone cumulative counters, ages consistent with
+// Validate checks structural invariants of the fleet: each record valid
+// on its own (DayRecord.Validate), records sorted and unique per drive,
+// monotone cumulative counters, ages consistent with
 // days, and events within the horizon. It returns the first violation
 // found, or nil if the fleet is well formed.
 func (f *Fleet) Validate() error {
@@ -328,11 +329,11 @@ func (d *Drive) Validate(horizon int32) error {
 	}
 	for j := range d.Days {
 		r := &d.Days[j]
-		if r.Day < 0 || (horizon > 0 && r.Day >= horizon) {
-			return fmt.Errorf("record %d: day %d outside horizon %d", j, r.Day, horizon)
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("record %d: %w", j, err)
 		}
-		if r.Age < 0 {
-			return fmt.Errorf("record %d: negative age %d", j, r.Age)
+		if horizon > 0 && r.Day >= horizon {
+			return fmt.Errorf("record %d: day %d outside horizon %d", j, r.Day, horizon)
 		}
 		if j > 0 {
 			p := &d.Days[j-1]
@@ -361,12 +362,6 @@ func (d *Drive) Validate(horizon int32) error {
 				if r.CumErrors[k] < p.CumErrors[k] {
 					return fmt.Errorf("record %d: cumulative %s count decreased", j, ErrorKind(k))
 				}
-			}
-		}
-		for k := 0; k < NumErrorKinds; k++ {
-			if uint64(r.Errors[k]) > r.CumErrors[k] {
-				return fmt.Errorf("record %d: daily %s count %d exceeds cumulative %d",
-					j, ErrorKind(k), r.Errors[k], r.CumErrors[k])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -237,6 +238,10 @@ func TestValidateRejections(t *testing.T) {
 		"unsorted days":     mk(func(f *Fleet) { f.Drives[0].Days[1].Day = 1 }),
 		"age mismatch":      mk(func(f *Fleet) { f.Drives[0].Days[1].Age = 5 }),
 		"pe decrease":       mk(func(f *Fleet) { f.Drives[0].Days[2].PECycles = 0.5 }),
+		"pe NaN":            mk(func(f *Fleet) { f.Drives[0].Days[1].PECycles = math.NaN() }),
+		"pe +Inf":           mk(func(f *Fleet) { f.Drives[0].Days[2].PECycles = math.Inf(1) }),
+		"pe -Inf":           mk(func(f *Fleet) { f.Drives[0].Days[0].PECycles = math.Inf(-1) }),
+		"pe negative":       mk(func(f *Fleet) { f.Drives[0].Days[0].PECycles = -1 }),
 		"grown bb decrease": mk(func(f *Fleet) { f.Drives[0].Days[0].GrownBadBlocks = 9 }),
 		"factory change":    mk(func(f *Fleet) { f.Drives[0].Days[1].FactoryBadBlocks = 9 }),
 		"cum op decrease":   mk(func(f *Fleet) { f.Drives[0].Days[2].CumReads = 0 }),

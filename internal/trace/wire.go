@@ -1,14 +1,16 @@
-package serve
+package trace
+
+// The JSON wire form of a report: the body of ssdserved's JSON ingest
+// endpoints, its drive-inspection reply, and what load generators and
+// clients build from trace data.
 
 import (
 	"fmt"
 	"math"
-
-	"ssdfail/internal/trace"
 )
 
 // IngestRecord is the JSON wire form of one drive-day report, mirroring
-// the trace.DayRecord schema (§2 of the paper). Error counters are
+// the DayRecord schema (§2 of the paper). Error counters are
 // keyed by the snake_case kind names used throughout the repo
 // ("correctable", "uncorrectable", "final_read", ...); absent kinds
 // default to zero.
@@ -39,16 +41,13 @@ type IngestRecord struct {
 }
 
 // ToRecord validates the wire record and converts it to the internal
-// schema. It enforces the same per-record invariants as trace.Validate:
-// non-negative day and age, known model and error-kind names, finite
-// non-negative P/E cycles, and daily error counts that do not exceed
-// their cumulative counterparts.
-func (ir *IngestRecord) ToRecord() (trace.Model, trace.DayRecord, error) {
-	model, err := trace.ParseModel(ir.Model)
+// schema: known model and error-kind names, then DayRecord.Validate.
+func (ir *IngestRecord) ToRecord() (Model, DayRecord, error) {
+	model, err := ParseModel(ir.Model)
 	if err != nil {
-		return 0, trace.DayRecord{}, err
+		return 0, DayRecord{}, err
 	}
-	rec := trace.DayRecord{
+	rec := DayRecord{
 		Day: ir.Day, Age: ir.Age,
 		Reads: ir.Reads, Writes: ir.Writes, Erases: ir.Erases,
 		CumReads: ir.CumReads, CumWrites: ir.CumWrites, CumErases: ir.CumErases,
@@ -58,45 +57,54 @@ func (ir *IngestRecord) ToRecord() (trace.Model, trace.DayRecord, error) {
 		Dead:             ir.Dead, ReadOnly: ir.ReadOnly,
 	}
 	for name, v := range ir.Errors {
-		k, err := trace.ParseErrorKind(name)
+		k, err := ParseErrorKind(name)
 		if err != nil {
-			return 0, trace.DayRecord{}, err
+			return 0, DayRecord{}, err
 		}
 		rec.Errors[k] = v
 	}
 	for name, v := range ir.CumErrors {
-		k, err := trace.ParseErrorKind(name)
+		k, err := ParseErrorKind(name)
 		if err != nil {
-			return 0, trace.DayRecord{}, err
+			return 0, DayRecord{}, err
 		}
 		rec.CumErrors[k] = v
 	}
-	if err := validateDayRecord(&rec); err != nil {
-		return 0, trace.DayRecord{}, err
+	if err := ValidateIngest(&rec); err != nil {
+		return 0, DayRecord{}, err
 	}
 	return model, rec, nil
 }
 
-// validateDayRecord enforces the per-record invariants shared by the
-// JSON and binary ingest paths: non-negative day and age, finite
-// non-negative P/E cycles, and daily error counts that do not exceed
-// their cumulative counterparts. It never allocates on success.
-func validateDayRecord(rec *trace.DayRecord) error {
-	if rec.Day < 0 {
-		return fmt.Errorf("serve: negative day %d", rec.Day)
+// Validate enforces the rules one report obeys on its own, whatever
+// carries it: non-negative day and age, finite non-negative P/E cycles,
+// and daily error counts that do not exceed their cumulative
+// counterparts. Drive.Validate adds the rules between consecutive
+// reports. It never allocates on success.
+func (r *DayRecord) Validate() error {
+	if r.Day < 0 {
+		return fmt.Errorf("negative day %d", r.Day)
 	}
-	if rec.Age < 0 {
-		return fmt.Errorf("serve: negative age %d", rec.Age)
+	if r.Age < 0 {
+		return fmt.Errorf("negative age %d", r.Age)
 	}
-	if math.IsNaN(rec.PECycles) || math.IsInf(rec.PECycles, 0) || rec.PECycles < 0 {
-		return fmt.Errorf("serve: invalid pe_cycles %v", rec.PECycles)
+	if math.IsNaN(r.PECycles) || math.IsInf(r.PECycles, 0) || r.PECycles < 0 {
+		return fmt.Errorf("invalid pe_cycles %v", r.PECycles)
 	}
-	for k := 0; k < trace.NumErrorKinds; k++ {
-		if uint64(rec.Errors[k]) > rec.CumErrors[k] {
-			return fmt.Errorf(
-				"serve: daily %s count %d exceeds cumulative %d",
-				trace.ErrorKind(k), rec.Errors[k], rec.CumErrors[k])
+	for k := 0; k < NumErrorKinds; k++ {
+		if uint64(r.Errors[k]) > r.CumErrors[k] {
+			return fmt.Errorf("daily %s count %d exceeds cumulative %d",
+				ErrorKind(k), r.Errors[k], r.CumErrors[k])
 		}
+	}
+	return nil
+}
+
+// ValidateIngest is r.Validate as the daemon's ingest wires, JSON and
+// binary, report it: the "serve: " prefix is part of their replies.
+func ValidateIngest(r *DayRecord) error {
+	if err := r.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
@@ -105,7 +113,7 @@ func validateDayRecord(rec *trace.DayRecord) error {
 // the drive-inspection endpoint and by tests and clients building
 // ingest payloads from trace data. Zero-valued error counters are
 // omitted to keep payloads small.
-func WireRecord(id uint32, model trace.Model, rec *trace.DayRecord) IngestRecord {
+func WireRecord(id uint32, model Model, rec *DayRecord) IngestRecord {
 	ir := IngestRecord{
 		DriveID: id, Model: model.String(),
 		Day: rec.Day, Age: rec.Age,
@@ -116,18 +124,18 @@ func WireRecord(id uint32, model trace.Model, rec *trace.DayRecord) IngestRecord
 		GrownBadBlocks:   rec.GrownBadBlocks,
 		Dead:             rec.Dead, ReadOnly: rec.ReadOnly,
 	}
-	for k := 0; k < trace.NumErrorKinds; k++ {
+	for k := 0; k < NumErrorKinds; k++ {
 		if rec.Errors[k] != 0 {
 			if ir.Errors == nil {
 				ir.Errors = make(map[string]uint32)
 			}
-			ir.Errors[trace.ErrorKind(k).String()] = rec.Errors[k]
+			ir.Errors[ErrorKind(k).String()] = rec.Errors[k]
 		}
 		if rec.CumErrors[k] != 0 {
 			if ir.CumErrors == nil {
 				ir.CumErrors = make(map[string]uint64)
 			}
-			ir.CumErrors[trace.ErrorKind(k).String()] = rec.CumErrors[k]
+			ir.CumErrors[ErrorKind(k).String()] = rec.CumErrors[k]
 		}
 	}
 	return ir

@@ -22,7 +22,7 @@ const importDAGGolden = "testdata/import_dag.golden"
 // the module, whatever the golden says.
 var leafPackages = []string{
 	"internal/eval", "internal/trace", "internal/stats", "internal/parallel", "internal/faultfs", "internal/ml/vec",
-	"internal/eventlog", "internal/metrics",
+	"internal/eventlog", "internal/metrics", "internal/rng",
 }
 
 // moduleEdges parses the non-test files of every package under the
@@ -117,33 +117,51 @@ func TestImportDAG(t *testing.T) {
 	}
 }
 
-// TestRouterLinksOnlyWhatItRuns pins what ssdrouter links: the router
-// splits, forwards and merges, so the daemon, the WAL and the model code
-// stay out of its binary.
-func TestRouterLinksOnlyWhatItRuns(t *testing.T) {
+// TestDaemonsLinkOnlyWhatTheyRun pins what each daemon links. A daemon
+// with a want list links exactly those packages; one with a never list
+// links none of them. The router splits, forwards and merges; the
+// load generator builds and sends records; the serving daemon scores
+// with a saved predictor and never simulates, extracts a study or
+// evaluates; the trainer fits and publishes models without the
+// daemon's store, WAL or remediation.
+func TestDaemonsLinkOnlyWhatTheyRun(t *testing.T) {
 	deps := make(map[string][]string)
 	for _, e := range moduleEdges(t, "internal", "cmd") {
 		from, to, _ := strings.Cut(e, " -> ")
 		deps[from] = append(deps[from], to)
 	}
-	reached := map[string]bool{}
-	var visit func(pkg string)
-	visit = func(pkg string) {
-		for _, dep := range deps[pkg] {
-			if !reached[dep] {
-				reached[dep] = true
-				visit(dep)
+	for _, c := range []struct {
+		cmd         string
+		want, never []string
+	}{
+		{cmd: "ssdrouter", want: []string{"internal/cluster", "internal/eventlog", "internal/metrics", "internal/trace"}},
+		{cmd: "ssdload", want: []string{"internal/fleetsim", "internal/loadgen", "internal/parallel", "internal/rng", "internal/trace"}},
+		{cmd: "ssdserved", never: []string{"internal/core", "internal/fleetsim", "internal/eval", "internal/expgrid", "internal/experiments"}},
+		{cmd: "ssdtrain", never: []string{"internal/serve", "internal/wal", "internal/faultfs", "internal/remedy", "internal/sparepool", "internal/core"}},
+	} {
+		reached := map[string]bool{}
+		var visit func(pkg string)
+		visit = func(pkg string) {
+			for _, dep := range deps[pkg] {
+				if !reached[dep] {
+					reached[dep] = true
+					visit(dep)
+				}
 			}
 		}
-	}
-	visit("cmd/ssdrouter")
-	got := make([]string, 0, len(reached))
-	for pkg := range reached {
-		got = append(got, pkg)
-	}
-	slices.Sort(got)
-	want := []string{"internal/cluster", "internal/eventlog", "internal/metrics", "internal/trace"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("ssdrouter links %v, want %v", got, want)
+		visit("cmd/" + c.cmd)
+		got := make([]string, 0, len(reached))
+		for pkg := range reached {
+			got = append(got, pkg)
+		}
+		slices.Sort(got)
+		if c.want != nil && !slices.Equal(got, c.want) {
+			t.Errorf("%s links %v, want %v", c.cmd, got, c.want)
+		}
+		for _, pkg := range c.never {
+			if reached[pkg] {
+				t.Errorf("%s links %s", c.cmd, pkg)
+			}
+		}
 	}
 }
