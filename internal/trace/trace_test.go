@@ -257,6 +257,30 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateIngestReplyText pins the text an ingest reply carries for
+// each per-record rule: the daemon's 422 bodies quote it verbatim.
+func TestValidateIngestReplyText(t *testing.T) {
+	for _, c := range []struct {
+		mutate func(r *DayRecord)
+		want   string
+	}{
+		{func(r *DayRecord) { r.Day = -1 }, "serve: negative day -1"},
+		{func(r *DayRecord) { r.Age = -2 }, "serve: negative age -2"},
+		{func(r *DayRecord) { r.PECycles = math.NaN() }, "serve: invalid pe_cycles NaN"},
+		{func(r *DayRecord) { r.PECycles = -1 }, "serve: invalid pe_cycles -1"},
+		{func(r *DayRecord) { r.Errors[ErrCorrectable] = 3 }, "serve: daily correctable count 3 exceeds cumulative 0"},
+	} {
+		r := DayRecord{Day: 5, Age: 5}
+		if err := ValidateIngest(&r); err != nil {
+			t.Fatalf("valid record rejected: %v", err)
+		}
+		c.mutate(&r)
+		if err := ValidateIngest(&r); err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %q", err, c.want)
+		}
+	}
+}
+
 // randomFleet builds a structurally valid pseudorandom fleet for codec tests.
 func randomFleet(rng *rand.Rand, drives int) *Fleet {
 	f := &Fleet{Horizon: 400}
