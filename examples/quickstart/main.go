@@ -15,7 +15,8 @@ import (
 func main() {
 	// 1. Acquire a fleet. GenerateStudy simulates three drive models
 	// over six years with statistics calibrated to the SC '19 study;
-	// core.LoadStudy loads a trace file written by cmd/ssdgen instead.
+	// core.NewStudy wraps a fleet trace.ReadBinary read from a cmd/ssdgen
+	// file instead.
 	study, err := core.GenerateStudy(42, 150)
 	if err != nil {
 		log.Fatal(err)

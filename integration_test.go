@@ -37,15 +37,31 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatalf("generate: %v", err)
 	}
 	fleetPath := filepath.Join(dir, "fleet.bin")
-	if err := study.SaveFleet(fleetPath); err != nil {
+	out, err := os.Create(fleetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteBinary(out, study.Fleet); err != nil {
 		t.Fatalf("save fleet: %v", err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// 2. Reload and verify the reconstruction is identical.
-	reloaded, err := core.LoadStudy(fleetPath)
+	in, err := os.Open(fleetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := trace.ReadBinary(in)
+	in.Close()
 	if err != nil {
 		t.Fatalf("load fleet: %v", err)
 	}
+	if err := fleet.Validate(); err != nil {
+		t.Fatalf("loaded fleet: %v", err)
+	}
+	reloaded := core.NewStudy(fleet)
 	if len(reloaded.Analysis.Events) != len(study.Analysis.Events) {
 		t.Fatalf("event count changed across save/load: %d vs %d",
 			len(reloaded.Analysis.Events), len(study.Analysis.Events))

@@ -940,11 +940,8 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Metrics exposes the router's metrics registry.
-func (rt *Router) Metrics() *metrics.Metrics { return rt.metrics }
-
-// Tracker returns the failover state machine guarded by the router's
-// lock; use TrackerStatus for a safe snapshot.
+// TrackerStatus returns a snapshot of the failover state machine's
+// endpoints, taken under the router's lock.
 func (rt *Router) TrackerStatus() []EndpointStatus {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -1,9 +1,10 @@
 // Package core is the high-level API of the library: it ties together
-// fleet acquisition (simulation or trace files), failure-timeline
-// reconstruction, and failure prediction into a small set of calls that
-// cover the paper's workflow end to end:
+// fleet acquisition (simulation, or NewStudy over a fleet read with
+// trace.ReadBinary), failure-timeline reconstruction, and failure
+// prediction into a small set of calls that cover the paper's workflow
+// end to end:
 //
-//	study, _ := core.GenerateStudy(42, 300)        // or LoadStudy(file)
+//	study, _ := core.GenerateStudy(42, 300)        // or NewStudy(fleet)
 //	pred, _ := study.TrainPredictor(core.PredictorOptions{Lookahead: 1})
 //	watch := study.Watchlist(pred, today, 20)      // drives to act on
 //
@@ -13,9 +14,6 @@
 package core
 
 import (
-	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"ssdfail/internal/dataset"
@@ -48,42 +46,6 @@ func GenerateStudy(seed uint64, drivesPerModel int) (*Study, error) {
 		return nil, err
 	}
 	return NewStudy(fleet), nil
-}
-
-// LoadStudy reads a fleet from a binary trace file written by SaveFleet
-// (or cmd/ssdgen) and reconstructs it.
-func LoadStudy(path string) (*Study, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadStudy(f)
-}
-
-// ReadStudy reads a binary fleet stream.
-func ReadStudy(r io.Reader) (*Study, error) {
-	fleet, err := trace.ReadBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := fleet.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid fleet: %w", err)
-	}
-	return NewStudy(fleet), nil
-}
-
-// SaveFleet writes the study's fleet to a binary trace file.
-func (s *Study) SaveFleet(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteBinary(f, s.Fleet); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Summary aggregates headline statistics of the study.

@@ -60,33 +60,24 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip rebuilds a study from its fleet's binary trace
+// (what cmd/ssdgen writes) and gets the same reconstruction.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := getStudy(t)
-	path := filepath.Join(t.TempDir(), "fleet.bin")
-	if err := s.SaveFleet(path); err != nil {
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, s.Fleet); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadStudy(path)
+	fleet, err := trace.ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := NewStudy(fleet)
 	if len(loaded.Fleet.Drives) != len(s.Fleet.Drives) {
 		t.Fatal("loaded drive count differs")
 	}
 	if len(loaded.Analysis.Events) != len(s.Analysis.Events) {
 		t.Fatal("loaded analysis differs")
-	}
-}
-
-func TestLoadStudyMissingFile(t *testing.T) {
-	if _, err := LoadStudy("/nonexistent/fleet.bin"); err == nil {
-		t.Error("LoadStudy should fail on missing file")
-	}
-}
-
-func TestReadStudyRejectsGarbage(t *testing.T) {
-	if _, err := ReadStudy(bytes.NewBufferString("garbage")); err == nil {
-		t.Error("ReadStudy should reject garbage")
 	}
 }
 

@@ -48,25 +48,6 @@ func BenchmarkAUC(b *testing.B) {
 	}
 }
 
-func BenchmarkConfusionSweep(b *testing.B) {
-	scores, y, _ := benchData(200000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConfusionSweep(scores, y, benchThresholds)
-	}
-}
-
-func BenchmarkConfusionPerThreshold(b *testing.B) {
-	// The pre-hoist shape: one full pass per threshold.
-	scores, y, _ := benchData(200000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, thr := range benchThresholds {
-			ConfusionAt(scores, y, thr)
-		}
-	}
-}
-
 func BenchmarkTPRByAgeMonths(b *testing.B) {
 	scores, y, ages := benchData(200000)
 	b.ResetTimer()
@@ -81,7 +62,7 @@ func BenchmarkTPRByAgeMonthPerThreshold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, thr := range benchThresholds {
-			TPRByAgeMonth(scores, y, ages, thr, 25)
+			TPRByAgeMonths(scores, y, ages, []float64{thr}, 25)
 		}
 	}
 }

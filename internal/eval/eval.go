@@ -1,9 +1,9 @@
 // Package eval implements the metrics of the paper's evaluation
 // methodology (§5.1): ROC curves and AUC (robust to the ~1:10,000 class
-// imbalance of the trace), confusion sweeps, TPR by drive age,
-// calibration, and the mean ± std fold summary. It scores slices of
-// numbers and imports nothing from the module; cross-validation itself
-// lives in internal/expgrid.
+// imbalance of the trace), TPR by drive age, calibration, and the
+// mean ± std fold summary. It scores slices of numbers and imports
+// nothing from the module; cross-validation itself lives in
+// internal/expgrid.
 package eval
 
 import (
@@ -203,73 +203,6 @@ func (r *ROC) TPRAtFPR(fpr float64) float64 {
 	return 1
 }
 
-// ConfusionAt returns (TPR, FPR) for binary predictions at the given
-// score threshold: predicted positive when score >= threshold.
-func ConfusionAt(scores []float64, y []int8, threshold float64) (tpr, fpr float64) {
-	c := ConfusionSweep(scores, y, []float64{threshold})[0]
-	return c.TPR, c.FPR
-}
-
-// Confusion is the binary confusion summary at one score threshold.
-type Confusion struct {
-	Threshold float64
-	TPR, FPR  float64
-}
-
-// ConfusionSweep evaluates the confusion at every threshold in one
-// sorted pass: the class totals are counted once and the score array is
-// walked once, instead of the O(len(thresholds) * n) rescan that calling
-// ConfusionAt in a loop used to cost. Results are returned in the
-// caller's threshold order.
-func ConfusionSweep(scores []float64, y []int8, thresholds []float64) []Confusion {
-	out := make([]Confusion, len(thresholds))
-	if len(thresholds) == 0 {
-		return out
-	}
-	var nPos, nNeg float64
-	for _, v := range y {
-		if v == 1 {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	// Visit thresholds from strictest (highest) to loosest so the score
-	// walk never rewinds.
-	order := make([]int, len(thresholds))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return thresholds[order[a]] > thresholds[order[b]] })
-	var tp, fp float64
-	j := 0
-	for _, ti := range order {
-		thr := thresholds[ti]
-		for j < len(idx) && scores[idx[j]] >= thr {
-			if y[idx[j]] == 1 {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		c := Confusion{Threshold: thr}
-		if nPos > 0 {
-			c.TPR = tp / nPos
-		}
-		if nNeg > 0 {
-			c.FPR = fp / nNeg
-		}
-		out[ti] = c
-	}
-	return out
-}
-
 // Result summarizes one cross-validated evaluation.
 type Result struct {
 	AUCs []float64 // one per fold
@@ -298,14 +231,6 @@ func Summarize(aucs []float64) Result {
 		r.Std = math.Sqrt(v / float64(len(aucs)-1))
 	}
 	return r
-}
-
-// TPRByAgeMonth computes the cross-validated true positive rate as a
-// function of drive age in months at a fixed score threshold (Figure 14).
-// scores, y, ages must be parallel slices; months with no positives are
-// NaN.
-func TPRByAgeMonth(scores []float64, y []int8, ages []int32, threshold float64, maxMonths int) []float64 {
-	return TPRByAgeMonths(scores, y, ages, []float64{threshold}, maxMonths)[0]
 }
 
 // TPRByAgeMonths computes one TPR-by-age curve per threshold in a single

@@ -134,28 +134,11 @@ func TestTPRAtFPR(t *testing.T) {
 	}
 }
 
-func TestConfusionAt(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.3, 0.1}
-	y := []int8{1, 0, 1, 0}
-	tpr, fpr := ConfusionAt(scores, y, 0.5)
-	if tpr != 0.5 || fpr != 0.5 {
-		t.Errorf("ConfusionAt(0.5) = %v, %v", tpr, fpr)
-	}
-	tpr, fpr = ConfusionAt(scores, y, 0.05)
-	if tpr != 1 || fpr != 1 {
-		t.Errorf("loose threshold = %v, %v", tpr, fpr)
-	}
-	tpr, fpr = ConfusionAt(nil, nil, 0.5)
-	if tpr != 0 || fpr != 0 {
-		t.Errorf("empty confusion = %v, %v", tpr, fpr)
-	}
-}
-
 func TestTPRByAgeMonth(t *testing.T) {
 	scores := []float64{0.9, 0.2, 0.8, 0.95}
 	y := []int8{1, 1, 0, 1}
 	ages := []int32{10, 40, 10, 3000}
-	got := TPRByAgeMonth(scores, y, ages, 0.5, 3)
+	got := TPRByAgeMonths(scores, y, ages, []float64{0.5}, 3)[0]
 	if got[0] != 1 { // one positive in month 0, predicted
 		t.Errorf("month 0 TPR = %v", got[0])
 	}
@@ -169,7 +152,7 @@ func TestTPRByAgeMonth(t *testing.T) {
 }
 
 func TestTPRByAgeMonthEmptyMonths(t *testing.T) {
-	got := TPRByAgeMonth([]float64{0.9}, []int8{0}, []int32{5}, 0.5, 2)
+	got := TPRByAgeMonths([]float64{0.9}, []int8{0}, []int32{5}, []float64{0.5}, 2)[0]
 	for _, v := range got {
 		if !math.IsNaN(v) {
 			t.Errorf("months without positives should be NaN, got %v", got)

@@ -104,47 +104,6 @@ func TestAUCMatchesMannWhitneyU(t *testing.T) {
 	}
 }
 
-func TestConfusionSweepGoldenValues(t *testing.T) {
-	// 3 positives at {0.9, 0.6, 0.2}, 3 negatives at {0.8, 0.4, 0.1}.
-	scores := []float64{0.9, 0.8, 0.6, 0.4, 0.2, 0.1}
-	y := []int8{1, 0, 1, 0, 1, 0}
-	// Thresholds deliberately out of order: results must come back in
-	// caller order regardless of the internal sweep direction.
-	thresholds := []float64{0.5, 0.85, 0.15}
-	got := ConfusionSweep(scores, y, thresholds)
-	want := []Confusion{
-		{Threshold: 0.5, TPR: 2.0 / 3, FPR: 1.0 / 3}, // >=0.5: pos {.9,.6}, neg {.8}
-		{Threshold: 0.85, TPR: 1.0 / 3, FPR: 0},      // >=0.85: pos {.9}
-		{Threshold: 0.15, TPR: 1.0, FPR: 2.0 / 3},    // >=0.15: all pos, neg {.8,.4}
-	}
-	for i, w := range want {
-		if got[i].Threshold != w.Threshold || !approx(got[i].TPR, w.TPR) || !approx(got[i].FPR, w.FPR) {
-			t.Errorf("sweep[%d] = %+v, want %+v", i, got[i], w)
-		}
-	}
-	// The sweep must agree with the single-threshold path exactly.
-	for _, thr := range thresholds {
-		tpr, fpr := ConfusionAt(scores, y, thr)
-		sw := ConfusionSweep(scores, y, []float64{thr})[0]
-		if !approx(tpr, sw.TPR) || !approx(fpr, sw.FPR) {
-			t.Errorf("thr %v: ConfusionAt (%v, %v) != sweep (%v, %v)", thr, tpr, fpr, sw.TPR, sw.FPR)
-		}
-	}
-}
-
-func TestConfusionSweepOneClass(t *testing.T) {
-	// No positives: TPR must be 0 (not NaN) at every threshold.
-	got := ConfusionSweep([]float64{0.9, 0.1}, []int8{0, 0}, []float64{0.5})
-	if got[0].TPR != 0 || !approx(got[0].FPR, 0.5) {
-		t.Errorf("neg-only sweep = %+v, want TPR 0, FPR 0.5", got[0])
-	}
-	// No negatives: FPR must be 0.
-	got = ConfusionSweep([]float64{0.9, 0.1}, []int8{1, 1}, []float64{0.5})
-	if got[0].FPR != 0 || !approx(got[0].TPR, 0.5) {
-		t.Errorf("pos-only sweep = %+v, want FPR 0, TPR 0.5", got[0])
-	}
-}
-
 func TestTPRByAgeMonthsGolden(t *testing.T) {
 	// Month 0: positives scored {0.9, 0.2}; month 1: positive {0.8};
 	// month 2: no positives (NaN). Negatives must not affect TPR.
@@ -163,11 +122,11 @@ func TestTPRByAgeMonthsGolden(t *testing.T) {
 			}
 		}
 	}
-	// Single-threshold wrapper must agree with the batched sweep.
-	single := TPRByAgeMonth(scores, y, ages, 0.5, 3)
+	// One threshold alone must agree with its row of the batched sweep.
+	single := TPRByAgeMonths(scores, y, ages, []float64{0.5}, 3)[0]
 	for m := range single {
 		if !approx(single[m], got[0][m]) {
-			t.Errorf("TPRByAgeMonth month %d = %v, sweep gives %v", m, single[m], got[0][m])
+			t.Errorf("single-threshold month %d = %v, sweep gives %v", m, single[m], got[0][m])
 		}
 	}
 }

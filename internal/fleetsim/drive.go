@@ -22,19 +22,6 @@ const (
 	Severe
 )
 
-// String returns the lowercase class name.
-func (c SymptomClass) String() string {
-	switch c {
-	case Asymptomatic:
-		return "asymptomatic"
-	case Moderate:
-		return "moderate"
-	case Severe:
-		return "severe"
-	}
-	return "unknown"
-}
-
 // FailureTruth records the simulator's ground truth for one failure, used
 // by tests to validate the trace-only reconstruction in internal/failure.
 type FailureTruth struct {

@@ -21,15 +21,6 @@ type Truth struct {
 	Drives []DriveTruth
 }
 
-// FailureCount returns the total number of ground-truth failures.
-func (t *Truth) FailureCount() int {
-	var n int
-	for i := range t.Drives {
-		n += len(t.Drives[i].Failures)
-	}
-	return n
-}
-
 // Generate simulates a fleet under the given configuration. Drive IDs are
 // assigned sequentially starting at 1, grouped by model in config order.
 // Generation is deterministic for a fixed seed regardless of the worker

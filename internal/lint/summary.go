@@ -135,14 +135,6 @@ func (c *SummaryCache) pkgAllows(p *Package) []allowDirective {
 	return a
 }
 
-// allowedAt reports whether an allow directive for analyzer covers the
-// given position in p.
-func (c *SummaryCache) allowedAt(p *Package, analyzer string, pos ast.Node) bool {
-	position := p.Fset.Position(pos.Pos())
-	probe := Finding{Analyzer: analyzer, File: c.loader.Rel(position.Filename), Line: position.Line}
-	return suppressed(probe, c.pkgAllows(p))
-}
-
 // Blocks reports whether calling fn may block: on I/O, the network,
 // time.Sleep, a WaitGroup, or an unguarded channel operation —
 // transitively through module callees, with allow-covered sites

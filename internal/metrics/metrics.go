@@ -1,6 +1,6 @@
 // Package metrics is a minimal Prometheus text-format (version 0.0.4)
 // registry on the standard library, shared by the daemons: counters,
-// gauges (incl. callback gauges), histograms, and a labeled counter
+// callback gauges, histograms, and a labeled counter
 // family. Instrument updates are lock-free atomics; registration and
 // scraping take the registry lock.
 //
@@ -36,15 +36,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a cumulative histogram with fixed upper bounds.
 type Histogram struct {
@@ -131,14 +122,6 @@ func (ms *Metrics) NewCounterFunc(name, help string, fn func() uint64) {
 func (ms *Metrics) NewFloatCounterFunc(name, help string, fn func() float64) {
 	ms.register(&metric{name: name, help: help, typ: "counter",
 		collect: func(emit emitFunc) { emit(name, fn()) }})
-}
-
-// NewGauge registers and returns a settable gauge.
-func (ms *Metrics) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	ms.register(&metric{name: name, help: help, typ: "gauge",
-		collect: func(emit emitFunc) { emit(name, g.Value()) }})
-	return g
 }
 
 // NewGaugeFunc registers a gauge whose value is computed at scrape time.

@@ -12,8 +12,7 @@ func TestMetricsRendering(t *testing.T) {
 	m := NewMetrics()
 	c := m.NewCounter("test_ops_total", "Operations.")
 	c.Add(3)
-	g := m.NewGauge("test_level", "Level.")
-	g.Set(2.5)
+	m.NewGaugeFunc("test_level", "Level.", func() float64 { return 2.5 })
 	m.NewGaugeFunc("test_func", "Computed.", func() float64 { return 7 })
 	cv := m.NewCounterVec("test_reqs_total", "Requests.", "handler", "code")
 	cv.With("ingest", "200").Add(2)
@@ -84,7 +83,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestMetricsSnapshotMatchesExposition(t *testing.T) {
 	m := NewMetrics()
 	m.NewCounter("snap_ops_total", "Ops.").Add(41)
-	m.NewGauge("snap_level", "Level.").Set(2.25)
+	m.NewGaugeFunc("snap_level", "Level.", func() float64 { return 2.25 })
 	m.NewGaugeFunc("snap_func", "Computed.", func() float64 { return 1e6 })
 	cv := m.NewCounterVec("snap_reqs_total", "Reqs.", "handler")
 	cv.With("ingest").Add(7)

@@ -60,9 +60,6 @@ func NewScorer(workers int) *Scorer {
 	}
 }
 
-// Workers returns the configured worker count (0 = all CPUs).
-func (sc *Scorer) Workers() int { return sc.workers }
-
 // Score scores every unit with the given predictor. Output slot i
 // corresponds to units[i], so results are deterministic at any worker
 // count.

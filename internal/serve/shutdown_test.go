@@ -82,9 +82,13 @@ func TestShutdownDrainsInflightBatch(t *testing.T) {
 		t.Fatal("batch handler never started")
 	}
 
+	// net/http runs the shutdown hooks once Shutdown has closed the
+	// listeners, so the hook marks the start of the drain.
+	draining := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(draining) })
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(context.Background()) }()
-	time.Sleep(50 * time.Millisecond) // let Shutdown enter its drain wait
+	<-draining
 
 	if _, err := pw.Write(body[len(body)/2:]); err != nil {
 		t.Fatal(err)

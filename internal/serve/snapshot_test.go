@@ -518,22 +518,29 @@ func TestSnapshotCorruptInputsFallBackToWAL(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1GoldenStillLoads: testdata/snapshot_v1.snap was written
-// by the last release of the single-payload format (12 drives, 1–7 days
-// each — 43 records, so LSN 43 — at history 4, so a drive holds its last
-// min(days, 4) reports). It must keep loading, into any shard count, to
-// every drive's last two reports with a count of the reports it holds —
-// the same scoring input, so the same scores — and the next snapshot
-// replaces it with the current format.
-func TestSnapshotV1GoldenStillLoads(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.snap"))
+// The snapshot fixtures under testdata are never edited once
+// committed. Each holds the same fleet — drives 1000–1011, drive d
+// reporting crashRec(d, day) for days 0 to d%7, 43 records, so LSN 43 —
+// as its writer saw it. checkSnapshotFixture loads one into 1, 4 and 64
+// shards: every drive must come back with its last two reports and the
+// count the format carries (the true count, or with history > 0 the
+// min(days, history) records a version-1 section holds), so the scoring
+// input and the scores are those of the store it was written from, and
+// the next snapshot replaces it with the current format.
+func checkSnapshotFixture(t *testing.T, name, magic string, sectionVersion uint32, history int) {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(golden[:8]) != "SSDWSNP1" {
-		t.Fatalf("golden starts %q: it must stay in the old format", golden[:8])
+	if string(golden[:8]) != magic {
+		t.Fatalf("%s starts %q: it must stay in its format, %q", name, golden[:8], magic)
 	}
-	const goldenHistory = 4
+	// The first payload opens with its version, after the magic, the
+	// LSN, and the payload's length and checksum.
+	if v := binary.LittleEndian.Uint32(golden[24:]); v != sectionVersion {
+		t.Fatalf("%s: first section has version %d, want %d", name, v, sectionVersion)
+	}
 	want := NewStore(4, 0)
 	for drive := 0; drive < 12; drive++ {
 		days := drive%7 + 1
@@ -542,9 +549,11 @@ func TestSnapshotV1GoldenStillLoads(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d, _ := want.Get(uint32(1000 + drive))
-		d.Reports = uint32(min(days, goldenHistory))
-		want.Restore(d)
+		if history > 0 {
+			d, _ := want.Get(uint32(1000 + drive))
+			d.Reports = uint32(min(days, history))
+			want.Restore(d)
+		}
 	}
 	wantUnits := want.ScoreUnits(0)
 	sort.Slice(wantUnits, func(i, j int) bool { return wantUnits[i].ID < wantUnits[j].ID })
@@ -588,6 +597,28 @@ func TestSnapshotV1GoldenStillLoads(t *testing.T) {
 			t.Fatalf("shards=%d: the rewritten snapshot starts %q", shards, b[:8])
 		}
 	}
+}
+
+// TestSnapshotV1GoldenStillLoads: testdata/snapshot_v1.snap was written
+// by the last release of the single-payload format ("SSDWSNP1") at
+// history 4, so a drive holds its last min(days, 4) reports.
+func TestSnapshotV1GoldenStillLoads(t *testing.T) {
+	checkSnapshotFixture(t, "snapshot_v1.snap", "SSDWSNP1", 1, 4)
+}
+
+// TestSnapshotV2V1SectionsFixtureLoads: testdata/snapshot_v2_v1sections.snap
+// was written by ssdserved at fbc902a, the last release whose sectioned
+// files ("SSDWSNP2") carried version-1 sections, run with -history 4:
+// one section per shard, each drive with its last min(days, 4) records.
+func TestSnapshotV2V1SectionsFixtureLoads(t *testing.T) {
+	checkSnapshotFixture(t, "snapshot_v2_v1sections.snap", "SSDWSNP2", 1, 4)
+}
+
+// TestSnapshotV2FixtureLoads: testdata/snapshot_v2.snap was written by
+// ssdserved at f05fd31 with version-2 sections: each drive's last two
+// records and its true report count.
+func TestSnapshotV2FixtureLoads(t *testing.T) {
+	checkSnapshotFixture(t, "snapshot_v2.snap", "SSDWSNP2", storeSnapshotVersion, 0)
 }
 
 // refStore is a slice-per-drive store that keeps every report: the

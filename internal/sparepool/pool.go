@@ -3,14 +3,12 @@ package sparepool
 // The live actuation half of the package: where Simulate replays
 // historical swap demand against a candidate policy, Pool is the
 // inventory a remediation control plane draws on *now*. The remedy
-// engine (internal/remedy) allocates a spare when a drain completes and
-// releases it if the swapped drive's original body returns from repair.
+// engine (internal/remedy) allocates a spare when a drain completes.
 //
 // The actuation path is hardened rather than forgiving: allocating a
-// spare twice for the same drive, or releasing a drive that holds no
-// spare, is an operator-visible returned error — never a silent no-op
-// and never a panic — because a double actuation in a real fleet means
-// two technicians were dispatched to the same slot.
+// spare twice for the same drive is an operator-visible returned error —
+// never a silent no-op and never a panic — because a double actuation in
+// a real fleet means two technicians were dispatched to the same slot.
 
 import (
 	"errors"
@@ -26,8 +24,6 @@ var (
 	// ErrDoubleAllocate reports a second allocation for a drive that
 	// already holds a spare.
 	ErrDoubleAllocate = errors.New("sparepool: drive already holds a spare")
-	// ErrDoubleRelease reports a release for a drive that holds none.
-	ErrDoubleRelease = errors.New("sparepool: drive holds no spare")
 )
 
 // PoolStats is a consistent snapshot of pool occupancy and lifetime
@@ -39,13 +35,16 @@ type PoolStats struct {
 	Free int
 	// InUse is spares currently allocated to drives.
 	InUse int
-	// Allocations and Releases count successful actuations.
+	// Allocations counts successful actuations.
 	Allocations uint64
-	Releases    uint64
+	// Releases stays zero: nothing returns a spare to the pool. It and
+	// DoubleReleases remain because the /v1/remedy/status reply carries
+	// the whole struct.
+	Releases uint64
 	// Exhaustions counts allocations refused for lack of stock.
 	Exhaustions uint64
-	// DoubleAllocates and DoubleReleases count refused duplicate
-	// actuations — each one is a caller bug surfaced, not swallowed.
+	// DoubleAllocates counts refused duplicate actuations — each one is
+	// a caller bug surfaced, not swallowed.
 	DoubleAllocates uint64
 	DoubleReleases  uint64
 }
@@ -96,22 +95,6 @@ func (p *Pool) Allocate(driveID uint32) (int, error) {
 	return spare, nil
 }
 
-// Release returns the spare held by the given drive to the pool (the
-// original drive came back from repair, or the slot was decommissioned).
-// Releasing a drive that holds no spare fails with ErrDoubleRelease.
-func (p *Pool) Release(driveID uint32) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.allocated[driveID]; !ok {
-		p.stats.DoubleReleases++
-		return fmt.Errorf("%w: drive %d", ErrDoubleRelease, driveID)
-	}
-	delete(p.allocated, driveID)
-	p.free++
-	p.stats.Releases++
-	return nil
-}
-
 // Restock adds n spares to the pool (procurement arrival).
 func (p *Pool) Restock(n int) error {
 	if n < 0 {
@@ -122,14 +105,6 @@ func (p *Pool) Restock(n int) error {
 	p.free += n
 	p.stats.Capacity += n
 	return nil
-}
-
-// Holder reports the spare ID allocated to a drive, if any.
-func (p *Pool) Holder(driveID uint32) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	spare, ok := p.allocated[driveID]
-	return spare, ok
 }
 
 // Stats returns a consistent occupancy snapshot.

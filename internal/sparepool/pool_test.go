@@ -2,11 +2,12 @@ package sparepool
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-func TestPoolAllocateRelease(t *testing.T) {
+func TestPoolAllocateSequentialIDs(t *testing.T) {
 	p, err := NewPool(2)
 	if err != nil {
 		t.Fatal(err)
@@ -26,16 +27,6 @@ func TestPoolAllocateRelease(t *testing.T) {
 	if st.Free != 0 || st.InUse != 2 || st.Capacity != 2 || st.Allocations != 2 {
 		t.Fatalf("stats after allocations = %+v", st)
 	}
-	if spare, ok := p.Holder(10); !ok || spare != 1 {
-		t.Fatalf("Holder(10) = %d, %v", spare, ok)
-	}
-	if err := p.Release(10); err != nil {
-		t.Fatal(err)
-	}
-	st = p.Stats()
-	if st.Free != 1 || st.InUse != 1 || st.Releases != 1 {
-		t.Fatalf("stats after release = %+v", st)
-	}
 }
 
 func TestPoolDoubleAllocateIsError(t *testing.T) {
@@ -51,26 +42,6 @@ func TestPoolDoubleAllocateIsError(t *testing.T) {
 	st := p.Stats()
 	if st.Free != 4 || st.InUse != 1 || st.DoubleAllocates != 1 {
 		t.Fatalf("stats after double allocate = %+v", st)
-	}
-}
-
-func TestPoolDoubleReleaseIsError(t *testing.T) {
-	p, _ := NewPool(1)
-	if err := p.Release(3); !errors.Is(err, ErrDoubleRelease) {
-		t.Fatalf("release of unallocated drive = %v, want ErrDoubleRelease", err)
-	}
-	if _, err := p.Allocate(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Release(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Release(3); !errors.Is(err, ErrDoubleRelease) {
-		t.Fatalf("second release = %v, want ErrDoubleRelease", err)
-	}
-	st := p.Stats()
-	if st.Free != 1 || st.InUse != 0 || st.DoubleReleases != 2 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -107,58 +78,64 @@ func TestPoolRejectsNegativeInitial(t *testing.T) {
 }
 
 // TestPoolConcurrentActuation hammers the pool from many goroutines
-// under -race: every drive allocates then releases in a loop, and the
-// books must balance exactly at the end — no spare lost, none minted.
+// under -race: every drive allocates twice while a restocker adds spares,
+// and the books must balance exactly at the end — no spare lost, none
+// minted, every duplicate counted.
 func TestPoolConcurrentActuation(t *testing.T) {
 	const (
-		drives = 32
-		rounds = 200
-		stock  = 8
+		drives   = 32
+		stock    = 8
+		restocks = 24
 	)
 	p, _ := NewPool(stock)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < restocks; i++ {
+			if err := p.Restock(1); err != nil {
+				t.Errorf("restock: %v", err)
+				return
+			}
+		}
+	}()
+	var mu sync.Mutex
+	held, doubles := 0, 0
 	for d := 0; d < drives; d++ {
 		wg.Add(1)
 		go func(id uint32) {
 			defer wg.Done()
-			held := false
-			for r := 0; r < rounds; r++ {
-				if held {
-					if err := p.Release(id); err != nil {
-						t.Errorf("drive %d: release: %v", id, err)
-						return
-					}
-					held = false
+			for {
+				_, err := p.Allocate(id)
+				if errors.Is(err, ErrExhausted) {
+					// Contention, not corruption; wait for the restocker.
+					runtime.Gosched()
 					continue
 				}
-				_, err := p.Allocate(id)
-				switch {
-				case err == nil:
-					held = true
-				case errors.Is(err, ErrExhausted):
-					// Contention, not corruption; try again next round.
-				default:
+				if err != nil {
 					t.Errorf("drive %d: allocate: %v", id, err)
 					return
 				}
+				break
 			}
-			if held {
-				if err := p.Release(id); err != nil {
-					t.Errorf("drive %d: final release: %v", id, err)
-				}
+			_, err := p.Allocate(id)
+			if !errors.Is(err, ErrDoubleAllocate) {
+				t.Errorf("drive %d: second allocate = %v, want ErrDoubleAllocate", id, err)
+				return
 			}
+			mu.Lock()
+			held++
+			doubles++
+			mu.Unlock()
 		}(uint32(d))
 	}
 	wg.Wait()
 	st := p.Stats()
-	if st.InUse != 0 || st.Free != stock {
-		t.Fatalf("pool did not balance: %+v", st)
+	if st.Capacity != stock+restocks || st.InUse != held || st.Free != st.Capacity-held {
+		t.Fatalf("pool did not balance with %d held: %+v", held, st)
 	}
-	if st.Allocations != st.Releases {
-		t.Fatalf("allocations %d != releases %d", st.Allocations, st.Releases)
-	}
-	if st.DoubleAllocates != 0 || st.DoubleReleases != 0 {
-		t.Fatalf("spurious duplicate actuations: %+v", st)
+	if st.Allocations != uint64(held) || st.DoubleAllocates != uint64(doubles) {
+		t.Fatalf("books off: %+v, want %d allocations and %d duplicates", st, held, doubles)
 	}
 }
 

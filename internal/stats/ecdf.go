@@ -57,66 +57,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(k) / float64(e.N())
 }
 
-// Quantile returns the smallest x with P(X <= x) >= q, or +Inf when the
-// q-th quantile falls in the censored mass. q outside [0,1] yields NaN.
-func (e *ECDF) Quantile(q float64) float64 {
-	if e.N() == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	k := int(math.Ceil(q * float64(e.N())))
-	if k <= 0 {
-		k = 1
-	}
-	if k > len(e.sorted) {
-		return math.Inf(1)
-	}
-	return e.sorted[k-1]
-}
-
-// Points returns the step points of the ECDF as (x, P(X <= x)) pairs at
-// each distinct finite observation, suitable for plotting.
-func (e *ECDF) Points() (xs, ps []float64) {
-	n := e.N()
-	for i := 0; i < len(e.sorted); {
-		j := i
-		for j+1 < len(e.sorted) && e.sorted[j+1] == e.sorted[i] {
-			j++
-		}
-		xs = append(xs, e.sorted[i])
-		ps = append(ps, float64(j+1)/float64(n))
-		i = j + 1
-	}
-	return xs, ps
-}
-
-// Eval evaluates the ECDF at each of the given points.
-func (e *ECDF) Eval(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = e.At(x)
-	}
-	return out
-}
-
-// LogSpace returns n points log-uniformly spaced between lo and hi
-// (inclusive), for evaluating CDFs plotted on logarithmic axes
-// (Figures 4, 5, 10).
-func LogSpace(lo, hi float64, n int) []float64 {
-	if n <= 0 || lo <= 0 || hi <= lo {
-		return nil
-	}
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = lo
-		return out
-	}
-	ratio := math.Log(hi / lo)
-	for i := 0; i < n; i++ {
-		out[i] = lo * math.Exp(ratio*float64(i)/float64(n-1))
-	}
-	return out
-}
-
 // LinSpace returns n evenly spaced points between lo and hi inclusive.
 func LinSpace(lo, hi float64, n int) []float64 {
 	if n <= 0 {

@@ -1,7 +1,7 @@
 // Package stats implements the nonparametric statistics used by the
 // paper's characterization: empirical CDFs (including CDFs with an
 // infinity mass, as in Figures 3 and 5), quantiles, rank transforms,
-// Spearman and Pearson correlation, histograms, and binned rates.
+// Spearman and Pearson correlation, and binned rates.
 package stats
 
 import (
@@ -20,23 +20,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance of xs (NaN if len < 2).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the common default).
@@ -84,9 +67,6 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 	}
 	return out
 }
-
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Ranks returns the fractional ranks of xs (average rank for ties),
 // with ranks starting at 1. This is the rank transform underlying the
@@ -165,27 +145,6 @@ func CorrelationMatrix(cols [][]float64, corr func(a, b []float64) float64) [][]
 	return m
 }
 
-// Histogram counts xs into nbins equal-width bins over [min, max].
-// Values outside the range are clamped into the edge bins.
-func Histogram(xs []float64, min, max float64, nbins int) []int {
-	counts := make([]int, nbins)
-	if nbins == 0 || max <= min {
-		return counts
-	}
-	w := (max - min) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - min) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // BinnedRate computes, for each bin, events[i]/exposure[i] (NaN when the
 // exposure is zero). It is the normalization the paper applies in
 // Figures 6 and 8 to turn raw counts into unbiased failure rates.
@@ -200,32 +159,4 @@ func BinnedRate(events, exposure []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Summary holds the five-number summary plus mean of a sample.
-type Summary struct {
-	N                    int
-	Min, Q1, Median      float64
-	Q3, Max, Mean, Stdev float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		nan := math.NaN()
-		s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean, s.Stdev = nan, nan, nan, nan, nan, nan, nan
-		return s
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.Q1 = QuantileSorted(sorted, 0.25)
-	s.Median = QuantileSorted(sorted, 0.5)
-	s.Q3 = QuantileSorted(sorted, 0.75)
-	s.Mean = Mean(xs)
-	s.Stdev = StdDev(xs)
-	return s
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -21,19 +20,6 @@ func TestMean(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v", got)
-	}
-	if got := StdDev(xs); !almostEq(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Error("Variance of singleton should be NaN")
 	}
 }
 
@@ -71,12 +57,6 @@ func TestQuantilesBatchMatchesSingle(t *testing.T) {
 		if got := Quantile(xs, q); !almostEq(got, batch[i], 1e-12) {
 			t.Errorf("Quantiles[%v] = %v, want %v", q, batch[i], got)
 		}
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Errorf("Median = %v, want 3", got)
 	}
 }
 
@@ -178,35 +158,10 @@ func TestCorrelationMatrix(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 1.6, 2.5, -10, 99}
-	got := Histogram(xs, 0, 3, 3)
-	want := []int{2, 2, 2} // -10 clamps into bin 0, 99 into bin 2
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Histogram = %v, want %v", got, want)
-		}
-	}
-	if got := Histogram(xs, 3, 3, 3); got[0] != 0 {
-		t.Error("degenerate range should give zero counts")
-	}
-}
-
 func TestBinnedRate(t *testing.T) {
 	got := BinnedRate([]float64{1, 2, 3}, []float64{10, 0, 6})
 	if got[0] != 0.1 || !math.IsNaN(got[1]) || got[2] != 0.5 {
 		t.Errorf("BinnedRate = %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Median) {
-		t.Errorf("empty Summarize = %+v", empty)
 	}
 }
 
@@ -226,6 +181,10 @@ func TestECDFBasics(t *testing.T) {
 	if e.CensoredFraction() != 0 {
 		t.Errorf("CensoredFraction = %v", e.CensoredFraction())
 	}
+	var empty ECDF
+	if !math.IsNaN(empty.At(1)) {
+		t.Error("At on empty ECDF should be NaN")
+	}
 }
 
 func TestECDFCensored(t *testing.T) {
@@ -237,76 +196,8 @@ func TestECDFCensored(t *testing.T) {
 	if got := e.CensoredFraction(); got != 0.5 {
 		t.Errorf("CensoredFraction = %v, want 0.5", got)
 	}
-	if got := e.Quantile(0.25); got != 1 {
-		t.Errorf("Quantile(0.25) = %v, want 1", got)
-	}
-	if got := e.Quantile(0.75); !math.IsInf(got, 1) {
-		t.Errorf("Quantile(0.75) = %v, want +Inf", got)
-	}
 	if got := NewCensoredECDF(nil, -3).infMass; got != 0 {
 		t.Errorf("negative censored clamped to %d", got)
-	}
-}
-
-func TestECDFQuantileEdges(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30})
-	if got := e.Quantile(0); got != 10 {
-		t.Errorf("Quantile(0) = %v", got)
-	}
-	if got := e.Quantile(1); got != 30 {
-		t.Errorf("Quantile(1) = %v", got)
-	}
-	if !math.IsNaN(e.Quantile(-0.1)) || !math.IsNaN(e.Quantile(1.1)) {
-		t.Error("out-of-range quantile should be NaN")
-	}
-	var empty ECDF
-	if !math.IsNaN(empty.At(1)) {
-		t.Error("At on empty ECDF should be NaN")
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{2, 1, 2, 3})
-	xs, ps := e.Points()
-	wantX := []float64{1, 2, 3}
-	wantP := []float64{0.25, 0.75, 1}
-	if len(xs) != 3 {
-		t.Fatalf("Points returned %d xs", len(xs))
-	}
-	for i := range wantX {
-		if xs[i] != wantX[i] || !almostEq(ps[i], wantP[i], 1e-12) {
-			t.Fatalf("Points = %v %v", xs, ps)
-		}
-	}
-}
-
-func TestECDFEval(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3})
-	got := e.Eval([]float64{0, 2, 5})
-	want := []float64{0, 2.0 / 3, 1}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-12) {
-			t.Fatalf("Eval = %v", got)
-		}
-	}
-}
-
-func TestLogSpace(t *testing.T) {
-	got := LogSpace(1, 100, 3)
-	want := []float64{1, 10, 100}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-9) {
-			t.Fatalf("LogSpace = %v", got)
-		}
-	}
-	if LogSpace(0, 10, 3) != nil {
-		t.Error("LogSpace with lo=0 should be nil")
-	}
-	if LogSpace(10, 5, 3) != nil {
-		t.Error("LogSpace with hi<lo should be nil")
-	}
-	if got := LogSpace(5, 50, 1); len(got) != 1 || got[0] != 5 {
-		t.Errorf("LogSpace n=1 = %v", got)
 	}
 }
 
@@ -367,30 +258,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 				return false
 			}
 			prev = p
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Quantile is the inverse of At up to sample resolution.
-func TestQuantileInverseProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(rng.Intn(30))
-		}
-		e := NewECDF(xs)
-		sort.Float64s(xs)
-		for _, q := range []float64{0.1, 0.3, 0.5, 0.9, 1.0} {
-			x := e.Quantile(q)
-			if e.At(x) < q-1e-12 {
-				return false
-			}
 		}
 		return true
 	}

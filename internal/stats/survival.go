@@ -83,52 +83,3 @@ func (km *KaplanMeier) Median() float64 {
 	}
 	return math.Inf(1)
 }
-
-// Points returns the step points (t, S(t)) of the survival curve.
-func (km *KaplanMeier) Points() (ts, ss []float64) {
-	ts = append(ts, km.times...)
-	ss = append(ss, km.survival...)
-	return ts, ss
-}
-
-// NelsonAalen returns the Nelson-Aalen estimate of the cumulative hazard
-// H(t) evaluated at each of the given times.
-func NelsonAalen(obs []Observation, at []float64) []float64 {
-	sorted := make([]Observation, len(obs))
-	copy(sorted, obs)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Time < sorted[b].Time })
-
-	type step struct{ t, h float64 }
-	var steps []step
-	atRisk := float64(len(sorted))
-	h := 0.0
-	i := 0
-	for i < len(sorted) {
-		t := sorted[i].Time
-		var events, removed float64
-		for i < len(sorted) && sorted[i].Time == t {
-			if !sorted[i].Censored {
-				events++
-			}
-			removed++
-			i++
-		}
-		if events > 0 && atRisk > 0 {
-			h += events / atRisk
-			steps = append(steps, step{t, h})
-		}
-		atRisk -= removed
-	}
-	out := make([]float64, len(at))
-	for j, t := range at {
-		v := 0.0
-		for _, s := range steps {
-			if s.t > t {
-				break
-			}
-			v = s.h
-		}
-		out[j] = v
-	}
-	return out
-}

@@ -106,17 +106,6 @@ func ParseErrorKind(s string) (ErrorKind, error) {
 	return 0, fmt.Errorf("trace: unknown error kind %q", s)
 }
 
-// Transparent reports whether the error kind is transparent to the user
-// (correctable, read, write, and erase errors); the remaining kinds are
-// non-transparent and indicate aberrant behaviour the user can observe.
-func (k ErrorKind) Transparent() bool {
-	switch k {
-	case ErrCorrectable, ErrRead, ErrWrite, ErrErase:
-		return true
-	}
-	return false
-}
-
 // TransparentKinds and NonTransparentKinds partition ErrorKinds per §2.
 var (
 	TransparentKinds    = []ErrorKind{ErrCorrectable, ErrErase, ErrRead, ErrWrite}
@@ -159,16 +148,6 @@ func (r *DayRecord) Active() bool { return r.Reads > 0 || r.Writes > 0 }
 
 // BadBlocks returns the total bad-block count (factory + grown).
 func (r *DayRecord) BadBlocks() uint32 { return r.FactoryBadBlocks + r.GrownBadBlocks }
-
-// NonTransparentErrors returns the count of non-transparent errors on this
-// day (final read, final write, meta, response, timeout, uncorrectable).
-func (r *DayRecord) NonTransparentErrors() uint64 {
-	var n uint64
-	for _, k := range NonTransparentKinds {
-		n += uint64(r.Errors[k])
-	}
-	return n
-}
 
 // CumNonTransparentErrors returns the lifetime count of non-transparent
 // errors through this day.

@@ -57,14 +57,26 @@ func TestTransparentPartition(t *testing.T) {
 		t.Fatalf("partition sizes %d + %d != %d",
 			len(TransparentKinds), len(NonTransparentKinds), NumErrorKinds)
 	}
+	// §2: correctable, read, write and erase errors are transparent to
+	// the user; every other kind is non-transparent. Each kind is on
+	// exactly one side.
+	transparent := map[ErrorKind]bool{ErrCorrectable: true, ErrRead: true, ErrWrite: true, ErrErase: true}
+	seen := map[ErrorKind]int{}
 	for _, k := range TransparentKinds {
-		if !k.Transparent() {
-			t.Errorf("%v should be transparent", k)
+		seen[k]++
+		if !transparent[k] {
+			t.Errorf("%v should be non-transparent", k)
 		}
 	}
 	for _, k := range NonTransparentKinds {
-		if k.Transparent() {
-			t.Errorf("%v should be non-transparent", k)
+		seen[k]++
+		if transparent[k] {
+			t.Errorf("%v should be transparent", k)
+		}
+	}
+	for k := ErrorKind(0); int(k) < NumErrorKinds; k++ {
+		if seen[k] != 1 {
+			t.Errorf("%v is on %d sides of the partition, want 1", k, seen[k])
 		}
 	}
 }
@@ -90,15 +102,10 @@ func TestDayRecordActive(t *testing.T) {
 
 func TestNonTransparentErrorCounts(t *testing.T) {
 	var r DayRecord
-	r.Errors[ErrUncorrectable] = 3
-	r.Errors[ErrCorrectable] = 100 // transparent, excluded
-	r.Errors[ErrMeta] = 2
+	r.Errors[ErrUncorrectable] = 3 // daily counts, excluded
 	r.CumErrors[ErrUncorrectable] = 30
 	r.CumErrors[ErrTimeout] = 1
 	r.CumErrors[ErrRead] = 99 // transparent, excluded
-	if got := r.NonTransparentErrors(); got != 5 {
-		t.Errorf("NonTransparentErrors = %d, want 5", got)
-	}
 	if got := r.CumNonTransparentErrors(); got != 31 {
 		t.Errorf("CumNonTransparentErrors = %d, want 31", got)
 	}

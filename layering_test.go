@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/import_dag.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/import_dag.golden and testdata/reach.golden")
 
 const importDAGGolden = "testdata/import_dag.golden"
 
